@@ -19,15 +19,7 @@ from .systems import (
     get_system,
     registered_systems,
 )
-from .operator import (
-    CollocationPointData,
-    FunctionalIndex,
-    triangle_indices,
-    apply_operator,
-    representer_column,
-    riesz_representer,
-    gram_entry,
-)
+from .operator import triangle_indices, apply_operator
 from .collocation import (
     GridSpec,
     make_grid,
@@ -48,7 +40,6 @@ from .evaluate import (
     eval_operator_batch,
     Definiteness,
     definiteness,
-    FieldSample,
     field_export,
     error_report,
     ConvergenceRow,
@@ -64,13 +55,12 @@ __all__ = [
     "DynamicalSystem", "ExactMetric", "EquilibriumCheck", "SystemBundle",
     "check_equilibrium_condition", "jacobian_consistency", "linear_example",
     "register_system", "get_system", "registered_systems",
-    "CollocationPointData", "FunctionalIndex", "triangle_indices",
-    "apply_operator", "representer_column", "riesz_representer", "gram_entry",
+    "triangle_indices", "apply_operator",
     "GridSpec", "make_grid", "separation_distance", "fill_distance_estimate",
     "CollocationSet", "collocation_data", "assemble", "solve",
     "RecoverySolution", "SolveDiagnostics", "FactorizationError",
     "eval_metric", "eval_metric_batch", "eval_operator", "eval_operator_batch",
-    "Definiteness", "definiteness", "FieldSample", "field_export",
+    "Definiteness", "definiteness", "field_export",
     "error_report", "ConvergenceRow", "ConvergenceReport", "convergence_study",
     "ellipse_points",
 ]

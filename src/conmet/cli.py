@@ -184,7 +184,10 @@ def _solve_on_grid(bundle, kernel, rhs, points, regularize):
 
 def cmd_solve(config):
     """Solve once on the configured grid; write solution.json and beta.csv."""
+    import numpy as np
+
     from .collocation import fill_distance_estimate, make_grid, separation_distance
+    from .operator import triangle_indices
 
     bundle, kernel, rhs = _setup(config)
     points = make_grid(config.grid)
@@ -214,14 +217,12 @@ def cmd_solve(config):
     })
 
     dim = bundle.system.dim
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    i, j = np.transpose(triangle_indices(dim))
     header = (["k"] + [f"x{a}" for a in range(dim)]
-              + [f"beta_{i}{j}" for i, j in pairs])
-    rows = []
-    for k in range(len(points)):
-        rows.append([str(k)] + [_fmt(v) for v in points[k]]
-                    + [_fmt(solution.beta[k, i, j]) for i, j in pairs])
-    _write_csv(os.path.join(config.output_dir, "beta.csv"), header, rows)
+              + [f"beta_{p}{q}" for p, q in zip(i, j)])
+    table = np.column_stack([points, solution.beta[:, i, j]])
+    _write_csv(os.path.join(config.output_dir, "beta.csv"), header,
+               ([str(k)] + [_fmt(v) for v in row] for k, row in enumerate(table)))
     print(f"solved {len(points)} points, {diag.dimension} unknowns, "
           f"residual {diag.relative_residual:.3e} -> {config.output_dir}")
     return 0
@@ -263,40 +264,36 @@ def cmd_convergence(config):
 
 def cmd_fields(config):
     """Solve, then sample S and L(S) on the evaluation grid; write CSV + summary."""
+    import numpy as np
+
     from .collocation import make_grid
-    from .evaluate import Definiteness, definiteness, field_export
+    from .evaluate import Definiteness, definiteness_batch, field_export
 
     bundle, kernel, rhs = _setup(config)
     points = make_grid(config.grid)
     solution, _, _ = _solve_on_grid(bundle, kernel, rhs, points, config.regularize)
-    eval_grid = make_grid(config.check_grid)
-    samples = field_export(solution, bundle.system, eval_grid)
+    fields = field_export(solution, bundle.system, make_grid(config.check_grid))
 
     os.makedirs(config.output_dir, exist_ok=True)
     dim = bundle.system.dim
     coord_names = ["x", "y"] if dim == 2 else [f"x{a}" for a in range(dim)]
     header = coord_names + ["trace_S", "det_S", "trace_FS", "neg_det_FS",
                             "min_eig_S", "max_eig_FS"]
-    rows = []
-    bad_s = 0
-    bad_fs = 0
-    for sample in samples:
-        rows.append([_fmt(v) for v in sample.x]
-                    + [_fmt(sample.trace_s), _fmt(sample.det_s),
-                       _fmt(sample.trace_fs), _fmt(sample.neg_det_fs),
-                       _fmt(sample.min_eig_s), _fmt(sample.max_eig_fs)])
-        if definiteness(sample.s) is not Definiteness.POSITIVE_DEFINITE:
-            bad_s += 1
-        if definiteness(sample.fs) is not Definiteness.NEGATIVE_DEFINITE:
-            bad_fs += 1
-    _write_csv(os.path.join(config.output_dir, "fields.csv"), header, rows)
+    table = np.column_stack([fields[key] for key in ("x", "trace_s", "det_s", "trace_fs",
+                                                     "neg_det_fs", "min_eig_s", "max_eig_fs")])
+    _write_csv(os.path.join(config.output_dir, "fields.csv"), header,
+               ([_fmt(v) for v in row] for row in table))
+    bad_s = int(np.count_nonzero(
+        definiteness_batch(fields["s"]) != Definiteness.POSITIVE_DEFINITE.value))
+    bad_fs = int(np.count_nonzero(
+        definiteness_batch(fields["fs"]) != Definiteness.NEGATIVE_DEFINITE.value))
     _write_json(os.path.join(config.output_dir, "fields_summary.json"), {
-        "n_points": len(samples),
+        "n_points": len(table),
         "metric_not_positive_definite": bad_s,
         "operator_not_negative_definite": bad_fs,
         "failures": bad_s + bad_fs,
     })
-    print(f"{len(samples)} field samples, {bad_s + bad_fs} definiteness "
+    print(f"{len(table)} field samples, {bad_s + bad_fs} definiteness "
           f"failures -> {config.output_dir}")
     return 0
 

@@ -18,16 +18,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 from scipy.spatial import Delaunay, QhullError, cKDTree
-from scipy.spatial.distance import cdist
 
-from .operator import (
-    CollocationPointData,
-    FunctionalIndex,
-    column_representer_matrix,
-    index_scaling,
-    row_operator_matrix,
-    triangle_indices,
-)
+from .operator import coordinate_matrices, pairwise_scalars, triangle_indices
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -157,15 +149,6 @@ class CollocationSet:
         n = self.system.dim
         return len(self.points) * (n * (n + 1)) // 2
 
-    def point_data(self, k):
-        return CollocationPointData(self.points[k], self.f_values[k], self.jacobians[k])
-
-    def functional_indices(self):
-        """All functionals in the fixed ordering: point-major, (i, j) minor."""
-        pairs = triangle_indices(self.system.dim)
-        return tuple(FunctionalIndex(k, i, j)
-                     for k in range(len(self.points)) for i, j in pairs)
-
 
 def _find_duplicates(points):
     order = np.lexsort(points.T[::-1])
@@ -211,20 +194,6 @@ def _check_equilibria(system, points, equilibria):
                 f"fails the {sign} eigenvalue condition: {result.eigenvalues}")
 
 
-def _pairwise_scalars(kernel, points, f_values):
-    """The four pairwise kernel quantities entering a Gram block (l, k)."""
-    r = cdist(points, points)
-    psi, psi1, psi2 = kernel.profile_values(r)
-    xf = points @ f_values.T                 # xf[l, k] = <x_l, f_k>
-    sf = np.einsum("kd,kd->k", points, f_values)
-    dot_k = sf[None, :] - xf                 # <x_k - x_l, f_k>
-    dot_l = xf.T - sf[:, None]               # <x_k - x_l, f_l>
-    theta = psi1 * dot_k
-    g2 = -psi1 * dot_l
-    h = -psi2 * dot_l * dot_k - psi1 * (f_values @ f_values.T)
-    return psi, theta, g2, h
-
-
 def assemble(system, kernel, points, equilibria=()):
     """Build the collocation set and the dense symmetric Gram matrix.
 
@@ -241,18 +210,16 @@ def assemble(system, kernel, points, equilibria=()):
                          f"{cset.points[dup[0]].tolist()}")
     _check_equilibria(system, cset.points, equilibria)
 
-    n = system.dim
-    pairs = triangle_indices(n)
-    m = len(pairs)
-    big_n = len(cset)
+    row_ops, col, scale = coordinate_matrices(cset.jacobians)
+    col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]
+    big_n, m = len(cset), len(scale)
     dim = big_n * m
-
-    row_ops = np.stack([row_operator_matrix(cset.jacobians[k], pairs) for k in range(big_n)])
-    col_t = np.ascontiguousarray(np.stack(
-        [column_representer_matrix(cset.jacobians[k], pairs) for k in range(big_n)]
-    ).transpose(1, 0, 2))                      # (m, N, m): [a, k, b]
-    scale = index_scaling(pairs)
-    psi, theta, g2, h = _pairwise_scalars(kernel, cset.points, cset.f_values)
+    psi, theta, g2, h = pairwise_scalars(kernel, cset.points, cset.f_values,
+                                         cset.points, cset.f_values)
+    # h is symmetric in (l, k).  Its transpose rounds psi2 <x_k - x_l, f_l>
+    # before the f_k product, the order of earlier releases, so their Grams
+    # and beta.csv are reproduced bit for bit.
+    h = h.T
 
     # Block row l, block column k:
     #   B_lk = R_l (psi C_k + theta D) + g2 C_k + h D
@@ -336,12 +303,11 @@ def solve(gram, rhs, cset, kernel, regularize=False):
     if np.min(np.linalg.eigvalsh(rhs)) <= 0.0:
         raise ValueError("right-hand-side matrix must be positive definite")
 
-    pairs = triangle_indices(n)
-    m = len(pairs)
-    dim = len(cset) * m
+    i, j = np.transpose(triangle_indices(n))
+    dim = len(cset) * len(i)
     if gram.shape != (dim, dim):
         raise ValueError(f"Gram matrix has shape {gram.shape}, expected {(dim, dim)}")
-    b = -np.tile(rhs[tuple(zip(*pairs))], len(cset))
+    b = -np.tile(rhs[i, j], len(cset))
 
     regularized = False
     epsilon = None
@@ -360,14 +326,8 @@ def solve(gram, rhs, cset, kernel, regularize=False):
     gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
     residual = float(np.linalg.norm(gram @ gamma - b) / np.linalg.norm(b))
 
-    coeff = gamma.reshape(len(cset), m)
     beta = np.zeros((len(cset), n, n))
-    for col, (i, j) in enumerate(pairs):
-        if i == j:
-            beta[:, i, i] = coeff[:, col]
-        else:
-            beta[:, i, j] = 0.5 * coeff[:, col]
-            beta[:, j, i] = 0.5 * coeff[:, col]
+    beta[:, i, j] = beta[:, j, i] = gamma.reshape(len(cset), -1) * np.where(i == j, 1.0, 0.5)
 
     diagnostics = SolveDiagnostics(
         dimension=dim,

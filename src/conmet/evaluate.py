@@ -9,9 +9,12 @@ The recovered metric and the operator image have the closed forms
                        + (f_k^T H12(x_k, x) f(x)) b_k ]
 
 with r_k = |x_k - x|, b_k the coefficient matrices, and H12 the mixed kernel
-Hessian.  Evaluation is vectorised over query points in fixed-size chunks so
-arbitrarily large check grids stay within memory; every result is exactly
-symmetric by construction.
+Hessian.  The weights of both sums are the pairwise quantities of
+operator.pairwise_scalars with the query points as rows, and f, Df at the
+query points come from collocation_data, so assembly and evaluation share one
+engine and one callback loop.  Evaluation is vectorised over query points in
+fixed-size chunks so arbitrarily large check grids stay within memory; every
+result is exactly symmetric by construction.
 """
 
 import enum
@@ -20,8 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .collocation import FactorizationError, GridSpec, assemble, make_grid, solve
-from .operator import apply_operator
+from .collocation import (FactorizationError, GridSpec, assemble, collocation_data,
+                          make_grid, solve)
+from .operator import apply_operator, operator_image, pairwise_scalars
 
 __all__ = [
     "eval_metric",
@@ -30,7 +34,7 @@ __all__ = [
     "eval_operator_batch",
     "Definiteness",
     "definiteness",
-    "FieldSample",
+    "definiteness_batch",
     "field_export",
     "error_report",
     "ConvergenceRow",
@@ -40,12 +44,6 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-
-
-def _coefficient_images(solution):
-    """P_k = J_k beta_k + beta_k J_k^T, exactly symmetric slice by slice."""
-    half = np.matmul(solution.collocation.jacobians, solution.beta)
-    return half + half.transpose(0, 2, 1)
 
 
 def _symmetrize(fields):
@@ -60,47 +58,32 @@ def _combine(weights_a, flats_a, weights_b, flats_b, n):
     return out.reshape(len(out), n, n)
 
 
-def _fields_batch(solution, points, want_operator):
-    """S and (optionally) L(S) at each row of points in one shared pass."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def _fields_batch(solution, query):
+    """S and L(S) at the points of a CollocationSet, in one shared pass."""
     cset = solution.collocation
-    system = cset.system
-    n = system.dim
-    p_flat = _coefficient_images(solution).reshape(-1, n * n)
+    n = cset.system.dim
+    # P_k = J_k beta_k + beta_k J_k^T
+    p_flat = operator_image(solution.beta, 0.0,
+                            cset.jacobians.transpose(0, 2, 1)).reshape(-1, n * n)
     beta_flat = solution.beta.reshape(-1, n * n)
-    s_out = np.empty((len(points), n, n))
-    fs_out = np.empty((len(points), n, n)) if want_operator else None
-    for e0 in range(0, len(points), _CHUNK):
-        e1 = min(len(points), e0 + _CHUNK)
-        pts = points[e0:e1]
-        diff = cset.points[None, :, :] - pts[:, None, :]
-        r = np.sqrt(np.einsum("ekd,ekd->ek", diff, diff))
-        psi, psi1, psi2 = solution.kernel.profile_values(r, with_psi2=want_operator)
-        dot_k = np.einsum("ekd,kd->ek", diff, cset.f_values)   # <x_k - x, f_k>
-        s_val = _symmetrize(_combine(psi, p_flat, psi1 * dot_k, beta_flat, n))
+    s_out = np.empty((len(query), n, n))
+    fs_out = np.empty((len(query), n, n))
+    for e0 in range(0, len(query), _CHUNK):
+        e1 = min(len(query), e0 + _CHUNK)
+        psi, theta, g2, h = pairwise_scalars(
+            solution.kernel, query.points[e0:e1], query.f_values[e0:e1],
+            cset.points, cset.f_values)
+        s_val = _symmetrize(_combine(psi, p_flat, theta, beta_flat, n))
         s_out[e0:e1] = s_val
-        if not want_operator:
-            continue
-        f_here = np.empty((len(pts), n))
-        jac_here = np.empty((len(pts), n, n))
-        for e, x in enumerate(pts):
-            f_here[e] = np.asarray(system.f(x), dtype=float)
-            jac_here[e] = np.asarray(system.jacobian(x), dtype=float)
-        dot_e = np.einsum("ekd,ed->ek", diff, f_here)          # <x_k - x, f(x)>
-        g2 = -psi1 * dot_e
-        h = psi2 * dot_k
-        h *= -dot_e
-        h -= psi1 * (f_here @ cset.f_values.T)
-        half = np.matmul(jac_here.transpose(0, 2, 1), s_val)   # Df^T S
-        fs = half + half.transpose(0, 2, 1)
-        fs += _combine(g2, p_flat, h, beta_flat, n)
+        fs = operator_image(s_val, _combine(g2, p_flat, h, beta_flat, n),
+                            query.jacobians[e0:e1])
         fs_out[e0:e1] = _symmetrize(fs)
     return s_out, fs_out
 
 
 def eval_metric_batch(solution, points):
     """Recovered metric S at each row of points; (E, n, n) array."""
-    return _fields_batch(solution, points, want_operator=False)[0]
+    return _fields_batch(solution, collocation_data(solution.collocation.system, points))[0]
 
 
 def eval_metric(solution, x):
@@ -110,7 +93,7 @@ def eval_metric(solution, x):
 
 def eval_operator_batch(solution, points):
     """Operator image L(S) at each row of points; (E, n, n) array."""
-    return _fields_batch(solution, points, want_operator=True)[1]
+    return _fields_batch(solution, collocation_data(solution.collocation.system, points))[1]
 
 
 def eval_operator(solution, x):
@@ -125,13 +108,34 @@ class Definiteness(str, enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-def definiteness(matrix, tol=0.0, method="auto"):
-    """Classify a symmetric matrix as positive/negative definite or indefinite.
+def definiteness_batch(matrices, tol=0.0):
+    """Classify each symmetric matrix of an (E, n, n) stack.
 
-    For 2 x 2 matrices the trace/determinant criterion decides (method
-    "trace-det"); in general the extreme eigenvalues do ("eigenvalues").
-    Whenever the decisive quantity lies within tol of zero the result is
-    indeterminate.  Asymmetric input raises ValueError.
+    For 2 x 2 matrices the trace/determinant criterion decides, otherwise
+    the extreme eigenvalues do.  Whenever the decisive quantity lies within
+    tol of zero, and whenever a matrix has a non-finite entry, the result is
+    indeterminate.  Returns an (E,) array of Definiteness values.
+    """
+    a = np.asarray(matrices, dtype=float)
+    finite = np.all(np.isfinite(a), axis=(-2, -1))
+    a = np.where(finite[..., None, None], a, 0.0)
+    if a.shape[-1] == 2:
+        det, tr = np.linalg.det(a), np.trace(a, axis1=-2, axis2=-1)
+        pos, neg, indef = (det > tol) & (tr > tol), (det > tol) & (tr < -tol), det < -tol
+    else:
+        eigs = np.linalg.eigvalsh(a)
+        low, high = eigs[..., 0], eigs[..., -1]
+        pos, neg, indef = low > tol, high < -tol, (low < -tol) & (high > tol)
+    return np.select([~finite, pos, neg, indef],
+                     [Definiteness.INDETERMINATE.value, Definiteness.POSITIVE_DEFINITE.value,
+                      Definiteness.NEGATIVE_DEFINITE.value, Definiteness.INDEFINITE.value],
+                     default=Definiteness.INDETERMINATE.value)
+
+
+def definiteness(matrix, tol=0.0):
+    """Classify one symmetric matrix; see definiteness_batch for the criterion.
+
+    Asymmetric input raises ValueError.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -139,69 +143,30 @@ def definiteness(matrix, tol=0.0, method="auto"):
     scale = max(1.0, np.max(np.abs(a)))
     if np.max(np.abs(a - a.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    if method == "auto":
-        method = "trace-det" if a.shape[0] == 2 else "eigenvalues"
-    if method == "trace-det":
-        if a.shape[0] != 2:
-            raise ValueError("trace-det criterion applies to 2 x 2 matrices only")
-        det = float(np.linalg.det(a))
-        tr = float(np.trace(a))
-        if abs(det) <= tol:
-            return Definiteness.INDETERMINATE
-        if det < 0.0:
-            return Definiteness.INDEFINITE
-        if abs(tr) <= tol:
-            return Definiteness.INDETERMINATE
-        return (Definiteness.POSITIVE_DEFINITE if tr > 0.0
-                else Definiteness.NEGATIVE_DEFINITE)
-    if method != "eigenvalues":
-        raise ValueError(f"unknown method {method!r}")
-    eigs = np.linalg.eigvalsh(a)
-    low, high = float(eigs[0]), float(eigs[-1])
-    if low > tol:
-        return Definiteness.POSITIVE_DEFINITE
-    if high < -tol:
-        return Definiteness.NEGATIVE_DEFINITE
-    if low < -tol and high > tol:
-        return Definiteness.INDEFINITE
-    return Definiteness.INDETERMINATE
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Metric and operator values at one point plus the plotted scalars."""
-
-    x: np.ndarray
-    s: np.ndarray
-    fs: np.ndarray
-    trace_s: float
-    det_s: float
-    trace_fs: float
-    neg_det_fs: float
-    min_eig_s: float
-    max_eig_fs: float
+    return Definiteness(definiteness_batch(a[None], tol)[0])
 
 
 def field_export(solution, system, grid):
-    """Sample S and L(S) with their definiteness scalars on a point list."""
+    """Sample S and L(S) with their definiteness scalars on a point list.
+
+    Returns a dict of arrays whose entry e belongs to the point x[e]: "x"
+    (E, n); "s" and "fs", the (E, n, n) stacks of S and L(S); and the (E,)
+    arrays "trace_s", "det_s", "trace_fs", "neg_det_fs", "min_eig_s" and
+    "max_eig_fs".
+    """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    s_all, fs_all = _fields_batch(solution, grid, want_operator=True)
-    min_eig_s = np.linalg.eigvalsh(s_all)[:, 0]
-    max_eig_fs = np.linalg.eigvalsh(fs_all)[:, -1]
-    samples = []
-    for e, x in enumerate(grid):
-        samples.append(FieldSample(
-            x=x,
-            s=s_all[e],
-            fs=fs_all[e],
-            trace_s=float(np.trace(s_all[e])),
-            det_s=float(np.linalg.det(s_all[e])),
-            trace_fs=float(np.trace(fs_all[e])),
-            neg_det_fs=float(-np.linalg.det(fs_all[e])),
-            min_eig_s=float(min_eig_s[e]),
-            max_eig_fs=float(max_eig_fs[e]),
-        ))
-    return samples
+    s, fs = _fields_batch(solution, collocation_data(system, grid))
+    return {
+        "x": grid,
+        "s": s,
+        "fs": fs,
+        "trace_s": np.trace(s, axis1=1, axis2=2),
+        "det_s": np.linalg.det(s),
+        "trace_fs": np.trace(fs, axis1=1, axis2=2),
+        "neg_det_fs": -np.linalg.det(fs),
+        "min_eig_s": np.linalg.eigvalsh(s)[:, 0],
+        "max_eig_fs": np.linalg.eigvalsh(fs)[:, -1],
+    }
 
 
 def error_report(solution, exact, system, check_points):
@@ -214,15 +179,12 @@ def error_report(solution, exact, system, check_points):
     check_points = np.atleast_2d(np.asarray(check_points, dtype=float))
     if len(check_points) == 0:
         raise ValueError("empty check grid")
-    s_all, fs_all = _fields_batch(solution, check_points, want_operator=True)
-    err = 0.0
-    err_s = 0.0
-    for e, x in enumerate(check_points):
-        m = np.asarray(exact.value(x), dtype=float)
-        fm = apply_operator(system, m, exact.gradient(x), x)
-        err = max(err, float(np.max(np.abs(s_all[e] - m))))
-        err_s = max(err_s, float(np.max(np.abs(fs_all[e] - fm))))
-    return err, err_s
+    query = collocation_data(system, check_points)
+    s_all, fs_all = _fields_batch(solution, query)
+    m = np.array([exact.value(x) for x in check_points], dtype=float)
+    gradients = np.array([exact.gradient(x) for x in check_points], dtype=float)
+    fm = apply_operator(m, gradients, query.f_values, query.jacobians)
+    return float(np.max(np.abs(s_all - m))), float(np.max(np.abs(fs_all - fm)))
 
 
 @dataclass(frozen=True)

@@ -95,13 +95,6 @@ class _FactoredRadial:
             acc *= self.outer
         return acc
 
-    def __call__(self, t):
-        flat = t.ravel()
-        inside = flat < 1.0
-        out = np.zeros(flat.shape)
-        out[inside] = self.eval_unit(flat[inside])
-        return out.reshape(t.shape)
-
 
 class RadialKernel:
     """Scalar compactly supported radial kernel phi(x, y) = psi(|x - y|).
@@ -154,73 +147,38 @@ class RadialKernel:
 
     # -- radial profile and the two derivative quotients ---------------------
 
-    def _eval(self, helper, r):
-        r = np.asarray(r, dtype=float)
-        out = helper(self.shape_parameter * r)
+    def _eval(self, index, r):
+        out = self.profile_values(r)[index]
         return float(out) if out.ndim == 0 else out
 
     def psi(self, r):
         """Profile psi(r); exactly zero for r >= 1/c."""
-        return self._eval(self._psi, r)
+        return self._eval(0, r)
 
     def psi1(self, r):
         """psi'(r)/r, continuously extended to r = 0."""
-        return self._eval(self._psi1, r)
+        return self._eval(1, r)
 
     def psi2(self, r):
         """(psi''(r) - psi'(r)/r)/r**2, continuously extended to r = 0."""
-        return self._eval(self._psi2, r)
+        return self._eval(2, r)
 
-    def profile_values(self, r, with_psi2=True):
-        """psi, psi1 and optionally psi2 on one shared support mask.
+    def profile_values(self, r):
+        """psi, psi1 and psi2 on one shared support mask.
 
-        Equivalent to calling the three helpers separately but evaluates the
-        polynomials only on the entries inside the support, which is what the
-        pairwise assembly and grid evaluation loops want.  Returns a tuple
-        (psi, psi1, psi2-or-None) of arrays shaped like r.
+        The polynomials are evaluated only on the entries inside the support.
+        Returns a tuple (psi, psi1, psi2) of arrays shaped like r.
         """
         r = np.asarray(r, dtype=float)
         t = (self.shape_parameter * r).ravel()
         inside = t < 1.0
         t_in = t[inside]
-        helpers = [self._psi, self._psi1] + ([self._psi2] if with_psi2 else [])
         values = []
-        for helper in helpers:
+        for helper in (self._psi, self._psi1, self._psi2):
             flat = np.zeros(t.shape)
             flat[inside] = helper.eval_unit(t_in)
             values.append(flat.reshape(r.shape))
-        if not with_psi2:
-            values.append(None)
         return tuple(values)
-
-    # -- bivariate kernel and its derivatives --------------------------------
-
-    def _pair(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
-        return x - y
-
-    def phi(self, x, y):
-        """Kernel value psi(|x - y|)."""
-        diff = self._pair(x, y)
-        return self.psi(np.linalg.norm(diff))
-
-    def grad1_phi(self, x, y):
-        """Gradient of phi in its first argument: psi1(r) * (x - y)."""
-        diff = self._pair(x, y)
-        return self.psi1(np.linalg.norm(diff)) * diff
-
-    def hess12_phi(self, x, y):
-        """Mixed second derivative matrix d^2 phi / dx_i dy_j.
-
-        Equals -psi2(r) (x-y)(x-y)^T - psi1(r) I; symmetric, finite at
-        x = y where it reduces to -psi1(0) I.
-        """
-        diff = self._pair(x, y)
-        r = np.linalg.norm(diff)
-        return (-self.psi2(r)) * np.outer(diff, diff) - self.psi1(r) * np.eye(diff.size)
 
 
 # Profile of Wendland's C^8 function for up to two space dimensions,

@@ -1,4 +1,4 @@
-"""The first-order matrix PDE operator and its action on kernel representers.
+"""The first-order matrix PDE operator and its action on the tensor kernel.
 
 The operator acting on a symmetric matrix field M is
 
@@ -6,61 +6,42 @@ The operator acting on a symmetric matrix field M is
     (M'(x))_ij = grad M_ij(x) . f(x),
 
 and the collocation functionals pick single entries of L M at the collocation
-points.  For the product tensor kernel, whose (mu, nu) column is the matrix
-field y -> phi(y, x) E_mu_nu, applying L collapses into small closed forms in
-psi, psi1 and psi2; those closed forms are the production path below and are
-validated in the tests against finite-difference application of the operator.
+points.  This module owns the two pieces every Gram entry and every value of
+S and L(S) are built from:
+
+- the batched operator application, operator_image, which is the one place
+  the zero-order part Df^T M + M Df is formed; apply_operator validates
+  user-supplied fields and feeds it, and the coordinate matrices of the
+  assembly and the coefficient images of the evaluation reuse it;
+- the pairwise engine, pairwise_scalars, which for row points x_l and column
+  points x_k returns the four kernel quantities
+
+      psi   = psi(r),                     r = |x_k - x_l|,
+      theta = psi1(r) <x_k - x_l, f_k>,
+      g2    = -psi1(r) <x_k - x_l, f_l>,
+      h     = -psi2(r) <x_k - x_l, f_k> <x_k - x_l, f_l> - psi1(r) <f_l, f_k>.
 
 With Q_ij the symmetrised unit matrix (E_ij + E_ji)/2 for i != j and E_ii on
-the diagonal, the Riesz representer of the (k, i, j) functional is
-
-    v(x) = phi(x_k, x) * (J_k Q_ij + Q_ij J_k^T)
-         + <grad1_phi(x_k, x), f(x_k)> * Q_ij,
-
-and a Gram entry applies the row functional (l, p, q) to that field, which
-needs one more kernel gradient and the mixed Hessian contracted with f at
-both points.
+the diagonal, the Riesz representer of the (k, i, j) functional at x_l is
+psi (J_k Q_ij + Q_ij J_k^T) + theta Q_ij, and applying the row functional
+(l, p, q) to it adds g2 (J_k Q_ij + Q_ij J_k^T) + h Q_ij to the zero-order
+image of that value under J_l.  Assembly uses rows = columns = nodes;
+evaluation uses rows = query points, where the same four numbers give S and
+L(S) as sums over the nodes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
-    "CollocationPointData",
-    "FunctionalIndex",
     "triangle_indices",
+    "operator_image",
     "apply_operator",
-    "representer_column",
-    "riesz_representer",
-    "gram_entry",
+    "pairwise_scalars",
+    "coordinate_matrices",
 ]
 
 _SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CollocationPointData:
-    """Cached system data at one collocation point: x, f(x) and Df(x)."""
-
-    x: np.ndarray
-    f: np.ndarray
-    jac: np.ndarray
-
-
-@dataclass(frozen=True)
-class FunctionalIndex:
-    """Point index k with component pair (i, j), upper triangular i <= j."""
-
-    k: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not (0 <= self.i <= self.j):
-            raise ValueError(f"component indices must satisfy 0 <= i <= j, got ({self.i}, {self.j})")
-        if self.k < 0:
-            raise ValueError(f"point index must be nonnegative, got {self.k}")
 
 
 def triangle_indices(n):
@@ -68,152 +49,93 @@ def triangle_indices(n):
     return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
-def _basis_matrix(n, i, j):
-    """Coordinate basis of symmetric matrices: E_ii, or E_ij + E_ji for i < j."""
-    g = np.zeros((n, n))
-    g[i, j] = 1.0
-    g[j, i] = 1.0
-    if i == j:
-        g[i, i] = 1.0
-    return g
+def operator_image(values, orbital, jacobians):
+    """Df^T M + M Df + orbital over stacks of (n, n) matrices.
+
+    values and jacobians broadcast against each other in their leading axes;
+    orbital is the first-order part M' (an array, or 0.0 for none).
+    """
+    half = np.matmul(np.swapaxes(jacobians, -1, -2), values)
+    out = half + np.swapaxes(half, -1, -2)
+    out += orbital
+    return out
 
 
-def _sym_unit(n, i, j):
-    """Symmetrised unit matrix Q_ij = (E_ij + E_ji)/2, Q_ii = E_ii."""
-    q = np.zeros((n, n))
-    if i == j:
-        q[i, i] = 1.0
-    else:
-        q[i, j] = 0.5
-        q[j, i] = 0.5
-    return q
-
-
-def apply_operator(system, value, gradients, x, tol=_SYMMETRY_TOL):
-    """Apply the PDE operator to an explicitly given matrix field at x.
+def apply_operator(values, gradients, f_values, jacobians, tol=_SYMMETRY_TOL):
+    """Apply the PDE operator to explicitly given matrix fields at E points.
 
     Parameters
     ----------
-    system : DynamicalSystem
-    value : (n, n) array
-        Field value M(x), symmetric within tol.
-    gradients : (n, n, n) array
-        gradients[i][j] = grad M_ij(x), symmetric in (i, j) within tol.
-    x : point
+    values : (E, n, n) array
+        Field values M(x_e), each symmetric within tol.
+    gradients : (E, n, n, n) array
+        gradients[e, i, j] = grad M_ij(x_e), symmetric in (i, j) within tol.
+    f_values, jacobians : (E, n) and (E, n, n) arrays
+        f(x_e) and Df(x_e).
 
-    Returns the symmetric matrix Df(x)^T M + M Df(x) + (grad M . f)(x).
+    Returns the (E, n, n) stack Df^T M + M Df + (grad M . f).
     """
-    n = system.dim
-    value = np.asarray(value, dtype=float)
+    values = np.asarray(values, dtype=float)
     gradients = np.asarray(gradients, dtype=float)
-    if value.shape != (n, n) or gradients.shape != (n, n, n):
-        raise ValueError(f"field data has wrong shape for dimension {n}: "
-                         f"{value.shape}, {gradients.shape}")
-    if np.max(np.abs(value - value.T)) > tol:
+    f_values = np.asarray(f_values, dtype=float)
+    jacobians = np.asarray(jacobians, dtype=float)
+    e, n = f_values.shape
+    if (values.shape != (e, n, n) or gradients.shape != (e, n, n, n)
+            or jacobians.shape != (e, n, n)):
+        raise ValueError(f"field data has wrong shape for {e} points in dimension {n}: "
+                         f"{values.shape}, {gradients.shape}, {jacobians.shape}")
+    if np.any(np.abs(values - values.transpose(0, 2, 1)) > tol):
         raise ValueError("field value is not symmetric")
-    if np.max(np.abs(gradients - gradients.transpose(1, 0, 2))) > tol:
+    if np.any(np.abs(gradients - gradients.transpose(0, 2, 1, 3)) > tol):
         raise ValueError("field gradients are not symmetric in the component pair")
-    value = 0.5 * (value + value.T)
-    gradients = 0.5 * (gradients + gradients.transpose(1, 0, 2))
-    x = np.asarray(x, dtype=float)
-    half = np.asarray(system.jacobian(x), dtype=float).T @ value
-    orbital = gradients @ np.asarray(system.f(x), dtype=float)
-    return half + half.T + orbital
+    values = 0.5 * (values + values.transpose(0, 2, 1))
+    gradients = 0.5 * (gradients + gradients.transpose(0, 2, 1, 3))
+    orbital = np.einsum("eijd,ed->eij", gradients, f_values)
+    return operator_image(values, orbital, jacobians)
 
 
-def representer_column(kernel, data, x, mu, nu):
-    """Operator applied to the (mu, nu) kernel column, evaluated at x_k.
+def pairwise_scalars(kernel, rows, row_f, cols, col_f):
+    """(psi, theta, g2, h) for every (row point, column point) pair.
 
-    Returns the matrix H with H[i, j] = L(phi(., x) E_mu_nu)(x_k)[i, j],
-    which for the product kernel is
-
-        phi(x_k, x) * (J_k^T E_mu_nu + E_mu_nu J_k)
-        + <grad1_phi(x_k, x), f(x_k)> * E_mu_nu.
-
-    Not symmetric in general; vanishes whenever |x - x_k| >= 1/c.
+    rows, cols are (L, d) and (K, d) point arrays with f values row_f, col_f;
+    each result is an (L, K) array, exactly zero outside the kernel support.
+    The inner products come from GEMMs, <x_k, f_k> - <x_l, f_k>, so no
+    (L, K, d) difference array is formed.
     """
-    n = data.jac.shape[0]
-    if not (0 <= mu < n and 0 <= nu < n):
-        raise ValueError(f"component indices ({mu}, {nu}) out of range for dimension {n}")
-    e = np.zeros((n, n))
-    e[mu, nu] = 1.0
-    phi = kernel.phi(data.x, x)
-    theta = kernel.grad1_phi(data.x, x) @ data.f
-    return phi * (data.jac.T @ e + e @ data.jac) + theta * e
-
-
-def riesz_representer(kernel, data, index, x):
-    """Value at x of the Riesz representer of the (k, i, j) functional.
-
-    Symmetric by construction; assembled over the orthonormal symmetric
-    basis, which collapses to the closed form stated in the module docstring.
-    """
-    q = _sym_unit(data.jac.shape[0], index.i, index.j)
-    phi = kernel.phi(data.x, x)
-    theta = kernel.grad1_phi(data.x, x) @ data.f
-    p = data.jac @ q + q @ data.jac.T
-    return phi * p + theta * q
-
-
-def gram_entry(kernel, data_l, index_l, data_k, index_k):
-    """Row functional (l, p, q) applied to the representer of (k, i, j).
-
-    Symmetric under swapping the two functionals (it is an inner product of
-    representers) and exactly zero once |x_l - x_k| >= 1/c.
-    """
-    n = data_l.jac.shape[0]
-    diff = data_k.x - data_l.x
-    r = np.linalg.norm(diff)
-    phi = kernel.psi(r)
-    psi1 = kernel.psi1(r)
-    dot_k = diff @ data_k.f
-    dot_l = diff @ data_l.f
+    r = cdist(rows, cols)
+    psi, psi1, psi2 = kernel.profile_values(r)
+    del r
+    dot_k = np.einsum("kd,kd->k", cols, col_f)[None, :] - rows @ col_f.T   # <x_k - x_l, f_k>
+    dot_l = row_f @ cols.T - np.einsum("ld,ld->l", rows, row_f)[:, None]  # <x_k - x_l, f_l>
+    h = -psi2 * dot_k * dot_l - psi1 * (row_f @ col_f.T)
+    del psi2
     theta = psi1 * dot_k
     g2 = -psi1 * dot_l
-    h = -kernel.psi2(r) * dot_l * dot_k - psi1 * (data_l.f @ data_k.f)
-
-    q = _sym_unit(n, index_k.i, index_k.j)
-    p = data_k.jac @ q + q @ data_k.jac.T
-    value = phi * p + theta * q                    # representer at x_l
-    image = data_l.jac.T @ value + value @ data_l.jac + g2 * p + h * q
-    return image[index_l.i, index_l.j]
+    return psi, theta, g2, h
 
 
-# -- coordinate-space matrices used by the vectorised Gram assembly ----------
-#
-# Symmetric matrices are identified with their upper-triangular entries in
-# the order of triangle_indices(n).  For a point with Jacobian J:
-#   row_operator_matrix   maps field-value coordinates to the zero-order part
-#                         of the functional, (J^T W + W J) picked at (p, q);
-#   column_representer_matrix holds the coordinates of the representer
-#                         matrices J Q_ij + Q_ij J^T, one column per (i, j);
-#   index_scaling         is the diagonal factor 1 (diagonal pair) or 1/2.
+def coordinate_matrices(jacobians):
+    """Per-point matrices of the zero-order operator parts in triangle coordinates.
 
+    Symmetric matrices are identified with their entries at triangle_indices(n).
+    For each Jacobian J_k (jacobians is (N, n, n)) returns
 
-def index_scaling(pairs):
-    return np.array([1.0 if i == j else 0.5 for i, j in pairs])
+    - row[k], (m, m): maps the coordinates of W to those of J_k^T W + W J_k;
+    - col[k], (m, m): column b holds the coordinates of J_k Q_b + Q_b J_k^T;
 
-
-def row_operator_matrix(jac, pairs):
-    n = jac.shape[0]
-    m = len(pairs)
-    out = np.empty((m, m))
-    for b, (i, j) in enumerate(pairs):
-        g = _basis_matrix(n, i, j)
-        w = jac.T @ g + g @ jac
-        for a, (p, q) in enumerate(pairs):
-            out[a, b] = w[p, q]
-    return out
-
-
-def column_representer_matrix(jac, pairs):
-    n = jac.shape[0]
-    m = len(pairs)
-    scale = index_scaling(pairs)
-    out = np.empty((m, m))
-    for b, (i, j) in enumerate(pairs):
-        g = scale[b] * _basis_matrix(n, i, j)
-        w = jac @ g + g @ jac.T
-        for a, (p, q) in enumerate(pairs):
-            out[a, b] = w[p, q]
-    return out
+    plus scale, (m,), the coordinates of Q_b at b: 1 on a diagonal pair and
+    1/2 off it.
+    """
+    jacobians = np.asarray(jacobians, dtype=float)
+    n = jacobians.shape[-1]
+    i, j = np.transpose(triangle_indices(n))
+    m = len(i)
+    basis = np.zeros((m, n, n))              # E_ij + E_ji, or E_ii
+    basis[np.arange(m), i, j] = 1.0
+    basis[np.arange(m), j, i] = 1.0
+    scale = np.where(i == j, 1.0, 0.5)
+    jac = jacobians[:, None]
+    row = operator_image(basis, 0.0, jac)[..., i, j]                     # [k, b, a]
+    col = operator_image(scale[:, None, None] * basis, 0.0, np.swapaxes(jac, -1, -2))[..., i, j]
+    return (np.ascontiguousarray(row.transpose(0, 2, 1)),
+            np.ascontiguousarray(col.transpose(0, 2, 1)), scale)

@@ -17,19 +17,24 @@ import pytest
 import conmet
 import conmet.cli as cli
 from conmet import (
-    FunctionalIndex,
     GridSpec,
     assemble,
     eval_metric,
     eval_operator_batch,
-    gram_entry,
     make_grid,
-    representer_column,
-    riesz_representer,
     solve,
     triangle_indices,
 )
 from conftest import BOUNDS
+from oracles import (
+    CollocationPointData,
+    FunctionalIndex,
+    gram_entry,
+    phi,
+    point_data,
+    representer_column,
+    riesz_representer,
+)
 
 ALPHAS = (1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32)
 TABLE_E_S = (2.5724, 1.2833, 0.3516, 0.0329, 0.0025)
@@ -130,18 +135,18 @@ def test_criterion_4_oracle_equivalence(linear, kernel, solved_eighth):
         value = field(data.x)
         return data.jac.T @ value + value @ data.jac + grad @ data.f
 
-    def point_data(x):
+    def data_at(x):
         x = np.asarray(x, float)
-        return conmet.CollocationPointData(x, system.f(x), system.jacobian(x))
+        return CollocationPointData(x, system.f(x), system.jacobian(x))
 
     # (b) operator on kernel columns vs brute-force application
     for _ in range(10):
-        data = point_data(rng.uniform(-1, 1, 2))
+        data = data_at(rng.uniform(-1, 1, 2))
         x = data.x + rng.uniform(-0.7, 0.7, 2)
         for mu, nu in itertools.product(range(2), range(2)):
             basis = np.zeros((2, 2))
             basis[mu, nu] = 1.0
-            oracle = fd_apply(lambda y: kernel.phi(y, x) * basis, data)
+            oracle = fd_apply(lambda y: phi(kernel, y, x) * basis, data)
             ours = representer_column(kernel, data, x, mu, nu)
             if not np.allclose(ours, oracle, rtol=1e-6, atol=1e-6):
                 failures.append(f"column({mu},{nu})")
@@ -149,8 +154,8 @@ def test_criterion_4_oracle_equivalence(linear, kernel, solved_eighth):
     # (c) Gram entries vs finite-difference double application
     pairs = triangle_indices(2)
     for _ in range(10):
-        data_l = point_data(rng.uniform(-1, 1, 2))
-        data_k = point_data(data_l.x + rng.uniform(-0.7, 0.7, 2))
+        data_l = data_at(rng.uniform(-1, 1, 2))
+        data_k = data_at(data_l.x + rng.uniform(-0.7, 0.7, 2))
         il = FunctionalIndex(0, *pairs[rng.integers(3)])
         ik = FunctionalIndex(1, *pairs[rng.integers(3)])
         oracle = fd_apply(
@@ -195,7 +200,7 @@ def test_criterion_5_structural_invariants(linear, kernel, solved_quarter):
     # index-pair symmetry of the operator on kernel columns, 1e-13
     for _ in range(100):
         x_k = rng.uniform(-1, 1, 2)
-        data = conmet.CollocationPointData(x_k, system.f(x_k), system.jacobian(x_k))
+        data = CollocationPointData(x_k, system.f(x_k), system.jacobian(x_k))
         x = x_k + rng.uniform(-0.9, 0.9, 2)
         cols = {(mu, nu): representer_column(kernel, data, x, mu, nu)
                 for mu, nu in itertools.product(range(2), range(2))}
@@ -208,7 +213,7 @@ def test_criterion_5_structural_invariants(linear, kernel, solved_quarter):
     for x in rng.uniform(-1, 1, (10, 2)):
         expansion = np.zeros((2, 2))
         for k in range(len(cset)):
-            data = cset.point_data(k)
+            data = point_data(cset, k)
             for i, j in triangle_indices(2):
                 gamma = (solved_quarter.beta[k, i, j] if i == j
                          else 2.0 * solved_quarter.beta[k, i, j])

@@ -115,6 +115,27 @@ def test_fields_artifacts_and_interpolation_rows(tmp_path, capsys):
                                    + summary["operator_not_negative_definite"])
 
 
+def test_fields_summary_matches_csv_recount(tmp_path, capsys):
+    # a coarse grid leaves both kinds of failure; the summary counts must
+    # equal a recount of the written columns under the trace/det criterion
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.5},
+                  check_grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.125,
+                              "offset": 0.0625})
+    assert cli.main(["fields", str(cfg)]) == 0
+    _, rows = _read_csv(tmp_path / "out" / "fields.csv")
+    bad_s = bad_fs = 0
+    for row in rows:
+        _, _, tr_s, det_s, tr_fs, neg_det_fs, _, _ = map(float, row)
+        bad_s += not (det_s > 0.0 and tr_s > 0.0)
+        bad_fs += not (-neg_det_fs > 0.0 and tr_fs < 0.0)
+    summary = json.loads((tmp_path / "out" / "fields_summary.json").read_text())
+    assert bad_s > 0 and bad_fs > 0
+    assert summary == {"n_points": len(rows), "metric_not_positive_definite": bad_s,
+                       "operator_not_negative_definite": bad_fs,
+                       "failures": bad_s + bad_fs}
+
+
 def test_ellipses_good_and_flagged_anchors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25})

@@ -7,15 +7,12 @@ import pytest
 
 import conmet
 from conmet import (
-    CollocationPointData,
     DynamicalSystem,
     FactorizationError,
-    FunctionalIndex,
     GridSpec,
     assemble,
     eval_metric,
     fill_distance_estimate,
-    gram_entry,
     linear_example,
     make_grid,
     separation_distance,
@@ -24,6 +21,13 @@ from conmet import (
     wendland_c8,
 )
 from conftest import BOUNDS
+from oracles import (
+    FunctionalIndex,
+    functional_indices,
+    gram_entry,
+    point_data,
+    riesz_representer,
+)
 
 
 # -- grids --------------------------------------------------------------------
@@ -131,11 +135,11 @@ def test_collocation_set_enumeration(linear, kernel):
     system, _, _ = linear
     pts = make_grid(GridSpec(BOUNDS, 1.0))
     cset, _ = assemble(system, kernel, pts)
-    indices = cset.functional_indices()
+    indices = functional_indices(cset)
     assert len(indices) == cset.n_functionals == 9 * 3
     expected = [(k, i, j) for k in range(9) for i, j in ((0, 0), (0, 1), (1, 1))]
     assert [(ix.k, ix.i, ix.j) for ix in indices] == expected
-    data = cset.point_data(4)
+    data = point_data(cset, 4)
     assert np.array_equal(data.x, pts[4])
     assert np.array_equal(data.f, system.f(pts[4]))
 
@@ -166,8 +170,8 @@ def test_assemble_matches_scalar_gram_entry(linear, kernel):
             itertools.product(range(3), pairs), repeat=2):
         row = l * 3 + pairs.index(pl)
         col = k * 3 + pairs.index(pk)
-        entry = gram_entry(kernel, cset.point_data(l), FunctionalIndex(l, *pl),
-                           cset.point_data(k), FunctionalIndex(k, *pk))
+        entry = gram_entry(kernel, point_data(cset, l), FunctionalIndex(l, *pl),
+                           point_data(cset, k), FunctionalIndex(k, *pk))
         assert gram[row, col] == pytest.approx(entry, rel=1e-12, abs=1e-12)
 
 
@@ -193,8 +197,8 @@ def test_assemble_two_point_fd_oracle(linear, kernel):
     for l, k in itertools.product(range(2), repeat=2):
         for a, pl in enumerate(pairs):
             for b, pk in enumerate(pairs):
-                field = lambda y: conmet.riesz_representer(
-                    kernel, cset.point_data(k), FunctionalIndex(k, *pk), y)
+                field = lambda y: riesz_representer(
+                    kernel, point_data(cset, k), FunctionalIndex(k, *pk), y)
                 oracle = fd_apply_row(l, field)[pl[0], pl[1]]
                 assert gram[l * 3 + a, k * 3 + b] == pytest.approx(
                     oracle, rel=1e-5, abs=1e-5)

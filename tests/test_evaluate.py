@@ -8,7 +8,6 @@ from conmet import (
     Definiteness,
     DynamicalSystem,
     ExactMetric,
-    FunctionalIndex,
     GridSpec,
     RecoverySolution,
     SolveDiagnostics,
@@ -24,12 +23,13 @@ from conmet import (
     field_export,
     linear_example,
     make_grid,
-    riesz_representer,
     solve,
     triangle_indices,
     wendland_c8,
 )
+from conmet.evaluate import definiteness_batch
 from conftest import BOUNDS
+from oracles import FunctionalIndex, point_data, riesz_representer
 
 
 def _zero_solution(linear, kernel, n_points=4):
@@ -88,7 +88,7 @@ def test_form1_equals_form2(solved_quarter, kernel):
     for x in rng.uniform(-1, 1, (50, 2)):
         form1 = np.zeros((2, 2))
         for k in range(len(cset)):
-            data = cset.point_data(k)
+            data = point_data(cset, k)
             for i, j in pairs:
                 gamma = beta[k, i, j] if i == j else 2.0 * beta[k, i, j]
                 form1 += gamma * riesz_representer(kernel, data, FunctionalIndex(k, i, j), x)
@@ -126,14 +126,23 @@ def test_definiteness_basic_cases():
 
 
 def test_definiteness_methods_cross_check():
+    # the trace/det criterion (n = 2) and the eigenvalue criterion (n = 3)
+    # agree with the signs of eigvalsh
     rng = np.random.default_rng(54)
-    for _ in range(50):
-        a = rng.normal(size=(2, 2))
-        a = a + a.T
-        if abs(np.linalg.det(a)) < 1e-3 or abs(np.trace(a)) < 1e-3:
-            continue
-        assert (definiteness(a, method="trace-det")
-                is definiteness(a, method="eigenvalues"))
+    for n in (2, 3):
+        for _ in range(50):
+            a = rng.normal(size=(n, n))
+            a = a + a.T
+            eigs = np.linalg.eigvalsh(a)
+            if np.min(np.abs(eigs)) < 1e-3:
+                continue
+            if eigs[0] > 0.0:
+                expected = Definiteness.POSITIVE_DEFINITE
+            elif eigs[-1] < 0.0:
+                expected = Definiteness.NEGATIVE_DEFINITE
+            else:
+                expected = Definiteness.INDEFINITE
+            assert definiteness(a) is expected
 
 
 def test_definiteness_higher_dimension():
@@ -142,13 +151,35 @@ def test_definiteness_higher_dimension():
     assert definiteness(np.diag([1.0, -2.0, 3.0])) is Definiteness.INDEFINITE
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_definiteness_non_finite_is_indeterminate(n):
+    for bad in (np.nan, np.inf, -np.inf):
+        assert definiteness(np.full((n, n), bad)) is Definiteness.INDETERMINATE
+        spd = np.eye(n)
+        spd[0, 0] = bad
+        assert definiteness(spd) is Definiteness.INDETERMINATE
+        neg = -np.eye(n)
+        neg[-1, -1] = bad
+        assert definiteness(neg) is Definiteness.INDETERMINATE
+
+
+def test_definiteness_batch_matches_scalar():
+    rng = np.random.default_rng(56)
+    for n in (2, 3):
+        stack = rng.normal(size=(40, n, n))
+        stack = stack + stack.transpose(0, 2, 1)
+        stack[3] = np.nan
+        stack[7] = np.zeros((n, n))
+        codes = definiteness_batch(stack)
+        assert codes.shape == (40,)
+        assert [Definiteness(c) for c in codes] == [definiteness(a) for a in stack]
+
+
 def test_definiteness_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         definiteness(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="trace-det"):
-        definiteness(np.eye(3), method="trace-det")
-    with pytest.raises(ValueError, match="unknown method"):
-        definiteness(np.eye(2), method="pivots")
+    with pytest.raises(ValueError, match="square"):
+        definiteness(np.ones((2, 3)))
 
 
 # -- error metrics and the study harness -----------------------------------------
@@ -200,21 +231,38 @@ def test_convergence_study_requires_decreasing_alphas(linear, kernel):
 def test_field_export_shapes_and_collocation_values(solved_quarter, linear):
     system, _, _ = linear
     pts = solved_quarter.collocation.points
-    samples = field_export(solved_quarter, system, pts)
-    assert len(samples) == len(pts)
-    assert [tuple(s.x) for s in samples] == [tuple(p) for p in pts]
-    for sample in samples:
+    fields = field_export(solved_quarter, system, pts)
+    assert fields["s"].shape == fields["fs"].shape == (len(pts), 2, 2)
+    assert np.array_equal(fields["x"], pts)
+    for e in range(len(pts)):
         # interpolation conditions: L(S) = -I at the collocation points
-        assert sample.trace_fs == pytest.approx(-2.0, abs=1e-6)
-        assert sample.neg_det_fs == pytest.approx(-1.0, abs=1e-6)
-        assert sample.max_eig_fs == pytest.approx(-1.0, abs=1e-6)
+        assert fields["trace_fs"][e] == pytest.approx(-2.0, abs=1e-6)
+        assert fields["neg_det_fs"][e] == pytest.approx(-1.0, abs=1e-6)
+        assert fields["max_eig_fs"][e] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_field_export_single_point(solved_quarter, linear):
     system, _, _ = linear
-    samples = field_export(solved_quarter, system, [[0.1, -0.2]])
-    assert len(samples) == 1
-    assert samples[0].s.shape == (2, 2)
+    fields = field_export(solved_quarter, system, [[0.1, -0.2]])
+    assert len(fields["x"]) == 1
+    assert fields["s"][0].shape == (2, 2)
+
+
+def test_field_export_scalars_match_pointwise(solved_quarter, linear):
+    # the batched trace, det and eigenvalue columns agree with per-point calls
+    system, _, _ = linear
+    rng = np.random.default_rng(57)
+    fields = field_export(solved_quarter, system, rng.uniform(-1.2, 1.2, (200, 2)))
+    for e in range(200):
+        s_e, fs_e = fields["s"][e], fields["fs"][e]
+        assert fields["trace_s"][e] == np.trace(s_e)
+        assert fields["det_s"][e] == np.linalg.det(s_e)
+        assert fields["trace_fs"][e] == np.trace(fs_e)
+        assert fields["neg_det_fs"][e] == -np.linalg.det(fs_e)
+        assert fields["min_eig_s"][e] == pytest.approx(np.linalg.eigvalsh(s_e)[0],
+                                                    rel=1e-13, abs=1e-13)
+        assert fields["max_eig_fs"][e] == pytest.approx(np.linalg.eigvalsh(fs_e)[-1],
+                                                     rel=1e-13, abs=1e-13)
 
 
 def test_field_export_contraction_region(solved_eighth, linear):
@@ -222,11 +270,10 @@ def test_field_export_contraction_region(solved_eighth, linear):
     # operator image negative definite across the whole check region
     system, _, _ = linear
     check = make_grid(GridSpec(BOUNDS, 1.0 / 16.0, offset=1.0 / 32.0))
-    samples = field_export(solved_eighth, system, check)
-    for sample in samples:
-        assert sample.trace_s > 0.0 and sample.det_s > 0.0
-        assert sample.trace_fs < 0.0 and sample.neg_det_fs < 0.0
-        assert sample.min_eig_s > 0.0 and sample.max_eig_fs < 0.0
+    fields = field_export(solved_eighth, system, check)
+    assert np.all(fields["trace_s"] > 0.0) and np.all(fields["det_s"] > 0.0)
+    assert np.all(fields["trace_fs"] < 0.0) and np.all(fields["neg_det_fs"] < 0.0)
+    assert np.all(fields["min_eig_s"] > 0.0) and np.all(fields["max_eig_fs"] < 0.0)
 
 
 # -- ellipses ----------------------------------------------------------------------

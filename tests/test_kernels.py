@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conmet import RadialKernel, wendland_c8
+from oracles import grad1_phi, hess12_phi, phi
 
 # Exact-rational evaluations of the printed C^8 profile at c = 0.9,
 # computed offline with fractions.Fraction.
@@ -122,37 +123,33 @@ def test_profile_values_match_individual_helpers(kern):
     assert np.array_equal(psi, kern.psi(r))
     assert np.array_equal(psi1, kern.psi1(r))
     assert np.array_equal(psi2, kern.psi2(r))
-    psi_only, psi1_only, nothing = kern.profile_values(r, with_psi2=False)
-    assert np.array_equal(psi_only, psi)
-    assert np.array_equal(psi1_only, psi1)
-    assert nothing is None
 
 
 def test_phi_diagonal_and_symmetry(kern):
     rng = np.random.default_rng(11)
     for _ in range(20):
         x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        assert kern.phi(x, x) == 25.0
-        assert kern.phi(x, y) == kern.phi(y, x)
-    assert kern.phi(np.zeros(2), np.array([0.5, 0.0])) == pytest.approx(PSI_HALF, rel=1e-14)
+        assert phi(kern, x, x) == 25.0
+        assert phi(kern, x, y) == phi(kern, y, x)
+    assert phi(kern, np.zeros(2), np.array([0.5, 0.0])) == pytest.approx(PSI_HALF, rel=1e-14)
 
 
 def test_phi_dimension_mismatch(kern):
     with pytest.raises(ValueError):
-        kern.phi(np.zeros(2), np.zeros(3))
+        phi(kern, np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
-        kern.grad1_phi(np.zeros(3), np.zeros(2))
+        grad1_phi(kern, np.zeros(3), np.zeros(2))
     with pytest.raises(ValueError):
-        kern.hess12_phi(np.zeros(2), np.zeros(3))
+        hess12_phi(kern, np.zeros(2), np.zeros(3))
 
 
 def test_grad1_phi_coincident_and_antisymmetric(kern):
     rng = np.random.default_rng(13)
     x = rng.uniform(-1, 1, 2)
-    assert np.all(kern.grad1_phi(x, x) == 0.0)
+    assert np.all(grad1_phi(kern, x, x) == 0.0)
     for _ in range(20):
         x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-        assert np.array_equal(kern.grad1_phi(x, y), -kern.grad1_phi(y, x))
+        assert np.array_equal(grad1_phi(kern, x, y), -grad1_phi(kern, y, x))
 
 
 def _random_pair_inside(rng, kern):
@@ -173,14 +170,14 @@ def test_grad1_phi_matches_finite_differences(kern):
         for a in range(2):
             e = np.zeros(2)
             e[a] = h
-            fd[a] = (kern.phi(x + e, y) - kern.phi(x - e, y)) / (2.0 * h)
-        assert np.allclose(kern.grad1_phi(x, y), fd, rtol=1e-6, atol=1e-7)
+            fd[a] = (phi(kern, x + e, y) - phi(kern, x - e, y)) / (2.0 * h)
+        assert np.allclose(grad1_phi(kern, x, y), fd, rtol=1e-6, atol=1e-7)
 
 
 def test_hess12_phi_coincident_value(kern):
     x = np.array([0.3, -0.4])
     expected = -kern.psi1(0.0) * np.eye(2)
-    assert np.allclose(kern.hess12_phi(x, x), expected, rtol=0, atol=1e-12)
+    assert np.allclose(hess12_phi(kern, x, x), expected, rtol=0, atol=1e-12)
     # finite differences confirm the sign convention at coincident points
     h = 1e-4
     fd = np.empty((2, 2))
@@ -189,18 +186,18 @@ def test_hess12_phi_coincident_value(kern):
             ea, eb = np.zeros(2), np.zeros(2)
             ea[a] = h
             eb[b] = h
-            fd[a, b] = (kern.phi(x + ea, x + eb) - kern.phi(x + ea, x - eb)
-                        - kern.phi(x - ea, x + eb) + kern.phi(x - ea, x - eb)) / (4 * h * h)
-    assert np.allclose(kern.hess12_phi(x, x), fd, rtol=1e-5, atol=1e-3)
+            fd[a, b] = (phi(kern, x + ea, x + eb) - phi(kern, x + ea, x - eb)
+                        - phi(kern, x - ea, x + eb) + phi(kern, x - ea, x - eb)) / (4 * h * h)
+    assert np.allclose(hess12_phi(kern, x, x), fd, rtol=1e-5, atol=1e-3)
 
 
 def test_hess12_phi_transpose_pairing(kern):
     rng = np.random.default_rng(19)
     for _ in range(20):
         x, y = _random_pair_inside(rng, kern)
-        assert np.allclose(kern.hess12_phi(x, y), kern.hess12_phi(y, x).T,
+        assert np.allclose(hess12_phi(kern, x, y), hess12_phi(kern, y, x).T,
                            rtol=0, atol=1e-13)
-        assert np.allclose(kern.hess12_phi(x, y), kern.hess12_phi(x, y).T,
+        assert np.allclose(hess12_phi(kern, x, y), hess12_phi(kern, x, y).T,
                            rtol=0, atol=1e-13)
 
 
@@ -215,9 +212,9 @@ def test_hess12_phi_matches_finite_differences(kern):
                 ea, eb = np.zeros(2), np.zeros(2)
                 ea[a] = h
                 eb[b] = h
-                fd[a, b] = (kern.phi(x + ea, y + eb) - kern.phi(x + ea, y - eb)
-                            - kern.phi(x - ea, y + eb) + kern.phi(x - ea, y - eb)) / (4 * h * h)
-        assert np.allclose(kern.hess12_phi(x, y), fd, rtol=1e-5, atol=1e-2)
+                fd[a, b] = (phi(kern, x + ea, y + eb) - phi(kern, x + ea, y - eb)
+                            - phi(kern, x - ea, y + eb) + phi(kern, x - ea, y - eb)) / (4 * h * h)
+        assert np.allclose(hess12_phi(kern, x, y), fd, rtol=1e-5, atol=1e-2)
 
 
 def test_scalar_positive_definiteness(kern):
@@ -228,7 +225,7 @@ def test_scalar_positive_definiteness(kern):
         gram = np.empty((count, count))
         for i in range(count):
             for j in range(count):
-                gram[i, j] = kern.phi(pts[i], pts[j])
+                gram[i, j] = phi(kern, pts[i], pts[j])
         assert np.min(np.linalg.eigvalsh(gram)) > 0.0
 
 

@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 import conmet
-from conmet import (
+from conmet import apply_operator, linear_example, triangle_indices, wendland_c8
+from conmet.operator import coordinate_matrices
+from oracles import (
     CollocationPointData,
     FunctionalIndex,
-    apply_operator,
+    column_representer_matrix,
     gram_entry,
-    linear_example,
+    phi,
     representer_column,
     riesz_representer,
-    triangle_indices,
-    wendland_c8,
+    row_operator_matrix,
 )
 
 FD_STEP = 1e-6
@@ -59,18 +60,26 @@ def _fd_apply(system, field, x):
     return _raw_operator(jac, np.asarray(field(x), float), _fd_gradient(field, x) @ fx)
 
 
+def _apply_at(system, value, gradients, x):
+    """apply_operator on a stack of one point."""
+    x = np.asarray(x, dtype=float)
+    return apply_operator(np.asarray(value)[None], np.asarray(gradients)[None],
+                          np.asarray(system.f(x))[None],
+                          np.asarray(system.jacobian(x))[None])[0]
+
+
 # -- apply_operator -----------------------------------------------------------
 
 def test_apply_operator_zero_field():
     system, _, _ = linear_example()
-    out = apply_operator(system, np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros(2))
+    out = _apply_at(system, np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros(2))
     assert np.array_equal(out, np.zeros((2, 2)))
 
 
 def test_apply_operator_constant_metric_gives_minus_identity():
     system, exact, _ = linear_example()
     x = np.array([0.3, 0.8])
-    out = apply_operator(system, exact.value(x), exact.gradient(x), x)
+    out = _apply_at(system, exact.value(x), exact.gradient(x), x)
     assert np.allclose(out, -np.eye(2), rtol=0, atol=1e-14)
 
 
@@ -91,7 +100,7 @@ def test_apply_operator_scalar_profile_field():
         jac = system.jacobian(x)
         fx = system.f(x)
         gradients = np.einsum("ij,d->ijd", np.eye(2), grad_g(x))
-        out = apply_operator(system, g(x) * np.eye(2), gradients, x)
+        out = _apply_at(system, g(x) * np.eye(2), gradients, x)
         expected = g(x) * (jac.T + jac) + (grad_g(x) @ fx) * np.eye(2)
         assert np.allclose(out, expected, rtol=1e-13, atol=1e-13)
         t = 1e-6
@@ -110,9 +119,9 @@ def test_apply_operator_linearity():
     grad1, grad2 = (rng.random((2, 2, 2)) for _ in range(2))
     grad1 = grad1 + grad1.transpose(1, 0, 2)
     grad2 = grad2 + grad2.transpose(1, 0, 2)
-    combined = apply_operator(system, a * val1 + b * val2, a * grad1 + b * grad2, x)
-    separate = (a * apply_operator(system, val1, grad1, x)
-                + b * apply_operator(system, val2, grad2, x))
+    combined = _apply_at(system, a * val1 + b * val2, a * grad1 + b * grad2, x)
+    separate = (a * _apply_at(system, val1, grad1, x)
+                + b * _apply_at(system, val2, grad2, x))
     assert np.allclose(combined, separate, rtol=1e-13, atol=1e-13)
 
 
@@ -120,11 +129,46 @@ def test_apply_operator_rejects_asymmetric_input():
     system, _, _ = linear_example()
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="not symmetric"):
-        apply_operator(system, bad, np.zeros((2, 2, 2)), np.zeros(2))
+        _apply_at(system, bad, np.zeros((2, 2, 2)), np.zeros(2))
     bad_grad = np.zeros((2, 2, 2))
     bad_grad[0, 1, 0] = 1.0
     with pytest.raises(ValueError, match="gradients"):
-        apply_operator(system, np.eye(2), bad_grad, np.zeros(2))
+        _apply_at(system, np.eye(2), bad_grad, np.zeros(2))
+
+
+def test_apply_operator_stack_matches_pointwise_formula():
+    # every slice of a stacked call is J^T M + M J + (grad M . f) at its point
+    system, _, _ = linear_example()
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, (7, 2))
+    values = rng.random((7, 2, 2))
+    values = values + values.transpose(0, 2, 1)
+    grads = rng.random((7, 2, 2, 2))
+    grads = grads + grads.transpose(0, 2, 1, 3)
+    f_values = np.array([system.f(x) for x in pts])
+    jacobians = np.array([system.jacobian(x) for x in pts])
+    out = apply_operator(values, grads, f_values, jacobians)
+    for e in range(7):
+        expected = _raw_operator(jacobians[e], values[e], grads[e] @ f_values[e])
+        assert np.allclose(out[e], expected, rtol=1e-14, atol=1e-14)
+    bad = values.copy()
+    bad[4, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        apply_operator(bad, grads, f_values, jacobians)
+    with pytest.raises(ValueError, match="wrong shape"):
+        apply_operator(values[:6], grads, f_values, jacobians)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coordinate_matrices_match_loop_oracle(n):
+    rng = np.random.default_rng(7 + n)
+    jacobians = rng.normal(size=(20, n, n))
+    row, col, scale = coordinate_matrices(jacobians)
+    pairs = triangle_indices(n)
+    assert np.array_equal(scale, [1.0 if i == j else 0.5 for i, j in pairs])
+    for k, jac in enumerate(jacobians):
+        assert np.array_equal(row[k], row_operator_matrix(jac, pairs))
+        assert np.array_equal(col[k], column_representer_matrix(jac, pairs))
 
 
 def test_functional_index_validation():
@@ -187,7 +231,7 @@ def test_representer_column_vs_bruteforce_operator():
         for mu, nu in itertools.product(range(2), range(2)):
             basis = np.zeros((2, 2))
             basis[mu, nu] = 1.0
-            oracle = _fd_apply(system, lambda y: kern.phi(y, x) * basis, data.x)
+            oracle = _fd_apply(system, lambda y: phi(kern, y, x) * basis, data.x)
             ours = representer_column(kern, data, x, mu, nu)
             assert np.allclose(ours, oracle, rtol=1e-6, atol=1e-6)
 
@@ -323,6 +367,6 @@ def test_representer_machinery_generalizes_to_3d():
     for mu, nu in itertools.product(range(3), range(3)):
         basis = np.zeros((3, 3))
         basis[mu, nu] = 1.0
-        oracle = _fd_apply(system, lambda y: kern.phi(y, x) * basis, data.x)
+        oracle = _fd_apply(system, lambda y: phi(kern, y, x) * basis, data.x)
         ours = representer_column(kern, data, x, mu, nu)
         assert np.allclose(ours, oracle, rtol=1e-6, atol=1e-6)
