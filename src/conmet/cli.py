@@ -4,7 +4,7 @@ Configuration comes from a JSON file; every key has a documented default and
 unknown keys are rejected.  Outputs are CSV (full-precision floats, header
 row) and JSON for scalar metadata, written into the configured output
 directory.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+failure or a problem too large for the available memory.
 
 Heavy imports happen inside the command handlers so that --threads can cap
 the BLAS thread pools through the environment before numpy is loaded.
@@ -205,6 +205,7 @@ def cmd_solve(config):
         "factorization": diag.factorization,
         "regularized": diag.regularized,
         "regularization_epsilon": diag.epsilon,
+        "min_pivot": diag.min_pivot,
         "separation_distance": separation_distance(points) if len(points) > 1 else None,
         "fill_distance_estimate": fill_distance_estimate(
             points, config.grid.bounds, config.probe_spacing),
@@ -408,6 +409,9 @@ def main(argv=None):
         return 2
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"insufficient memory: {err}", file=sys.stderr)
         return 3
 
 

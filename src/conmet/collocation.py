@@ -1,12 +1,18 @@
 """Grids, geometric quantities, and the collocation system A gamma = b.
 
 The Gram matrix couples every pair of functionals (point k, component pair
-i <= j).  Assembly is vectorised over point pairs: all pairwise kernel
-quantities are computed as dense N x N arrays and combined with the small
-per-point coordinate matrices from the operator module, block row by block
-row.  The matrix is dense and symmetric positive definite; it is factorised
-with a Cholesky decomposition, and a diagonal regularisation fallback exists
-only behind an explicit opt-in flag because a factorisation failure indicates
+i <= j).  It is dense and symmetric positive definite, and it is the one
+large array of a solve: assembly computes only its lower block triangle,
+in chunks of block rows whose pairwise kernel quantities and block
+temporaries together stay within _ASSEMBLY_CHUNK_BYTES, and then copies
+that half onto the upper one tile by tile, so the returned matrix is
+exactly symmetric and assembly needs the Gram plus one chunk.  Before it
+allocates the Gram, assembly checks that much against the memory the
+system reports as available and raises MemoryError if it does not fit.
+The solve factors the Gram in place with a Cholesky decomposition, which
+reads only the lower half, and rebuilds that half from the upper one
+afterwards.  A diagonal regularisation fallback exists only behind an
+explicit opt-in flag because a factorisation failure indicates
 near-degenerate geometry rather than an expected condition.
 """
 
@@ -19,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .operator import coordinate_matrices, pairwise_scalars, triangle_indices
+from .operator import centred_pairwise_scalars, coordinate_matrices, triangle_indices
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -39,7 +45,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _DIVISIBILITY_TOL = 1e-12
-_ASSEMBLY_CHUNK_BYTES = 200 * 2 ** 20
+_ASSEMBLY_CHUNK_BYTES = 64 * 2 ** 20
+_TILE = 128                                   # edge of the square tiles of a triangle copy
+_MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",                     # cgroup v2
+                       "/sys/fs/cgroup/memory/memory.limit_in_bytes")   # cgroup v1
 
 
 @dataclass(frozen=True)
@@ -199,9 +208,12 @@ def assemble(system, kernel, points, equilibria=()):
 
     The functional ordering is point-major with the (i, j) pairs, i <= j, in
     lexicographic order, so the matrix is laid out in m x m blocks per point
-    pair with m = dim (dim + 1) / 2.  Raises ValueError for duplicate points
-    (naming the offending pair) and when a supplied equilibrium inside the
-    convex hull of the points violates its eigenvalue condition.
+    pair with m = dim (dim + 1) / 2.  The Gram is Fortran-ordered and
+    exactly symmetric.  Raises ValueError for duplicate points (naming the
+    offending pair) and when a supplied equilibrium inside the convex hull of
+    the points violates its eigenvalue condition, and MemoryError, before
+    allocating anything large, when the Gram plus one assembly chunk exceeds
+    the memory the system reports as available.
     """
     cset = collocation_data(system, points)
     dup = _find_duplicates(cset.points)
@@ -214,31 +226,100 @@ def assemble(system, kernel, points, equilibria=()):
     col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]
     big_n, m = len(cset), len(scale)
     dim = big_n * m
-    psi, theta, g2, h = pairwise_scalars(kernel, cset.points, cset.f_values,
-                                         cset.points, cset.f_values)
-    # h is symmetric in (l, k).  Its transpose rounds psi2 <x_k - x_l, f_l>
-    # before the f_k product, the order of earlier releases, so their Grams
-    # and beta.csv are reproduced bit for bit.
-    h = h.T
+    _check_memory(dim)
+    centre = 0.5 * (np.min(cset.points, axis=0) + np.max(cset.points, axis=0))
 
     # Block row l, block column k:
     #   B_lk = R_l (psi C_k + theta D) + g2 C_k + h D
-    # built in (l, a, k, b) layout so the R_l contraction is one batched GEMM
-    # per chunk of block rows.
+    # for k >= l only, built in (l, a, k, b) layout so the R_l contraction is
+    # one batched GEMM per chunk of block rows.  Block row l is stored as
+    # block column l of the Fortran-ordered Gram, whose lower half it is.
     gram = np.zeros((dim, dim), order="F")
-    chunk = max(1, int(_ASSEMBLY_CHUNK_BYTES // max(1, big_n * m * m * 8)))
+    block_rows = gram.T.reshape(big_n, m, dim)                # a view: writes fill the Gram
+    # Alive per block pair: the four pairwise arrays, one m x m block of
+    # value and a pair-sized temporary; centred_pairwise_scalars itself peaks
+    # below ten arrays.  The first chunk is the largest, and later ones shrink
+    # while the part of the Gram they have filled grows, so assembly peaks
+    # near the Gram plus one chunk.
+    pair_bytes = 8 * max(m * m + 5, 10)
+    chunk = max(1, _ASSEMBLY_CHUNK_BYTES // (pair_bytes * big_n))
     for l0 in range(0, big_n, chunk):
         l1 = min(big_n, l0 + chunk)
-        value = psi[l0:l1, None, :, None] * col_t[None, :, :, :]
-        orbital = g2[l0:l1, None, :, None] * col_t[None, :, :, :]
+        # The engine is called with the roles swapped (rows k >= l0, columns
+        # l in the chunk), which swaps theta and g2 and transposes all four.
+        # Then h rounds psi2 <x_k - x_l, f_l> before the f_k product, the
+        # order of earlier releases, so their Grams and beta.csv are
+        # reproduced bit for bit.
+        psi, g2, theta, h = (a.T for a in centred_pairwise_scalars(
+            kernel, centre, cset.points[l0:], cset.f_values[l0:],
+            cset.points[l0:l1], cset.f_values[l0:l1]))
+        cols = col_t[:, l0:]
+        shape = (l1 - l0, m, (big_n - l0) * m)
+        value = np.empty((l1 - l0, m, big_n - l0, m))         # C order: reshapes are views
+        np.multiply(psi[:, None, :, None], cols[None], out=value)
         for a in range(m):
-            value[:, a, :, a] += theta[l0:l1] * scale[a]
-            orbital[:, a, :, a] += h[l0:l1] * scale[a]
-        body = np.matmul(row_ops[l0:l1], value.reshape(l1 - l0, m, big_n * m))
-        body += orbital.reshape(l1 - l0, m, big_n * m)
-        # fill by block columns (transposed rows): contiguous in Fortran order
-        gram[:, l0 * m:l1 * m] = body.reshape((l1 - l0) * m, dim).T
+            value[:, a, :, a] += theta * scale[a]
+        body = block_rows[l0:l1, :, l0 * m:]
+        np.matmul(row_ops[l0:l1], value.reshape(shape), out=body)
+        np.multiply(g2[:, None, :, None], cols[None], out=value)
+        for a in range(m):
+            value[:, a, :, a] += h * scale[a]
+        body += value.reshape(shape)
+        del psi, theta, g2, h, value
+    _copy_triangle(gram, lower_to_upper=True)
     return cset, gram
+
+
+def _available_memory_bytes():
+    """Bytes the system reports as available to this process, or None.
+
+    The smallest of MemAvailable in /proc/meminfo and the cgroup memory
+    limit, over those that are readable.
+    """
+    found = []
+    try:
+        with open("/proc/meminfo") as handle:
+            found += [int(line.split()[1]) * 1024 for line in handle
+                      if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    for path in _MEMORY_LIMIT_FILES:
+        try:
+            with open(path) as handle:
+                found.append(int(handle.read()))       # "max" (no limit) is skipped
+        except (OSError, ValueError):
+            pass
+    return min(found, default=None)
+
+
+def _check_memory(dim):
+    """Raise MemoryError if a dim x dim Gram and one assembly chunk do not fit."""
+    needed = 8 * dim * dim + _ASSEMBLY_CHUNK_BYTES
+    available = _available_memory_bytes()
+    if available is not None and needed > available:
+        raise MemoryError(
+            f"the {dim}-unknown Gram matrix and its assembly need about "
+            f"{needed / 1e6:.0f} MB, but only {available / 1e6:.0f} MB are available")
+
+
+def _copy_triangle(gram, lower_to_upper):
+    """Overwrite one strict triangle of gram with the transpose of the other.
+
+    Works in square tiles, so the copy stays in cache and its temporaries
+    stay one tile large.
+    """
+    dim = len(gram)
+    for j0 in range(0, dim, _TILE):
+        j1 = min(dim, j0 + _TILE)
+        tile = gram[j0:j1, j0:j1]
+        strict_lower = np.tri(j1 - j0, k=-1, dtype=bool)
+        np.copyto(tile, tile.T, where=strict_lower.T if lower_to_upper else strict_lower)
+        for i0 in range(j1, dim, _TILE):
+            i1 = min(dim, i0 + _TILE)
+            if lower_to_upper:
+                gram[j0:j1, i0:i1] = gram[i0:i1, j0:j1].T
+            else:
+                gram[i0:i1, j0:j1] = gram[j0:j1, i0:i1].T
 
 
 class FactorizationError(RuntimeError):
@@ -251,14 +332,22 @@ class FactorizationError(RuntimeError):
 
 
 def _cholesky(gram):
+    """Factor gram in place (lower triangle); gram must be Fortran-ordered."""
     try:
-        return scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        return scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True,
+                                       check_finite=False)
     except scipy.linalg.LinAlgError as err:
         match = re.search(r"(\d+)", str(err))
         pivot = int(match.group(1)) if match else None
         raise FactorizationError(
             f"Gram matrix is numerically not positive definite ({err})",
             pivot=pivot) from err
+
+
+def _restore(gram, diagonal):
+    """Undo a factorisation: the saved diagonal, the lower half from the upper."""
+    gram[np.diag_indices_from(gram)] = diagonal
+    _copy_triangle(gram, lower_to_upper=False)
 
 
 @dataclass(frozen=True)
@@ -268,6 +357,7 @@ class SolveDiagnostics:
     factorization: str
     regularized: bool
     epsilon: Optional[float] = None
+    min_pivot: Optional[float] = None      # smallest diagonal entry of the factor
 
 
 @dataclass(frozen=True)
@@ -293,6 +383,15 @@ def solve(gram, rhs, cset, kernel, regularize=False):
     raised unless regularize=True, in which case the solve is retried once
     with eps = 1e-10 tr(A)/dim added to the diagonal (loudly, via a warning,
     and recorded in the diagnostics).
+
+    A Fortran-ordered float64 gram is factored in place, so the solve needs
+    no second dim x dim array; any other input is factored in a private
+    copy.  The Cholesky factor overwrites only the lower triangle and the
+    diagonal.  Both are rebuilt from the saved diagonal and the untouched
+    upper triangle before solve returns or raises, so an exactly symmetric
+    gram, as assemble returns it, comes back unchanged.  The reported
+    relative_residual is ||A gamma - b|| / ||b|| with that rebuilt A, the
+    unregularised matrix.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = cset.system.dim
@@ -309,21 +408,27 @@ def solve(gram, rhs, cset, kernel, regularize=False):
         raise ValueError(f"Gram matrix has shape {gram.shape}, expected {(dim, dim)}")
     b = -np.tile(rhs[i, j], len(cset))
 
+    if not (gram.dtype == np.float64 and gram.flags.f_contiguous and gram.flags.writeable):
+        gram = np.array(gram, dtype=float, order="F")
+    diagonal = gram.diagonal().copy()
     regularized = False
     epsilon = None
     try:
-        factor = _cholesky(gram)
-    except FactorizationError as err:
-        if not regularize:
-            raise
-        epsilon = 1e-10 * np.trace(gram) / dim
-        logger.warning("Cholesky failed at pivot %s; retrying with diagonal "
-                       "regularization eps=%.3e", err.pivot, epsilon)
-        shifted = gram.copy(order="F")
-        shifted[np.diag_indices_from(shifted)] += epsilon
-        factor = _cholesky(shifted)
-        regularized = True
-    gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        try:
+            factor = _cholesky(gram)
+        except FactorizationError as err:
+            if not regularize:
+                raise
+            epsilon = 1e-10 * np.sum(diagonal) / dim
+            logger.warning("Cholesky failed at pivot %s; retrying with diagonal "
+                           "regularization eps=%.3e", err.pivot, epsilon)
+            _restore(gram, diagonal + epsilon)
+            factor = _cholesky(gram)
+            regularized = True
+        gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        min_pivot = float(np.min(gram.diagonal()))
+    finally:
+        _restore(gram, diagonal)
     residual = float(np.linalg.norm(gram @ gamma - b) / np.linalg.norm(b))
 
     beta = np.zeros((len(cset), n, n))
@@ -335,5 +440,6 @@ def solve(gram, rhs, cset, kernel, regularize=False):
         factorization="cholesky",
         regularized=regularized,
         epsilon=epsilon,
+        min_pivot=min_pivot,
     )
     return RecoverySolution(cset, kernel, beta, rhs, diagnostics)

@@ -225,6 +225,7 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
             solution = solve(gram, rhs, cset, kernel, regularize=regularize)
         except FactorizationError as err:
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
+        del gram        # the largest array; the error evaluation does not need it
         err, err_s = error_report(solution, exact, system, check_points)
         if prev is None:
             rows.append(ConvergenceRow(alpha, err_s, None, err, None))

@@ -178,6 +178,34 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in err and "pivot 7" in err
 
 
+def test_insufficient_memory_exits_3(tmp_path, capsys, monkeypatch):
+    import conmet.collocation
+
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: 10 ** 6)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    assert cli.main(["solve", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "insufficient memory" in err and "only 1 MB" in err
+    assert not (tmp_path / "out" / "solution.json").exists()
+
+
+def test_solution_reports_min_pivot(tmp_path, capsys):
+    import numpy as np
+
+    import conmet
+
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.5})
+    assert cli.main(["solve", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "out" / "solution.json").read_text())
+    system, _, _ = conmet.linear_example()
+    points = conmet.make_grid(conmet.GridSpec(((-1.0, 1.0), (-1.0, 1.0)), 0.5))
+    _, gram = conmet.assemble(system, conmet.wendland_c8(0.9), points)
+    expected = np.min(np.diag(np.linalg.cholesky(gram)))
+    assert 0.0 < meta["min_pivot"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_output_dir_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))

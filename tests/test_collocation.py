@@ -1,6 +1,7 @@
 """Grids, geometric quantities, Gram assembly, and the SPD solve."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,62 @@ def test_assemble_random_sets_spd_and_symmetric(linear, kernel):
         np.linalg.cholesky(gram)           # SPD iff this succeeds
 
 
+def test_assemble_gram_exactly_symmetric(linear, kernel):
+    # the upper triangle is a copy of the computed lower one
+    system, _, _ = linear
+    _, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.125)))
+    assert gram.flags.f_contiguous
+    assert np.array_equal(gram, gram.T)
+
+
+def test_assemble_translation_invariant_far_from_origin(kernel):
+    # the h = 1/8 grid shifted by 2^12 with the system shifted along: every
+    # Gram entry depends only on differences of points and on f, Df there
+    # (whose entries are not dyadic, so the products round)
+    mat = np.array([[-1.0, 0.3], [0.7, -2.1]])
+    shift = np.full(2, 2.0 ** 12)
+    base = DynamicalSystem(2, lambda x: mat @ x, lambda x: mat, label="base")
+    moved = DynamicalSystem(2, lambda x: mat @ (x - shift), lambda x: mat, label="shifted")
+    pts = make_grid(GridSpec(BOUNDS, 0.125))
+    _, near = assemble(base, kernel, pts)
+    _, far = assemble(moved, kernel, pts + shift)
+    assert np.max(np.abs(far - near)) <= 1e-14 * np.max(np.abs(near))
+
+
+def test_assemble_fails_fast_without_memory(linear, kernel, monkeypatch):
+    system, _, _ = linear
+    pts = make_grid(GridSpec(BOUNDS, 0.125))
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: 10 ** 6)
+    with pytest.raises(MemoryError, match=r"867-unknown .* about \d+ MB, but only 1 MB"):
+        assemble(system, kernel, pts)
+    # an unreadable availability skips the check
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: None)
+    assert assemble(system, kernel, pts)[1].shape == (867, 867)
+
+
+def test_available_memory_is_positive_or_unknown():
+    available = conmet.collocation._available_memory_bytes()
+    assert available is None or available > 0
+
+
+def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
+    # assembly works in chunks of the budget and the solve factors in place,
+    # so the Gram is the only dim x dim array alive at any time
+    system, _, rhs = linear
+    budget = 2 ** 20
+    monkeypatch.setattr(conmet.collocation, "_ASSEMBLY_CHUNK_BYTES", budget)
+    pts = make_grid(GridSpec(BOUNDS, 0.125))
+    tracemalloc.start()
+    try:
+        cset, gram = assemble(system, kernel, pts)
+        solve(gram, rhs, cset, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gram.nbytes > 5 * budget
+    assert peak <= gram.nbytes + 2 * budget
+
+
 def test_assemble_checks_equilibrium_condition(kernel):
     unstable = DynamicalSystem(2, lambda x: np.asarray(x, float),
                                lambda x: np.eye(2), label="expanding")
@@ -315,6 +372,33 @@ def test_solve_regularization_is_opt_in(linear, kernel):
     # the healthy path must not silently regularize
     clean = solve(gram, rhs, cset, kernel, regularize=True)
     assert not clean.diagnostics.regularized and clean.diagnostics.epsilon is None
+
+
+def _bits(array):
+    return np.asarray(array).view(np.uint64).tobytes(order="A")
+
+
+def test_solve_leaves_gram_unchanged(linear, kernel):
+    # the factorization runs in place and the solve rebuilds the matrix: on
+    # success, on the regularized retry and when the factorization fails
+    system, _, rhs = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.25)))
+    before = _bits(gram)
+    solution = solve(gram, rhs, cset, kernel)
+    assert _bits(gram) == before
+    assert solution.diagnostics.min_pivot == pytest.approx(
+        np.min(np.diag(np.linalg.cholesky(gram))), rel=1e-12)
+
+    cset, gram = assemble(system, kernel, [[0.0, 0.0], [0.2, 0.1]])
+    eps = 1e-10 * np.trace(gram) / len(gram)
+    low = np.min(np.linalg.eigvalsh(gram))
+    spoiled = np.asfortranarray(gram - (low + 0.5 * eps) * np.eye(len(gram)))
+    before = _bits(spoiled)
+    with pytest.raises(FactorizationError):
+        solve(spoiled, rhs, cset, kernel)
+    assert _bits(spoiled) == before
+    assert solve(spoiled, rhs, cset, kernel, regularize=True).diagnostics.regularized
+    assert _bits(spoiled) == before
 
 
 def test_solve_permutation_invariance(linear, kernel):

@@ -14,7 +14,7 @@ import pytest
 
 import conmet
 from conmet import apply_operator, linear_example, triangle_indices, wendland_c8
-from conmet.operator import coordinate_matrices
+from conmet.operator import coordinate_matrices, pairwise_scalars
 from oracles import (
     CollocationPointData,
     FunctionalIndex,
@@ -370,3 +370,15 @@ def test_representer_machinery_generalizes_to_3d():
         oracle = _fd_apply(system, lambda y: phi(kern, y, x) * basis, data.x)
         ours = representer_column(kern, data, x, mu, nu)
         assert np.allclose(ours, oracle, rtol=1e-6, atol=1e-6)
+
+
+def test_pairwise_scalars_translation_invariant_far_from_origin():
+    # the h = 1/8 grid shifted by 2^12: the four quantities depend only on
+    # the point differences and the given f values, so they must not move
+    kernel = wendland_c8(0.9)
+    pts = conmet.make_grid(conmet.GridSpec(((-1.0, 1.0), (-1.0, 1.0)), 0.125))
+    f = np.random.default_rng(5).standard_normal(pts.shape)
+    near = pairwise_scalars(kernel, pts, f, pts, f)
+    far = pairwise_scalars(kernel, pts + 2.0 ** 12, f, pts + 2.0 ** 12, f)
+    for name, a, b in zip(("psi", "theta", "g2", "h"), near, far):
+        assert np.max(np.abs(b - a)) <= 1e-14 * np.max(np.abs(a)), name
