@@ -100,29 +100,32 @@ def load_config(path, output_dir=None, regularize=None):
     _reject_unknown(kernel_raw, _KERNEL_KEYS, "kernel")
 
     default_bounds = ((-1.0, 1.0), (-1.0, 1.0))
-    grid = _parse_grid(raw.get("grid", {}), "grid", default_bounds, 0.125,
-                       default_offset=0.0)
-    check = _parse_grid(raw.get("check_grid", {}), "check_grid",
-                        grid.bounds, 1.0 / 64.0)
-    alphas = tuple(float(a) for a in raw.get("alphas", _DEFAULT_ALPHAS))
+    try:         # a value of the wrong JSON type, such as null for a number
+        grid = _parse_grid(raw.get("grid", {}), "grid", default_bounds, 0.125,
+                           default_offset=0.0)
+        check = _parse_grid(raw.get("check_grid", {}), "check_grid",
+                            grid.bounds, 1.0 / 64.0)
+        alphas = tuple(float(a) for a in raw.get("alphas", _DEFAULT_ALPHAS))
 
-    rhs = raw.get("rhs_matrix")
-    config = RunConfig(
-        system=str(raw.get("system", "linear-example")),
-        kernel_c=float(kernel_raw.get("c", 0.9)),
-        rhs_matrix=None if rhs is None else [[float(v) for v in row] for row in rhs],
-        grid=grid,
-        check_grid=check,
-        alphas=alphas,
-        output_dir=str(output_dir if output_dir is not None
-                       else raw.get("output_dir", "out")),
-        regularize=bool(regularize if regularize is not None
-                        else raw.get("regularize", False)),
-        probe_spacing=float(raw.get("probe_spacing", 0.05)),
-    )
-    if config.kernel_c <= 0.0:
+        rhs = raw.get("rhs_matrix")
+        config = RunConfig(
+            system=str(raw.get("system", "linear-example")),
+            kernel_c=float(kernel_raw.get("c", 0.9)),
+            rhs_matrix=None if rhs is None else [[float(v) for v in row] for row in rhs],
+            grid=grid,
+            check_grid=check,
+            alphas=alphas,
+            output_dir=str(output_dir if output_dir is not None
+                           else raw.get("output_dir", "out")),
+            regularize=bool(regularize if regularize is not None
+                            else raw.get("regularize", False)),
+            probe_spacing=float(raw.get("probe_spacing", 0.05)),
+        )
+    except TypeError as err:
+        raise ConfigError(f"config value of the wrong type: {err}") from err
+    if not config.kernel_c > 0.0:
         raise ConfigError(f"kernel shape parameter must be positive, got {config.kernel_c}")
-    if config.probe_spacing <= 0.0:
+    if not config.probe_spacing > 0.0:
         raise ConfigError(f"probe_spacing must be positive, got {config.probe_spacing}")
     return config
 

@@ -9,11 +9,12 @@ that half onto the upper one tile by tile, so the returned matrix is
 exactly symmetric and assembly needs the Gram plus one chunk.  Before it
 allocates the Gram, assembly checks that much against the memory the
 system reports as available and raises MemoryError if it does not fit.
-The solve factors the Gram in place with a Cholesky decomposition, which
-reads only the lower half, and rebuilds that half from the upper one
-afterwards.  A diagonal regularisation fallback exists only behind an
-explicit opt-in flag because a factorisation failure indicates
-near-degenerate geometry rather than an expected condition.
+The solve consumes the Gram, as LAPACK's xPOTRF consumes its input: the
+Cholesky factor overwrites the lower triangle, and the residual is read
+from the untouched upper one and the saved diagonal.  A diagonal
+regularisation fallback exists only behind an explicit opt-in flag because
+a factorisation failure indicates near-degenerate geometry rather than an
+expected condition.
 """
 
 import logging
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .operator import centred_pairwise_scalars, coordinate_matrices, triangle_indices
+from .operator import coordinate_matrices, pairwise_scalars, triangle_indices
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -158,6 +159,11 @@ class CollocationSet:
         n = self.system.dim
         return len(self.points) * (n * (n + 1)) // 2
 
+    @property
+    def centre(self):
+        """Midpoint of the points' bounding box, the pairwise engine's origin."""
+        return 0.5 * (np.min(self.points, axis=0) + np.max(self.points, axis=0))
+
 
 def _find_duplicates(points):
     order = np.lexsort(points.T[::-1])
@@ -227,7 +233,6 @@ def assemble(system, kernel, points, equilibria=()):
     big_n, m = len(cset), len(scale)
     dim = big_n * m
     _check_memory(dim)
-    centre = 0.5 * (np.min(cset.points, axis=0) + np.max(cset.points, axis=0))
 
     # Block row l, block column k:
     #   B_lk = R_l (psi C_k + theta D) + g2 C_k + h D
@@ -237,7 +242,7 @@ def assemble(system, kernel, points, equilibria=()):
     gram = np.zeros((dim, dim), order="F")
     block_rows = gram.T.reshape(big_n, m, dim)                # a view: writes fill the Gram
     # Alive per block pair: the four pairwise arrays, one m x m block of
-    # value and a pair-sized temporary; centred_pairwise_scalars itself peaks
+    # value and a pair-sized temporary; pairwise_scalars itself peaks
     # below ten arrays.  The first chunk is the largest, and later ones shrink
     # while the part of the Gram they have filled grows, so assembly peaks
     # near the Gram plus one chunk.
@@ -250,8 +255,8 @@ def assemble(system, kernel, points, equilibria=()):
         # Then h rounds psi2 <x_k - x_l, f_l> before the f_k product, the
         # order of earlier releases, so their Grams and beta.csv are
         # reproduced bit for bit.
-        psi, g2, theta, h = (a.T for a in centred_pairwise_scalars(
-            kernel, centre, cset.points[l0:], cset.f_values[l0:],
+        psi, g2, theta, h = (a.T for a in pairwise_scalars(
+            kernel, cset.centre, cset.points[l0:], cset.f_values[l0:],
             cset.points[l0:l1], cset.f_values[l0:l1]))
         cols = col_t[:, l0:]
         shape = (l1 - l0, m, (big_n - l0) * m)
@@ -266,7 +271,7 @@ def assemble(system, kernel, points, equilibria=()):
             value[:, a, :, a] += h * scale[a]
         body += value.reshape(shape)
         del psi, theta, g2, h, value
-    _copy_triangle(gram, lower_to_upper=True)
+    _mirror_lower(gram)
     return cset, gram
 
 
@@ -302,24 +307,20 @@ def _check_memory(dim):
             f"{needed / 1e6:.0f} MB, but only {available / 1e6:.0f} MB are available")
 
 
-def _copy_triangle(gram, lower_to_upper):
-    """Overwrite one strict triangle of gram with the transpose of the other.
+def _mirror_lower(a):
+    """Overwrite the strict upper triangle of a with the transpose of the lower.
 
     Works in square tiles, so the copy stays in cache and its temporaries
-    stay one tile large.
+    stay one tile large.  _mirror_lower(a.T) copies the upper one down.
     """
-    dim = len(gram)
+    dim = len(a)
     for j0 in range(0, dim, _TILE):
         j1 = min(dim, j0 + _TILE)
-        tile = gram[j0:j1, j0:j1]
-        strict_lower = np.tri(j1 - j0, k=-1, dtype=bool)
-        np.copyto(tile, tile.T, where=strict_lower.T if lower_to_upper else strict_lower)
+        tile = a[j0:j1, j0:j1]
+        np.copyto(tile, tile.T, where=np.tri(j1 - j0, k=-1, dtype=bool).T)
         for i0 in range(j1, dim, _TILE):
             i1 = min(dim, i0 + _TILE)
-            if lower_to_upper:
-                gram[j0:j1, i0:i1] = gram[i0:i1, j0:j1].T
-            else:
-                gram[i0:i1, j0:j1] = gram[j0:j1, i0:i1].T
+            a[j0:j1, i0:i1] = a[i0:i1, j0:j1].T
 
 
 class FactorizationError(RuntimeError):
@@ -332,7 +333,10 @@ class FactorizationError(RuntimeError):
 
 
 def _cholesky(gram):
-    """Factor gram in place (lower triangle); gram must be Fortran-ordered."""
+    """Factor gram's lower triangle, overwriting it if gram is Fortran-ordered.
+
+    cho_factor copies other input; neither way touches the strict upper half.
+    """
     try:
         return scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True,
                                        check_finite=False)
@@ -342,12 +346,6 @@ def _cholesky(gram):
         raise FactorizationError(
             f"Gram matrix is numerically not positive definite ({err})",
             pivot=pivot) from err
-
-
-def _restore(gram, diagonal):
-    """Undo a factorisation: the saved diagonal, the lower half from the upper."""
-    gram[np.diag_indices_from(gram)] = diagonal
-    _copy_triangle(gram, lower_to_upper=False)
 
 
 @dataclass(frozen=True)
@@ -384,14 +382,13 @@ def solve(gram, rhs, cset, kernel, regularize=False):
     with eps = 1e-10 tr(A)/dim added to the diagonal (loudly, via a warning,
     and recorded in the diagnostics).
 
-    A Fortran-ordered float64 gram is factored in place, so the solve needs
-    no second dim x dim array; any other input is factored in a private
-    copy.  The Cholesky factor overwrites only the lower triangle and the
-    diagonal.  Both are rebuilt from the saved diagonal and the untouched
-    upper triangle before solve returns or raises, so an exactly symmetric
-    gram, as assemble returns it, comes back unchanged.  The reported
-    relative_residual is ||A gamma - b|| / ||b|| with that rebuilt A, the
-    unregularised matrix.
+    gram (writeable float64) is consumed, as LAPACK's xPOTRF consumes its
+    input: a Fortran-ordered gram, as assemble returns it, is factored in
+    place and holds the Cholesky factor in its lower half afterwards, also
+    after a FactorizationError, so a Gram is good for one solve.  The
+    reported relative_residual is ||A gamma - b|| / ||b|| with the
+    unregularised A, read from the untouched strict upper triangle and the
+    saved diagonal.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = cset.system.dim
@@ -406,30 +403,31 @@ def solve(gram, rhs, cset, kernel, regularize=False):
     dim = len(cset) * len(i)
     if gram.shape != (dim, dim):
         raise ValueError(f"Gram matrix has shape {gram.shape}, expected {(dim, dim)}")
+    if gram.dtype != np.float64 or not gram.flags.writeable:
+        raise ValueError("Gram matrix must be a writeable float64 array")
     b = -np.tile(rhs[i, j], len(cset))
 
-    if not (gram.dtype == np.float64 and gram.flags.f_contiguous and gram.flags.writeable):
-        gram = np.array(gram, dtype=float, order="F")
     diagonal = gram.diagonal().copy()
     regularized = False
     epsilon = None
     try:
-        try:
-            factor = _cholesky(gram)
-        except FactorizationError as err:
-            if not regularize:
-                raise
-            epsilon = 1e-10 * np.sum(diagonal) / dim
-            logger.warning("Cholesky failed at pivot %s; retrying with diagonal "
-                           "regularization eps=%.3e", err.pivot, epsilon)
-            _restore(gram, diagonal + epsilon)
-            factor = _cholesky(gram)
-            regularized = True
-        gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
-        min_pivot = float(np.min(gram.diagonal()))
-    finally:
-        _restore(gram, diagonal)
-    residual = float(np.linalg.norm(gram @ gamma - b) / np.linalg.norm(b))
+        factor = _cholesky(gram)
+    except FactorizationError as err:
+        if not regularize:
+            raise
+        epsilon = 1e-10 * np.sum(diagonal) / dim
+        logger.warning("Cholesky failed at pivot %s; retrying with diagonal "
+                       "regularization eps=%.3e", err.pivot, epsilon)
+        _mirror_lower(gram.T)
+        gram[np.diag_indices_from(gram)] = diagonal + epsilon
+        factor = _cholesky(gram)
+        regularized = True
+    gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
+    min_pivot = float(np.min(factor[0].diagonal()))
+    # A gamma: the upper half, with the saved diagonal in place of gram's
+    product = (scipy.linalg.blas.dsymv(1.0, gram, gamma, lower=0)
+               + (diagonal - gram.diagonal()) * gamma)
+    residual = float(np.linalg.norm(product - b) / np.linalg.norm(b))
 
     beta = np.zeros((len(cset), n, n))
     beta[:, i, j] = beta[:, j, i] = gamma.reshape(len(cset), -1) * np.where(i == j, 1.0, 0.5)

@@ -71,7 +71,7 @@ def _fields_batch(solution, query):
     for e0 in range(0, len(query), _CHUNK):
         e1 = min(len(query), e0 + _CHUNK)
         psi, theta, g2, h = pairwise_scalars(
-            solution.kernel, query.points[e0:e1], query.f_values[e0:e1],
+            solution.kernel, cset.centre, query.points[e0:e1], query.f_values[e0:e1],
             cset.points, cset.f_values)
         s_val = _symmetrize(_combine(psi, p_flat, theta, beta_flat, n))
         s_out[e0:e1] = s_val
@@ -135,13 +135,14 @@ def definiteness_batch(matrices, tol=0.0):
 def definiteness(matrix, tol=0.0):
     """Classify one symmetric matrix; see definiteness_batch for the criterion.
 
-    Asymmetric input raises ValueError.
+    Asymmetric finite input raises ValueError; a matrix with a non-finite
+    entry is indeterminate.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, np.max(np.abs(a)))
-    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+    if (np.all(np.isfinite(a))
+            and np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a)))):
         raise ValueError("matrix is not symmetric")
     return Definiteness(definiteness_batch(a[None], tol)[0])
 
@@ -213,6 +214,8 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
                       equilibria=(), regularize=False):
     """Solve on the grid family X_alpha and tabulate errors and ratios."""
     alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ValueError("the convergence study needs at least one spacing")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"spacings must be strictly decreasing, got {alphas}")
     check_points = make_grid(check_spec)

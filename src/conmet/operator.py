@@ -38,7 +38,6 @@ __all__ = [
     "operator_image",
     "apply_operator",
     "pairwise_scalars",
-    "centred_pairwise_scalars",
     "coordinate_matrices",
 ]
 
@@ -95,27 +94,18 @@ def apply_operator(values, gradients, f_values, jacobians, tol=_SYMMETRY_TOL):
     return operator_image(values, orbital, jacobians)
 
 
-def pairwise_scalars(kernel, rows, row_f, cols, col_f):
+def pairwise_scalars(kernel, centre, rows, row_f, cols, col_f):
     """(psi, theta, g2, h) for every (row point, column point) pair.
 
     rows, cols are (L, d) and (K, d) point arrays with f values row_f, col_f;
     each result is an (L, K) array, exactly zero outside the kernel support.
-    The points are taken relative to the midpoint of the column points'
-    bounding box; see centred_pairwise_scalars.
-    """
-    centre = 0.5 * (np.min(cols, axis=0) + np.max(cols, axis=0))
-    return centred_pairwise_scalars(kernel, centre, rows, row_f, cols, col_f)
-
-
-def centred_pairwise_scalars(kernel, centre, rows, row_f, cols, col_f):
-    """pairwise_scalars with the points taken relative to a given centre.
-
     The inner products come from GEMMs, <x_k - c, f_k> - <x_l - c, f_k>, so
-    no (L, K, d) difference array is formed.  With c in the points' bounding
-    box both terms are at most its diameter times |f_k|, however far the box
-    lies from the origin, so a translated point set loses no digits to
-    cancellation.  The results depend on c only through rounding; c = 0
-    reproduces the plain GEMM form bit for bit.
+    no (L, K, d) difference array is formed.  With the centre c in the
+    points' bounding box (callers pass CollocationSet.centre) both terms are
+    at most its diameter times |f_k|, however far the box lies from the
+    origin, so a translated point set loses no digits to cancellation.  The
+    results depend on c only through rounding; c = 0 reproduces the plain
+    GEMM form bit for bit.
     """
     rows = rows - centre
     cols = cols - centre

@@ -81,6 +81,22 @@ def test_unknown_system_rejected(tmp_path, capsys):
     assert "linear-example" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    {"alphas": 0.5},
+    {"kernel": {"c": [1]}},
+    {"rhs_matrix": 5},
+    {"probe_spacing": None},
+    {"grid": {"spacing": [1]}},
+    {"probe_spacing": float("nan")},
+    {"alphas": []},
+], ids=repr)
+def test_wrong_value_types_exit_2(tmp_path, capsys, override):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), **override)
+    assert cli.main(["convergence", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_convergence_single_alpha_csv(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))

@@ -326,7 +326,7 @@ def test_solve_rhs_scaling_linearity(linear, kernel):
     system, _, rhs = linear
     pts = make_grid(GridSpec(BOUNDS, 0.5))
     cset, gram = assemble(system, kernel, pts)
-    base = solve(gram, rhs, cset, kernel)
+    base = solve(gram.copy(order="F"), rhs, cset, kernel)
     scaled = solve(gram, 4.0 * rhs, cset, kernel)
     assert np.allclose(scaled.beta, 4.0 * base.beta, rtol=1e-14, atol=0)
     x = np.array([0.21, -0.43])
@@ -378,27 +378,48 @@ def _bits(array):
     return np.asarray(array).view(np.uint64).tobytes(order="A")
 
 
-def test_solve_leaves_gram_unchanged(linear, kernel):
-    # the factorization runs in place and the solve rebuilds the matrix: on
-    # success, on the regularized retry and when the factorization fails
+def _recomputed_residual(kept, solution, rhs):
+    """||A gamma - b|| / ||b|| with the assembled A, gamma read back from beta."""
+    i, j = np.transpose(triangle_indices(len(rhs)))
+    gamma = (solution.beta[:, i, j] / np.where(i == j, 1.0, 0.5)).ravel()
+    b = -np.tile(rhs[i, j], len(solution.beta))
+    return np.linalg.norm(kept @ gamma - b) / np.linalg.norm(b)
+
+
+def test_solve_consumes_gram(linear, kernel):
+    # the factor overwrites the lower triangle in place; the strict upper
+    # triangle stays as assembled, and the residual read from it and the
+    # saved diagonal is the one of the assembled matrix, for either memory
+    # order, on success and on the regularized retry
     system, _, rhs = linear
     cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.25)))
-    before = _bits(gram)
+    kept = gram.copy(order="F")
+    kept.flags.writeable = False          # LAPACK would write through the flag
+    with pytest.raises(ValueError, match="writeable"):
+        solve(kept, rhs, cset, kernel)
     solution = solve(gram, rhs, cset, kernel)
-    assert _bits(gram) == before
+    assert _bits(np.triu(gram, 1)) == _bits(np.triu(kept, 1))
+    factor = np.linalg.cholesky(kept)
+    assert np.max(np.abs(np.tril(gram) - factor)) <= 1e-12 * np.max(np.abs(factor))
     assert solution.diagnostics.min_pivot == pytest.approx(
-        np.min(np.diag(np.linalg.cholesky(gram))), rel=1e-12)
+        np.min(np.diag(factor)), rel=1e-12)
+    for order in "FC":
+        solution = solve(np.array(kept, order=order), rhs, cset, kernel)
+        assert solution.diagnostics.relative_residual == pytest.approx(
+            _recomputed_residual(kept, solution, rhs), rel=1e-5, abs=1e-13)
 
     cset, gram = assemble(system, kernel, [[0.0, 0.0], [0.2, 0.1]])
     eps = 1e-10 * np.trace(gram) / len(gram)
     low = np.min(np.linalg.eigvalsh(gram))
     spoiled = np.asfortranarray(gram - (low + 0.5 * eps) * np.eye(len(gram)))
-    before = _bits(spoiled)
-    with pytest.raises(FactorizationError):
-        solve(spoiled, rhs, cset, kernel)
-    assert _bits(spoiled) == before
-    assert solve(spoiled, rhs, cset, kernel, regularize=True).diagnostics.regularized
-    assert _bits(spoiled) == before
+    with pytest.raises(FactorizationError) as err:
+        solve(spoiled.copy(order="F"), rhs, cset, kernel)
+    assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
+    for order in "FC":
+        solution = solve(np.array(spoiled, order=order), rhs, cset, kernel, regularize=True)
+        assert solution.diagnostics.regularized
+        assert solution.diagnostics.relative_residual == pytest.approx(
+            _recomputed_residual(spoiled, solution, rhs), rel=1e-5, abs=1e-13)
 
 
 def test_solve_permutation_invariance(linear, kernel):

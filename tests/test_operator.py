@@ -378,7 +378,7 @@ def test_pairwise_scalars_translation_invariant_far_from_origin():
     kernel = wendland_c8(0.9)
     pts = conmet.make_grid(conmet.GridSpec(((-1.0, 1.0), (-1.0, 1.0)), 0.125))
     f = np.random.default_rng(5).standard_normal(pts.shape)
-    near = pairwise_scalars(kernel, pts, f, pts, f)
-    far = pairwise_scalars(kernel, pts + 2.0 ** 12, f, pts + 2.0 ** 12, f)
+    near, far = (pairwise_scalars(kernel, 0.5 * (p.min(axis=0) + p.max(axis=0)), p, f, p, f)
+                 for p in (pts, pts + 2.0 ** 12))           # centred on the grid's midpoint
     for name, a, b in zip(("psi", "theta", "g2", "h"), near, far):
         assert np.max(np.abs(b - a)) <= 1e-14 * np.max(np.abs(a)), name
