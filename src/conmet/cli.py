@@ -13,6 +13,7 @@ the BLAS thread pools through the environment before numpy is loaded.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -123,8 +124,9 @@ def load_config(path, output_dir=None, regularize=None):
         )
     except TypeError as err:
         raise ConfigError(f"config value of the wrong type: {err}") from err
-    if not config.kernel_c > 0.0:
-        raise ConfigError(f"kernel shape parameter must be positive, got {config.kernel_c}")
+    if not 0.0 < config.kernel_c < math.inf:
+        raise ConfigError("kernel shape parameter must be positive and finite, "
+                          f"got {config.kernel_c}")
     if not config.probe_spacing > 0.0:
         raise ConfigError(f"probe_spacing must be positive, got {config.probe_spacing}")
     return config

@@ -1,12 +1,16 @@
 """Grids, geometric quantities, and the collocation system A gamma = b.
 
 The Gram matrix couples every pair of functionals (point k, component pair
-i <= j).  It is dense and symmetric positive definite, and it is the one
+i <= j).  It is symmetric positive definite, stored dense, and it is the one
 large array of a solve: assembly computes only its lower block triangle,
 in chunks of block rows whose pairwise kernel quantities and block
 temporaries together stay within _ASSEMBLY_CHUNK_BYTES, and then copies
 that half onto the upper one tile by tile, so the returned matrix is
-exactly symmetric and assembly needs the Gram plus one chunk.  Before it
+exactly symmetric and assembly needs the Gram plus one chunk.  A block is
+zero when its two points lie at least the kernel's support radius apart,
+so each chunk stops at the last block column that operator.near_box keeps
+for the chunk rows' bounding box; the zero blocks past it are never
+computed.  Before it
 allocates the Gram, assembly checks that much against the memory the
 system reports as available and raises MemoryError if it does not fit.
 The solve consumes the Gram, as LAPACK's xPOTRF consumes its input: the
@@ -26,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .operator import coordinate_matrices, pairwise_scalars, triangle_indices
+from .operator import coordinate_matrices, near_box, pairwise_scalars, triangle_indices
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -69,13 +73,15 @@ class GridSpec:
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", bounds)
-        if self.spacing <= 0.0:
+        if not self.spacing > 0.0:
             raise ValueError(f"grid spacing must be positive, got {self.spacing}")
-        if self.offset < 0.0:
+        if not self.offset >= 0.0:
             raise ValueError(f"grid offset must be nonnegative, got {self.offset}")
         for lo, hi in bounds:
             edge = hi - lo
-            if edge <= 0.0:
+            if not np.isfinite(edge):
+                raise ValueError(f"axis range [{lo}, {hi}] is not finite")
+            if not edge > 0.0:
                 raise ValueError(f"empty axis range [{lo}, {hi}]")
             if self.spacing > edge:
                 raise ValueError(f"spacing {self.spacing} exceeds edge length {edge}")
@@ -135,7 +141,7 @@ def fill_distance_estimate(points, bounds, probe_spacing):
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         raise ValueError("fill distance of an empty point set")
-    if probe_spacing <= 0.0:
+    if not probe_spacing > 0.0:
         raise ValueError(f"probe spacing must be positive, got {probe_spacing}")
     probes = _probe_grid(tuple((float(lo), float(hi)) for lo, hi in bounds), probe_spacing)
     dist, _ = cKDTree(points).query(probes, k=1)
@@ -250,21 +256,27 @@ def assemble(system, kernel, points, equilibria=()):
     chunk = max(1, _ASSEMBLY_CHUNK_BYTES // (pair_bytes * big_n))
     for l0 in range(0, big_n, chunk):
         l1 = min(big_n, l0 + chunk)
+        # Block columns from k1 on lie outside the support of every chunk
+        # row, so their blocks keep the zeros of np.zeros.
+        rows = cset.points[l0:l1]
+        near = near_box(cset.points[l0:], (rows.min(axis=0), rows.max(axis=0)),
+                        kernel.support_radius)
+        k1 = l0 + 1 + np.flatnonzero(near)[-1]
         # The engine is called with the roles swapped (rows k >= l0, columns
         # l in the chunk), which swaps theta and g2 and transposes all four.
         # Then h rounds psi2 <x_k - x_l, f_l> before the f_k product, the
         # order of earlier releases, so their Grams and beta.csv are
         # reproduced bit for bit.
         psi, g2, theta, h = (a.T for a in pairwise_scalars(
-            kernel, cset.centre, cset.points[l0:], cset.f_values[l0:],
-            cset.points[l0:l1], cset.f_values[l0:l1]))
-        cols = col_t[:, l0:]
-        shape = (l1 - l0, m, (big_n - l0) * m)
-        value = np.empty((l1 - l0, m, big_n - l0, m))         # C order: reshapes are views
+            kernel, cset.centre, cset.points[l0:k1], cset.f_values[l0:k1],
+            rows, cset.f_values[l0:l1]))
+        cols = col_t[:, l0:k1]
+        shape = (l1 - l0, m, (k1 - l0) * m)
+        value = np.empty((l1 - l0, m, k1 - l0, m))            # C order: reshapes are views
         np.multiply(psi[:, None, :, None], cols[None], out=value)
         for a in range(m):
             value[:, a, :, a] += theta * scale[a]
-        body = block_rows[l0:l1, :, l0 * m:]
+        body = block_rows[l0:l1, :, l0 * m:k1 * m]
         np.matmul(row_ops[l0:l1], value.reshape(shape), out=body)
         np.multiply(g2[:, None, :, None], cols[None], out=value)
         for a in range(m):

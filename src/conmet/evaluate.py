@@ -12,8 +12,11 @@ with r_k = |x_k - x|, b_k the coefficient matrices, and H12 the mixed kernel
 Hessian.  The weights of both sums are the pairwise quantities of
 operator.pairwise_scalars with the query points as rows, and f, Df at the
 query points come from collocation_data, so assembly and evaluation share one
-engine and one callback loop.  Evaluation is vectorised over query points in
-fixed-size chunks so arbitrarily large check grids stay within memory; every
+engine and one callback loop.  Evaluation groups the query points into square
+cells whose edge is the kernel's support radius and splits each cell into
+blocks of at most _CHUNK points, so arbitrarily large check grids stay within
+memory; each block sums only over the nodes that operator.near_box keeps for
+its bounding box, since every other node contributes exactly zero.  Every
 result is exactly symmetric by construction.
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .collocation import (FactorizationError, GridSpec, assemble, collocation_data,
                           make_grid, solve)
-from .operator import apply_operator, operator_image, pairwise_scalars
+from .operator import apply_operator, near_box, operator_image, pairwise_scalars
 
 __all__ = [
     "eval_metric",
@@ -58,9 +61,26 @@ def _combine(weights_a, flats_a, weights_b, flats_b, n):
     return out.reshape(len(out), n, n)
 
 
+def _cell_blocks(points, edge):
+    """Index arrays that split the points into blocks of at most _CHUNK.
+
+    The points are stably sorted by their square cell of the given edge, and
+    each block lies in one cell.
+    """
+    cells = np.floor(points / edge)
+    order = np.lexsort(cells.T[::-1])
+    keys = cells[order]
+    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    bounds = [0, *starts, len(points)]
+    for c0, c1 in zip(bounds[:-1], bounds[1:]):
+        for e0 in range(c0, c1, _CHUNK):
+            yield order[e0:min(c1, e0 + _CHUNK)]
+
+
 def _fields_batch(solution, query):
     """S and L(S) at the points of a CollocationSet, in one shared pass."""
     cset = solution.collocation
+    radius = solution.kernel.support_radius
     n = cset.system.dim
     # P_k = J_k beta_k + beta_k J_k^T
     p_flat = operator_image(solution.beta, 0.0,
@@ -68,16 +88,18 @@ def _fields_batch(solution, query):
     beta_flat = solution.beta.reshape(-1, n * n)
     s_out = np.empty((len(query), n, n))
     fs_out = np.empty((len(query), n, n))
-    for e0 in range(0, len(query), _CHUNK):
-        e1 = min(len(query), e0 + _CHUNK)
+    for block in _cell_blocks(query.points, radius):
+        rows = query.points[block]
+        near = near_box(cset.points, (rows.min(axis=0), rows.max(axis=0)), radius)
         psi, theta, g2, h = pairwise_scalars(
-            solution.kernel, cset.centre, query.points[e0:e1], query.f_values[e0:e1],
-            cset.points, cset.f_values)
-        s_val = _symmetrize(_combine(psi, p_flat, theta, beta_flat, n))
-        s_out[e0:e1] = s_val
-        fs = operator_image(s_val, _combine(g2, p_flat, h, beta_flat, n),
-                            query.jacobians[e0:e1])
-        fs_out[e0:e1] = _symmetrize(fs)
+            solution.kernel, cset.centre, rows, query.f_values[block],
+            cset.points[near], cset.f_values[near])
+        p_near, beta_near = p_flat[near], beta_flat[near]
+        s_val = _symmetrize(_combine(psi, p_near, theta, beta_near, n))
+        s_out[block] = s_val
+        fs = operator_image(s_val, _combine(g2, p_near, h, beta_near, n),
+                            query.jacobians[block])
+        fs_out[block] = _symmetrize(fs)
     return s_out, fs_out
 
 

@@ -102,7 +102,7 @@ class RadialKernel:
     Parameters
     ----------
     shape_parameter : float
-        Positive inverse support radius c; the kernel vanishes for
+        Positive, finite inverse support radius c; the kernel vanishes for
         r >= 1/c.
     sigma : float
         Sobolev smoothness order of the reproduced space.
@@ -121,8 +121,8 @@ class RadialKernel:
 
     def __init__(self, shape_parameter, sigma, psi_coefficients, label=""):
         c = float(shape_parameter)
-        if not c > 0.0:
-            raise ValueError(f"shape parameter must be positive, got {shape_parameter}")
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"shape parameter must be positive and finite, got {shape_parameter}")
         if not sigma > 0.0:
             raise ValueError(f"smoothness order must be positive, got {sigma}")
         self.shape_parameter = c
@@ -190,7 +190,7 @@ def wendland_c8(c):
     """Wendland's C^8 kernel on R^2 with inverse support radius c.
 
     Reproduces the Sobolev space of order sigma = 5.5 in two dimensions.
-    Raises ValueError for nonpositive c.
+    Raises ValueError unless 0 < c < inf.
     """
     one_minus_t_10 = [(-1) ** m * math.comb(10, m) for m in range(11)]
     coeffs = _poly_mul(one_minus_t_10, _WENDLAND_C8_FACTOR)

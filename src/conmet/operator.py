@@ -27,7 +27,9 @@ psi (J_k Q_ij + Q_ij J_k^T) + theta Q_ij, and applying the row functional
 (l, p, q) to it adds g2 (J_k Q_ij + Q_ij J_k^T) + h Q_ij to the zero-order
 image of that value under J_l.  Assembly uses rows = columns = nodes;
 evaluation uses rows = query points, where the same four numbers give S and
-L(S) as sums over the nodes.
+L(S) as sums over the nodes.  All four vanish once r >= 1/c, and near_box is
+the one test both callers use to leave such pairs out of the engine: it keeps
+the points within the support radius of a box around a group of rows.
 """
 
 import numpy as np
@@ -38,10 +40,12 @@ __all__ = [
     "operator_image",
     "apply_operator",
     "pairwise_scalars",
+    "near_box",
     "coordinate_matrices",
 ]
 
 _SYMMETRY_TOL = 1e-12
+_SUPPORT_MARGIN = 1e-12
 
 
 def triangle_indices(n):
@@ -119,6 +123,19 @@ def pairwise_scalars(kernel, centre, rows, row_f, cols, col_f):
     theta = psi1 * dot_k
     g2 = -psi1 * dot_l
     return psi, theta, g2, h
+
+
+def near_box(points, box, radius):
+    """Mask of the points that may lie within radius of a point of the box.
+
+    box is the pair (lo, hi) of an axis-aligned box's corners.  A point is
+    dropped only when its distance to the box exceeds radius (1 + 1e-12), so
+    for radius = kernel.support_radius every dropped pair has t = c r >= 1
+    however the distances round, and the kernel maps it to exactly 0.
+    """
+    lo, hi = box
+    gap = np.maximum(lo - points, 0.0) + np.maximum(points - hi, 0.0)
+    return ~(np.sqrt(np.einsum("kd,kd->k", gap, gap)) > radius * (1.0 + _SUPPORT_MARGIN))
 
 
 def coordinate_matrices(jacobians):

@@ -89,6 +89,7 @@ def test_unknown_system_rejected(tmp_path, capsys):
     {"grid": {"spacing": [1]}},
     {"probe_spacing": float("nan")},
     {"alphas": []},
+    {"kernel": {"c": float("inf")}},
 ], ids=repr)
 def test_wrong_value_types_exit_2(tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"

@@ -21,7 +21,8 @@ from conmet import (
     triangle_indices,
     wendland_c8,
 )
-from conftest import BOUNDS
+from conmet.operator import pairwise_scalars
+from conftest import BOUNDS, straddling_pairs
 from oracles import (
     FunctionalIndex,
     functional_indices,
@@ -75,6 +76,13 @@ def test_grid_spec_validation():
         GridSpec(((1.0, -1.0), (-1.0, 1.0)), 0.25)
     with pytest.raises(ValueError, match="offset"):
         GridSpec(BOUNDS, 0.25, offset=1.5)
+    with pytest.raises(ValueError, match="spacing must be positive, got nan"):
+        GridSpec(BOUNDS, float("nan"))
+    with pytest.raises(ValueError, match="offset must be nonnegative, got nan"):
+        GridSpec(BOUNDS, 0.25, offset=float("nan"))
+    for axis in ((-1.0, float("nan")), (-1.0, float("inf")), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="is not finite"):
+            GridSpec((axis, (-1.0, 1.0)), 0.25)
 
 
 # -- separation and fill distance ---------------------------------------------
@@ -128,6 +136,8 @@ def test_fill_distance_validation():
         fill_distance_estimate(np.empty((0, 2)), BOUNDS, 0.1)
     with pytest.raises(ValueError):
         fill_distance_estimate([[0.0, 0.0]], BOUNDS, -0.1)
+    with pytest.raises(ValueError, match="probe spacing must be positive, got nan"):
+        fill_distance_estimate([[0.0, 0.0]], BOUNDS, float("nan"))
 
 
 # -- collocation sets and assembly ---------------------------------------------
@@ -174,6 +184,54 @@ def test_assemble_matches_scalar_gram_entry(linear, kernel):
         entry = gram_entry(kernel, point_data(cset, l), FunctionalIndex(l, *pl),
                            point_data(cset, k), FunctionalIndex(k, *pk))
         assert gram[row, col] == pytest.approx(entry, rel=1e-12, abs=1e-12)
+
+
+def _wide_nodes(kernel, rng):
+    """About 60 nodes on [-4, 4]^2, much wider than the support, shuffled.
+
+    Two corners fix the centre of the bounding box at (-0.05, 0.15), where
+    the engine's centred distances round differently from the plain ones.
+    Pairs sit at R (1 -+ 1e-9) and at R to within rounding (straddling_pairs).
+    """
+    radius = kernel.support_radius
+    corners = np.array([[-4.0, -3.7], [3.9, 4.0]])
+    centre = 0.5 * (corners[0] + corners[1])
+    nodes = [corners, rng.uniform(-3.6, 3.6, (44, 2))]
+    for scale in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9):
+        p = rng.uniform(-2.4, 2.4, 2)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        nodes.append([p, p + radius * scale * np.array([np.cos(angle), np.sin(angle)])])
+    nodes += [np.array(pair) for pair in straddling_pairs(
+        kernel, centre, rng, (-2.4, -2.4), (2.4, 2.4), 3)]
+    nodes = np.concatenate(nodes)
+    return nodes[rng.permutation(len(nodes))]
+
+
+def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
+    # every chunk size, down to one block row, must keep every pair the
+    # kernel does not map to zero, including pairs at the radius to within
+    # rounding, and leave exactly zero blocks for all others
+    system, _, _ = linear
+    nodes = _wide_nodes(kernel, np.random.default_rng(71))
+    cset = conmet.collocation_data(system, nodes)
+    big_n = len(nodes)
+    pairs = triangle_indices(2)
+    oracle = np.zeros((big_n, 3, big_n, 3))    # gram_entry is exactly 0 for r >= R
+    near = np.linalg.norm(nodes[:, None] - nodes[None], axis=-1) < 1.01 * kernel.support_radius
+    for l, k in zip(*np.nonzero(near)):
+        for (a, pl), (b, pk) in itertools.product(enumerate(pairs), repeat=2):
+            oracle[l, a, k, b] = gram_entry(kernel, point_data(cset, l), FunctionalIndex(l, *pl),
+                                            point_data(cset, k), FunctionalIndex(k, *pk))
+    psi = pairwise_scalars(kernel, cset.centre, cset.points, cset.f_values,
+                           cset.points, cset.f_values)[0]
+    for budget in (1, 50_000, None):            # one, seven and all block rows per chunk
+        if budget is not None:
+            monkeypatch.setattr(conmet.collocation, "_ASSEMBLY_CHUNK_BYTES", budget)
+        _, gram = assemble(system, kernel, nodes)
+        blocks = gram.reshape(big_n, 3, big_n, 3)
+        assert np.allclose(blocks, oracle, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(np.any(blocks != 0.0, axis=(1, 3)), psi != 0.0)
+        monkeypatch.undo()
 
 
 def test_assemble_two_point_fd_oracle(linear, kernel):

@@ -28,8 +28,10 @@ from conmet import (
     wendland_c8,
 )
 from conmet.evaluate import definiteness_batch
-from conftest import BOUNDS
-from oracles import FunctionalIndex, point_data, riesz_representer
+from conmet.operator import pairwise_scalars
+from conftest import BOUNDS, straddling_pairs
+from oracles import (CollocationPointData, FunctionalIndex, gram_entry, point_data,
+                     riesz_representer)
 
 
 def _zero_solution(linear, kernel, n_points=4):
@@ -93,6 +95,91 @@ def test_form1_equals_form2(solved_quarter, kernel):
                 gamma = beta[k, i, j] if i == j else 2.0 * beta[k, i, j]
                 form1 += gamma * riesz_representer(kernel, data, FunctionalIndex(k, i, j), x)
         assert np.allclose(eval_metric(solved_quarter, x), form1, rtol=0, atol=1e-10)
+
+
+def _all_node_sums(solution, kernel, x):
+    """S(x) and L(S)(x) summed over the representers of every node in reach;
+    the other terms are exactly 0 (r >= R) and left out."""
+    cset = solution.collocation
+    data_x = CollocationPointData(x, cset.system.f(x), cset.system.jacobian(x))
+    pairs = triangle_indices(2)
+    s, fs = np.zeros((2, 2)), np.zeros((2, 2))
+    for k in np.flatnonzero(np.linalg.norm(cset.points - x, axis=1)
+                            < 1.01 * kernel.support_radius):
+        data = point_data(cset, k)
+        for i, j in pairs:
+            gamma = solution.beta[k, i, j] * (1.0 if i == j else 2.0)
+            index = FunctionalIndex(k, i, j)
+            s += gamma * riesz_representer(kernel, data, index, x)
+            for p, q in pairs:
+                fs[p, q] += gamma * gram_entry(kernel, data_x, FunctionalIndex(0, p, q),
+                                               data, index)
+    fs[1, 0] = fs[0, 1]
+    return s, fs
+
+
+def _lone_pairs(kernel, rng, taken):
+    """(node, query) pairs with the node right of x = 1, at R (1 -+ 1e-9) and
+    at R to within rounding; no node of taken or of another pair is in reach
+    of a query."""
+    radius = kernel.support_radius
+    straddling = straddling_pairs(kernel, 0.5 * (taken[0] + taken[1]), rng,
+                                  (1.0, -3.5), (3.5, 3.0), 10)
+    candidates = []
+    for pair in straddling:
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            p = rng.uniform((1.0, -3.5), (3.5, 3.0))
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            candidates.append((p, p + radius * scale * np.array([np.cos(angle), np.sin(angle)])))
+        candidates.append(pair)
+    nodes, queries = list(taken), []
+    for p, q in candidates:
+        if (min(np.linalg.norm(np.array(nodes) - q, axis=1)) > 1.05 * radius
+                and all(np.linalg.norm(p - other) > 1.05 * radius for other in queries)
+                and min(np.linalg.norm(np.array(nodes) - p, axis=1)) > 0.3):
+            nodes.append(p)
+            queries.append(q)
+    return np.array(nodes[len(taken):]), np.array(queries)
+
+
+def test_fields_batch_matches_all_node_sum(linear, kernel):
+    # shuffled nodes on [-4, 4]^2: the bulk left of x = -2.2, lone nodes right
+    # of x = 1; two corners fix the centre at (-0.05, 0.15), where the
+    # engine's centred distances round differently from the plain ones
+    system, _, rhs = linear
+    rng = np.random.default_rng(72)
+    corners = np.array([[-4.0, -3.7], [3.9, 4.0]])
+    bulk = []
+    for x in rng.uniform((-4.0, -3.7), (-2.2, 4.0), (200, 2)):
+        if all(np.linalg.norm(x - y) > 0.35 for y in bulk) and len(bulk) < 30:
+            bulk.append(x)
+    lone, lone_queries = _lone_pairs(kernel, rng, corners)
+    nodes = np.concatenate([corners, bulk, lone])
+    nodes = nodes[rng.permutation(len(nodes))]
+    cset, gram = assemble(system, kernel, nodes)
+    solution = solve(gram, rhs, cset, kernel)
+
+    empty = np.array([[-0.6, -3.0], [-0.6, 0.0], [-0.6, 3.0]])    # cells no node reaches
+    batch = np.concatenate([rng.uniform(-4.0, 4.0, (40, 2)), empty, lone_queries])
+    # a point alone has a one-point box, so only the margin of near_box
+    # keeps the node of a pair at R to within rounding
+    s = np.concatenate([eval_metric_batch(solution, batch)]
+                       + [eval_metric_batch(solution, q[None]) for q in lone_queries])
+    fs = np.concatenate([eval_operator_batch(solution, batch)]
+                        + [eval_operator_batch(solution, q[None]) for q in lone_queries])
+    points = np.concatenate([batch, lone_queries])
+
+    oracle_s, oracle_fs = map(np.array, zip(*(_all_node_sums(solution, kernel, x)
+                                              for x in points)))
+    for values, oracle in ((s, oracle_s), (fs, oracle_fs)):
+        assert np.allclose(values, oracle, rtol=0, atol=1e-12 * max(np.max(np.abs(oracle)), 1.0))
+    query = conmet.collocation_data(system, points)
+    psi = pairwise_scalars(kernel, cset.centre, query.points, query.f_values,
+                           cset.points, cset.f_values)[0]
+    reach = np.any(psi != 0.0, axis=1)
+    assert not np.any(reach[40:43])
+    assert np.array_equal(np.any(s != 0.0, axis=(1, 2)), reach)
+    assert np.array_equal(np.any(fs != 0.0, axis=(1, 2)), reach)
 
 
 def test_eval_operator_at_collocation_points(solved_quarter, linear):

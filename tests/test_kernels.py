@@ -44,6 +44,12 @@ def test_invalid_shape_parameter():
         wendland_c8(-1.2)
 
 
+@pytest.mark.parametrize("c", [float("inf"), float("nan")])
+def test_non_finite_shape_parameter_rejected(c):
+    with pytest.raises(ValueError, match="positive and finite"):
+        wendland_c8(c)
+
+
 def test_sigma_and_support(kern):
     assert kern.sigma == 5.5
     assert kern.support_radius == pytest.approx(1.0 / 0.9)
