@@ -4,7 +4,8 @@ Configuration comes from a JSON file; every key has a documented default and
 unknown keys are rejected.  Outputs are CSV (full-precision floats, header
 row) and JSON for scalar metadata, written into the configured output
 directory.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure or a problem too large for the available memory.
+failure or a problem too large for the available memory.  fields and
+ellipses reuse the beta.csv that solve wrote from the same inputs.
 
 Heavy imports happen inside the command handlers so that --threads can cap
 the BLAS thread pools through the environment before numpy is loaded.
@@ -12,12 +13,13 @@ the BLAS thread pools through the environment before numpy is loaded.
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 __all__ = ["RunConfig", "ConfigError", "NumericalError", "main",
            "cmd_solve", "cmd_convergence", "cmd_fields", "cmd_ellipses"]
@@ -133,7 +135,8 @@ def load_config(path, output_dir=None, regularize=None):
 
 
 def _setup(config):
-    """Resolve the system bundle, kernel and right-hand side."""
+    """Resolve the system bundle, kernel and right-hand side, and create the
+    output directory, so that a bad path fails before any work."""
     import numpy as np
 
     from .kernels import wendland_c8
@@ -153,6 +156,10 @@ def _setup(config):
     if rhs.shape != (bundle.system.dim,) * 2:
         raise ConfigError(f"rhs_matrix has shape {rhs.shape}, system dimension "
                           f"is {bundle.system.dim}")
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {config.output_dir}: {err}") from err
     return bundle, kernel, rhs
 
 
@@ -174,6 +181,7 @@ def _write_json(path, payload):
 
 
 def _solve_on_grid(bundle, kernel, rhs, points, regularize):
+    """Assemble and solve; return the solution and its timing.json entries."""
     from .collocation import FactorizationError, assemble, solve
 
     t0 = time.perf_counter()
@@ -183,8 +191,34 @@ def _solve_on_grid(bundle, kernel, rhs, points, regularize):
         solution = solve(gram, rhs, cset, kernel, regularize=regularize)
     except FactorizationError as err:
         raise NumericalError(f"factorization failed (pivot {err.pivot}): {err}") from err
-    t2 = time.perf_counter()
-    return solution, t1 - t0, t2 - t1
+    return solution, {"beta_source": "solved", "assemble_seconds": t1 - t0,
+                      "solve_seconds": time.perf_counter() - t1}
+
+
+def _beta_columns(dim):
+    """The beta.csv header and the (i, j) component pairs of its beta columns."""
+    import numpy as np
+
+    from .operator import triangle_indices
+
+    i, j = np.transpose(triangle_indices(dim))
+    return (["k"] + [f"x{a}" for a in range(dim)]
+            + [f"beta_{p}{q}" for p, q in zip(i, j)]), i, j
+
+
+def _solve_key(config, rhs):
+    """Digest of the inputs that determine beta.csv."""
+    from . import __version__
+
+    inputs = {"system": config.system, "c": config.kernel_c, "rhs": rhs.tolist(),
+              "grid": astuple(config.grid),          # bounds, spacing, offset
+              "regularize": config.regularize, "version": __version__}
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+
+
+def _file_sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def cmd_solve(config):
@@ -192,14 +226,16 @@ def cmd_solve(config):
     import numpy as np
 
     from .collocation import fill_distance_estimate, make_grid, separation_distance
-    from .operator import triangle_indices
 
     bundle, kernel, rhs = _setup(config)
     points = make_grid(config.grid)
-    solution, assemble_s, solve_s = _solve_on_grid(
-        bundle, kernel, rhs, points, config.regularize)
+    solution, timing = _solve_on_grid(bundle, kernel, rhs, points, config.regularize)
 
-    os.makedirs(config.output_dir, exist_ok=True)
+    header, i, j = _beta_columns(bundle.system.dim)
+    beta_path = os.path.join(config.output_dir, "beta.csv")
+    table = np.column_stack([points, solution.beta[:, i, j]])
+    _write_csv(beta_path, header,
+               ([str(k)] + [_fmt(v) for v in row] for k, row in enumerate(table)))
     diag = solution.diagnostics
     _write_json(os.path.join(config.output_dir, "solution.json"), {
         "system": config.system,
@@ -214,24 +250,51 @@ def cmd_solve(config):
         "separation_distance": separation_distance(points) if len(points) > 1 else None,
         "fill_distance_estimate": fill_distance_estimate(
             points, config.grid.bounds, config.probe_spacing),
+        "solve_key": _solve_key(config, rhs),
+        "beta_sha256": _file_sha256(beta_path),
     })
     # wall-clock values live apart so the data artifacts stay byte-identical
     # across reruns of the same config
-    _write_json(os.path.join(config.output_dir, "timing.json"), {
-        "assemble_seconds": assemble_s,
-        "solve_seconds": solve_s,
-    })
-
-    dim = bundle.system.dim
-    i, j = np.transpose(triangle_indices(dim))
-    header = (["k"] + [f"x{a}" for a in range(dim)]
-              + [f"beta_{p}{q}" for p, q in zip(i, j)])
-    table = np.column_stack([points, solution.beta[:, i, j]])
-    _write_csv(os.path.join(config.output_dir, "beta.csv"), header,
-               ([str(k)] + [_fmt(v) for v in row] for k, row in enumerate(table)))
+    _write_json(os.path.join(config.output_dir, "timing.json"), timing)
     print(f"solved {len(points)} points, {diag.dimension} unknowns, "
           f"residual {diag.relative_residual:.3e} -> {config.output_dir}")
     return 0
+
+
+def _stored_or_solved(config, bundle, kernel, rhs):
+    """The solution for config and its timing.json entries: read back from
+    the output directory when cmd_solve wrote it there from the same inputs
+    (solve_key, beta_sha256, finite values at the grid's nodes), else solved."""
+    import numpy as np
+
+    from .collocation import RecoverySolution, SolveDiagnostics, collocation_data, make_grid
+
+    points = make_grid(config.grid)
+    n = bundle.system.dim
+    header, i, j = _beta_columns(n)
+    beta_path = os.path.join(config.output_dir, "beta.csv")
+    try:
+        with open(os.path.join(config.output_dir, "solution.json")) as handle:
+            meta = json.load(handle)
+        with open(beta_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        table = np.array([[float(v) for v in row] for row in rows[1:]])
+        matches = (meta["solve_key"] == _solve_key(config, rhs)
+                   and meta["beta_sha256"] == _file_sha256(beta_path)
+                   and rows[0] == header and table.shape == (len(points), len(header))
+                   and np.all(np.isfinite(table)) and np.array_equal(table[:, 1:n + 1], points))
+        diagnostics = SolveDiagnostics(
+            meta["n_unknowns"], meta["relative_residual"], meta["factorization"],
+            meta["regularized"], meta["regularization_epsilon"], meta["min_pivot"])
+    except (OSError, ValueError, LookupError, TypeError):
+        matches = False
+    if not matches:
+        return _solve_on_grid(bundle, kernel, rhs, points, config.regularize)
+    print(f"reused {beta_path}, solved from the same inputs", file=sys.stderr)
+    beta = np.zeros((len(points), n, n))
+    beta[:, i, j] = beta[:, j, i] = table[:, n + 1:]
+    return (RecoverySolution(collocation_data(bundle.system, points), kernel, beta, rhs,
+                             diagnostics), {"beta_source": "beta.csv"})
 
 
 def cmd_convergence(config):
@@ -251,7 +314,6 @@ def cmd_convergence(config):
     except FactorizationError as err:
         raise NumericalError(str(err)) from err
 
-    os.makedirs(config.output_dir, exist_ok=True)
     rows = []
     for row in report.rows:
         rows.append([_fmt(row.alpha), _fmt(row.e_s),
@@ -269,53 +331,52 @@ def cmd_convergence(config):
 
 
 def cmd_fields(config):
-    """Solve, then sample S and L(S) on the evaluation grid; write CSV + summary."""
+    """Sample S and L(S) of the solve on the evaluation grid; write CSV + summary."""
     import numpy as np
 
     from .collocation import make_grid
     from .evaluate import Definiteness, definiteness_batch, field_export
 
     bundle, kernel, rhs = _setup(config)
-    points = make_grid(config.grid)
-    solution, _, _ = _solve_on_grid(bundle, kernel, rhs, points, config.regularize)
+    solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
+    t0 = time.perf_counter()
     fields = field_export(solution, bundle.system, make_grid(config.check_grid))
-
-    os.makedirs(config.output_dir, exist_ok=True)
     dim = bundle.system.dim
     coord_names = ["x", "y"] if dim == 2 else [f"x{a}" for a in range(dim)]
     header = coord_names + ["trace_S", "det_S", "trace_FS", "neg_det_FS",
                             "min_eig_S", "max_eig_FS"]
     table = np.column_stack([fields[key] for key in ("x", "trace_s", "det_s", "trace_fs",
                                                      "neg_det_fs", "min_eig_s", "max_eig_fs")])
-    _write_csv(os.path.join(config.output_dir, "fields.csv"), header,
-               ([_fmt(v) for v in row] for row in table))
     bad_s = int(np.count_nonzero(
         definiteness_batch(fields["s"]) != Definiteness.POSITIVE_DEFINITE.value))
     bad_fs = int(np.count_nonzero(
         definiteness_batch(fields["fs"]) != Definiteness.NEGATIVE_DEFINITE.value))
+    t1 = time.perf_counter()
+    _write_csv(os.path.join(config.output_dir, "fields.csv"), header,
+               ([_fmt(v) for v in row] for row in table))
     _write_json(os.path.join(config.output_dir, "fields_summary.json"), {
         "n_points": len(table),
         "metric_not_positive_definite": bad_s,
         "operator_not_negative_definite": bad_fs,
         "failures": bad_s + bad_fs,
     })
+    _write_json(os.path.join(config.output_dir, "timing.json"), dict(
+        timing, evaluate_seconds=t1 - t0, write_seconds=time.perf_counter() - t1))
     print(f"{len(table)} field samples, {bad_s + bad_fs} definiteness "
           f"failures -> {config.output_dir}")
     return 0
 
 
 def cmd_ellipses(config, anchors, level, count):
-    """Sample metric ellipses around anchor points; write ellipses.csv."""
-    from .collocation import make_grid
+    """Sample metric ellipses of the solve around anchor points; write ellipses.csv."""
     from .evaluate import Definiteness, definiteness, ellipse_points, eval_metric
 
     bundle, kernel, rhs = _setup(config)
     if bundle.system.dim != 2:
         raise ConfigError("ellipse export requires a two-dimensional system")
-    points = make_grid(config.grid)
-    solution, _, _ = _solve_on_grid(bundle, kernel, rhs, points, config.regularize)
+    solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
 
-    os.makedirs(config.output_dir, exist_ok=True)
+    t0 = time.perf_counter()
     rows = []
     report = []
     failed = 0
@@ -329,12 +390,15 @@ def cmd_ellipses(config, anchors, level, count):
         for v in ellipse_points(anchor, s_x, level, count):
             rows.append([str(anchor_id), _fmt(v[0]), _fmt(v[1])])
         report.append({"id": anchor_id, "anchor": list(anchor), "ok": True})
+    t1 = time.perf_counter()
     _write_csv(os.path.join(config.output_dir, "ellipses.csv"),
                ["anchor_id", "x", "y"], rows)
     _write_json(os.path.join(config.output_dir, "ellipses_summary.json"), {
         "level": level, "points_per_ellipse": count,
         "anchors": report, "n_failed": failed,
     })
+    _write_json(os.path.join(config.output_dir, "timing.json"), dict(
+        timing, evaluate_seconds=t1 - t0, write_seconds=time.perf_counter() - t1))
     print(f"{len(rows)} ellipse samples for {len(anchors) - failed}/{len(anchors)} "
           f"anchors -> {config.output_dir}")
     if failed == len(anchors):
@@ -412,7 +476,7 @@ def main(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
-    except NumericalError as err:
+    except (NumericalError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except MemoryError as err:

@@ -400,12 +400,15 @@ def solve(gram, rhs, cset, kernel, regularize=False):
     after a FactorizationError, so a Gram is good for one solve.  The
     reported relative_residual is ||A gamma - b|| / ||b|| with the
     unregularised A, read from the untouched strict upper triangle and the
-    saved diagonal.
+    saved diagonal.  A non-finite C is a ValueError, and a solution that
+    overflows to non-finite values a FloatingPointError.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = cset.system.dim
     if rhs.shape != (n, n):
         raise ValueError(f"right-hand-side matrix has shape {rhs.shape}, expected {(n, n)}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand-side matrix must be finite")
     if np.max(np.abs(rhs - rhs.T)) > _DIVISIBILITY_TOL * max(1.0, np.max(np.abs(rhs))):
         raise ValueError("right-hand-side matrix must be symmetric")
     if np.min(np.linalg.eigvalsh(rhs)) <= 0.0:
@@ -435,6 +438,9 @@ def solve(gram, rhs, cset, kernel, regularize=False):
         factor = _cholesky(gram)
         regularized = True
     gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
+    if not np.all(np.isfinite(gamma)):
+        raise FloatingPointError("the solution of the collocation system is not finite "
+                                 f"(largest |C| entry {np.max(np.abs(rhs)):.3g})")
     min_pivot = float(np.min(factor[0].diagonal()))
     # A gamma: the upper half, with the saved diagonal in place of gram's
     product = (scipy.linalg.blas.dsymv(1.0, gram, gamma, lower=0)

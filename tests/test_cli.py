@@ -249,3 +249,144 @@ def test_byte_identical_reruns(tmp_path):
                         for name in ("solution.json", "beta.csv",
                                      "fields.csv", "fields_summary.json")})
     assert outputs[0] == outputs[1]
+
+
+_COARSE = {"grid": {"bounds": [[-1, 1], [-1, 1]], "spacing": 0.5},
+           "check_grid": {"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25, "offset": 0.125}}
+# each command with the extra arguments it needs and the artifacts it writes
+_CONSUMERS = {
+    "fields": ([], ("fields.csv", "fields_summary.json")),
+    "ellipses": (["--anchor", "0,0", "--anchor", "0.3,-0.2", "--count", "8"],
+                 ("ellipses.csv", "ellipses_summary.json")),
+}
+
+
+@pytest.fixture
+def assemble_calls(monkeypatch):
+    """A list that grows by one entry per collocation.assemble call."""
+    import conmet.collocation
+
+    calls = []
+    original = conmet.collocation.assemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(conmet.collocation, "assemble", counted)
+    return calls
+
+
+def _run(command, cfg, out, *extra):
+    args, _ = _CONSUMERS.get(command, ([], ()))
+    return cli.main([command, str(cfg), "--output-dir", str(out), *args, *extra])
+
+
+def _artifacts(command, out):
+    return {name: (out / name).read_bytes() for name in _CONSUMERS[command][1]}
+
+
+@pytest.mark.parametrize("command", sorted(_CONSUMERS))
+def test_consumers_reuse_the_solve(tmp_path, capsys, assemble_calls, command):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), **_COARSE)
+    assert _run("solve", cfg, tmp_path / "a") == 0
+    capsys.readouterr()
+    assert _run(command, cfg, tmp_path / "a") == 0
+    assert len(assemble_calls) == 1
+    assert "reused" in capsys.readouterr().err
+    timing = json.loads((tmp_path / "a" / "timing.json").read_text())
+    assert timing["beta_source"] == "beta.csv" and "assemble_seconds" not in timing
+    assert timing["evaluate_seconds"] > 0.0 and timing["write_seconds"] > 0.0
+
+    # the same command alone in a fresh directory solves and writes the same bytes
+    assert _run(command, cfg, tmp_path / "b") == 0
+    assert len(assemble_calls) == 2
+    assert "reused" not in capsys.readouterr().err
+    timing = json.loads((tmp_path / "b" / "timing.json").read_text())
+    assert timing["beta_source"] == "solved" and timing["assemble_seconds"] > 0.0
+    assert _artifacts(command, tmp_path / "a") == _artifacts(command, tmp_path / "b")
+
+
+def _edit_beta(out, edit, update_digest):
+    """Apply edit to the cells of the first data row of beta.csv and, if
+    asked, write the edited file's digest into solution.json."""
+    import hashlib
+
+    path = out / "beta.csv"
+    rows = path.read_bytes().decode().split("\r\n")
+    rows[1] = ",".join(edit(rows[1].split(",")))
+    path.write_bytes("\r\n".join(rows).encode())
+    if update_digest:
+        meta = json.loads((out / "solution.json").read_text())
+        meta["beta_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (out / "solution.json").write_text(json.dumps(meta))
+
+
+def _one_digit(cells):
+    last = cells[-1]
+    return cells[:-1] + [last[:-1] + str((int(last[-1]) + 1) % 10)]
+
+
+@pytest.mark.parametrize("stale", [
+    "grid", "rhs_matrix", "kernel", "regularize", "beta digit", "no solution.json",
+    "beta NaN, digest updated", "node moved, digest updated",
+])
+def test_stale_inputs_solve_again(tmp_path, capsys, assemble_calls, stale):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), **_COARSE)
+    out = tmp_path / "out"
+    assert _run("solve", cfg, out) == 0
+    extra = []
+    if stale == "grid":
+        _write_config(str(cfg), **dict(_COARSE, grid={"bounds": [[-1, 1], [-1, 1]],
+                                                      "spacing": 1.0}))
+    elif stale == "rhs_matrix":
+        _write_config(str(cfg), rhs_matrix=[[2.0, 0.0], [0.0, 1.0]], **_COARSE)
+    elif stale == "kernel":
+        _write_config(str(cfg), kernel={"c": 0.8}, **_COARSE)
+    elif stale == "regularize":
+        extra = ["--regularize"]
+    elif stale == "beta digit":
+        _edit_beta(out, _one_digit, update_digest=False)
+    elif stale == "no solution.json":
+        (out / "solution.json").unlink()
+    elif stale == "beta NaN, digest updated":
+        _edit_beta(out, lambda cells: cells[:-1] + ["nan"], update_digest=True)
+    else:
+        _edit_beta(out, lambda cells: [cells[0], "-0.75"] + cells[2:], update_digest=True)
+    capsys.readouterr()
+    assert _run("fields", cfg, out, *extra) == 0
+    assert len(assemble_calls) == 2
+    assert "reused" not in capsys.readouterr().err
+    assert json.loads((out / "timing.json").read_text())["beta_source"] == "solved"
+    assert _run("fields", cfg, tmp_path / "fresh", *extra) == 0
+    assert _artifacts("fields", out) == _artifacts("fields", tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("rhs, code, message", [
+    ([[float("inf"), 0.0], [0.0, 1.0]], 2, "config error: right-hand-side matrix must be finite"),
+    ([[1e308, 0.0], [0.0, 1e308]], 3, "numerical failure: the solution of the collocation"),
+], ids=["infinite", "overflowing"])
+def test_non_finite_rhs_or_solution_writes_nothing(tmp_path, capsys, rhs, code, message):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), rhs_matrix=rhs)
+    for command in ("solve", "fields"):
+        assert cli.main([command, str(cfg)]) == code
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_output_dir_naming_a_file_exits_2_before_assembly(tmp_path, capsys, assemble_calls,
+                                                          where):
+    cfg = tmp_path / "cfg.json"
+    target = tmp_path / "taken"
+    target.write_text("")
+    _write_config(str(cfg), output_dir=str(target))
+    args = ["--output-dir", str(target)] if where == "flag" else []
+    for command in ("solve", "convergence", "fields"):
+        assert cli.main([command, str(cfg), *args]) == 2
+        err = capsys.readouterr().err
+        assert "cannot use output directory" in err and str(target) in err
+    assert assemble_calls == []

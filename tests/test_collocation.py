@@ -399,6 +399,17 @@ def test_solve_validates_rhs(linear, kernel):
         solve(gram, np.array([[1.0, 0.2], [0.0, 1.0]]), cset, kernel)
     with pytest.raises(ValueError, match="positive definite"):
         solve(gram, np.array([[1.0, 0.0], [0.0, -1.0]]), cset, kernel)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve(gram, np.array([[bad, 0.0], [0.0, 1.0]]), cset, kernel)
+
+
+def test_solve_overflow_raises(linear, kernel):
+    # finite, symmetric and positive definite, but gamma = A^-1 b overflows
+    system, _, _ = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.5)))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        solve(gram, np.diag([1e308, 1e308]), cset, kernel)
 
 
 def test_solve_beta_exactly_symmetric(solved_quarter):
