@@ -7,8 +7,8 @@ directory.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure or a problem too large for the available memory.  fields and
 ellipses reuse the beta.csv that solve wrote from the same inputs.
 
-Heavy imports happen inside the command handlers so that --threads can cap
-the BLAS thread pools through the environment before numpy is loaded.
+Heavy imports happen inside the command handlers.  --threads caps the
+evaluation workers; the BLAS pools follow only the starting environment.
 """
 
 import argparse
@@ -407,13 +407,13 @@ def cmd_ellipses(config, anchors, level, count):
 
 
 def _parse_anchor(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"anchors are 'x,y' pairs, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        anchor = tuple(float(v) for v in text.split(","))
     except ValueError as err:
         raise ConfigError(f"invalid anchor {text!r}: {err}") from err
+    if len(anchor) != 2 or not all(map(math.isfinite, anchor)):
+        raise ConfigError(f"anchors are finite 'x,y' pairs, got {text!r}")
+    return anchor
 
 
 def _build_parser():
@@ -432,7 +432,8 @@ def _build_parser():
         cmd.add_argument("--regularize", action="store_true", default=None,
                          help="retry a failed factorization with diagonal regularization")
         cmd.add_argument("--threads", type=int,
-                         help="cap BLAS thread pools (effective at process start)")
+                         help="cap the evaluation worker threads (default: one per CPU); "
+                              "BLAS pools follow only OPENBLAS_NUM_THREADS set at start")
         if name == "ellipses":
             cmd.add_argument("--anchor", action="append", default=[],
                              help="ellipse anchor 'x,y' (repeatable)")
@@ -451,8 +452,8 @@ def _limit_threads(threads):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(threads)
     if "numpy" in sys.modules:
-        print("warning: numpy already imported; --threads may not take effect",
-              file=sys.stderr)
+        print(f"warning: --threads caps the evaluation workers at {threads}; BLAS pools "
+              "keep their size unless OPENBLAS_NUM_THREADS is set at start", file=sys.stderr)
 
 
 def main(argv=None):

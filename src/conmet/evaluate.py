@@ -14,13 +14,18 @@ operator.pairwise_scalars with the query points as rows, and f, Df at the
 query points come from collocation_data, so assembly and evaluation share one
 engine and one callback loop.  Evaluation groups the query points into square
 cells whose edge is the kernel's support radius and splits each cell into
-blocks of at most _CHUNK points, so arbitrarily large check grids stay within
-memory; each block sums only over the nodes that operator.near_box keeps for
-its bounding box, since every other node contributes exactly zero.  Every
-result is exactly symmetric by construction.
+blocks whose (points, nodes) arrays take _EVAL_BLOCK_BYTES each, summing
+only over the nodes that operator.near_box keeps for a block, since every
+other node contributes exactly zero.  One worker thread per usable CPU, at
+most OMP_NUM_THREADS, runs the blocks; each writes its own rows, so the
+values do not depend on the worker count.  convergence_study evaluates the
+finest spacing first, right after its solve, so that Gram peaks before any
+block exists.  Every result is exactly symmetric by construction.
 """
 
 import enum
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +51,7 @@ __all__ = [
     "ellipse_points",
 ]
 
-_CHUNK = 1024
+_EVAL_BLOCK_BYTES = 1 << 20     # one (rows, near nodes) float array of an evaluation block
 
 
 def _symmetrize(fields):
@@ -61,11 +66,12 @@ def _combine(weights_a, flats_a, weights_b, flats_b, n):
     return out.reshape(len(out), n, n)
 
 
-def _cell_blocks(points, edge):
-    """Index arrays that split the points into blocks of at most _CHUNK.
+def _cell_blocks(points, nodes, edge):
+    """Index arrays that split the points into blocks of _EVAL_BLOCK_BYTES.
 
-    The points are stably sorted by their square cell of the given edge, and
-    each block lies in one cell.
+    The points are stably sorted by their square cell of the given edge; each
+    block lies in one cell and has _EVAL_BLOCK_BYTES // (8 K) rows, with K
+    the count of nodes that near_box keeps for the cell.
     """
     cells = np.floor(points / edge)
     order = np.lexsort(cells.T[::-1])
@@ -73,8 +79,19 @@ def _cell_blocks(points, edge):
     starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
     bounds = [0, *starts, len(points)]
     for c0, c1 in zip(bounds[:-1], bounds[1:]):
-        for e0 in range(c0, c1, _CHUNK):
-            yield order[e0:min(c1, e0 + _CHUNK)]
+        cell = points[order[c0:c1]]
+        near = np.count_nonzero(near_box(nodes, (cell.min(axis=0), cell.max(axis=0)), edge))
+        step = max(1, _EVAL_BLOCK_BYTES // (8 * max(near, 1)))
+        for e0 in range(c0, c1, step):
+            yield order[e0:min(c1, e0 + step)]
+
+
+def _eval_workers(blocks):
+    """Threads for the blocks: one per usable CPU and block, at most OMP_NUM_THREADS >= 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cap = os.environ.get("OMP_NUM_THREADS", "").strip()
+    cap = int(cap) if cap.isdecimal() and int(cap) >= 1 else blocks
+    return max(1, min(cpus or 1, cap, blocks))
 
 
 def _fields_batch(solution, query):
@@ -88,7 +105,8 @@ def _fields_batch(solution, query):
     beta_flat = solution.beta.reshape(-1, n * n)
     s_out = np.empty((len(query), n, n))
     fs_out = np.empty((len(query), n, n))
-    for block in _cell_blocks(query.points, radius):
+
+    def evaluate_block(block):
         rows = query.points[block]
         near = near_box(cset.points, (rows.min(axis=0), rows.max(axis=0)), radius)
         psi, theta, g2, h = pairwise_scalars(
@@ -100,6 +118,15 @@ def _fields_batch(solution, query):
         fs = operator_image(s_val, _combine(g2, p_near, h, beta_near, n),
                             query.jacobians[block])
         fs_out[block] = _symmetrize(fs)
+
+    blocks = list(_cell_blocks(query.points, cset.points, radius))
+    workers = _eval_workers(len(blocks))
+    if workers == 1:
+        for block in blocks:
+            evaluate_block(block)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(evaluate_block, blocks))       # re-raises a block's error
     return s_out, fs_out
 
 
@@ -241,17 +268,20 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"spacings must be strictly decreasing, got {alphas}")
     check_points = make_grid(check_spec)
-    rows = []
-    prev = None
-    for alpha in alphas:
+    errors = {}
+    for alpha in reversed(alphas):      # finest first; see the module docstring
         grid = make_grid(GridSpec(bounds=bounds, spacing=alpha))
         cset, gram = assemble(system, kernel, grid, equilibria=equilibria)
         try:
             solution = solve(gram, rhs, cset, kernel, regularize=regularize)
         except FactorizationError as err:
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
-        del gram        # the largest array; the error evaluation does not need it
-        err, err_s = error_report(solution, exact, system, check_points)
+        del gram        # the error evaluation does not need it
+        errors[alpha] = error_report(solution, exact, system, check_points)
+    rows = []
+    prev = None
+    for alpha in alphas:
+        err, err_s = errors[alpha]
         if prev is None:
             rows.append(ConvergenceRow(alpha, err_s, None, err, None))
         else:
@@ -265,20 +295,24 @@ def ellipse_points(x, s_x, level, count):
     """Points v on the metric ellipse (v - x)^T S(x) (v - x) = level.
 
     Parametrised through the eigendecomposition of the positive definite
-    2 x 2 matrix s_x; raises ValueError otherwise.
+    2 x 2 matrix s_x; raises ValueError otherwise or for non-finite x or
+    level, FloatingPointError when a sample overflows.
     """
     x = np.asarray(x, dtype=float)
     s_x = np.asarray(s_x, dtype=float)
     if s_x.shape != (2, 2):
         raise ValueError(f"ellipse sampling is two-dimensional, got shape {s_x.shape}")
-    if level <= 0.0:
-        raise ValueError(f"level must be positive, got {level}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"anchor must be finite, got {x.tolist()}")
+    if not 0.0 < level < np.inf:
+        raise ValueError(f"level must be positive and finite, got {level}")
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (s_x + s_x.T))
     if eigenvalues[0] <= 0.0:
         raise ValueError(f"matrix is not positive definite (eigenvalues {eigenvalues.tolist()})")
     angles = 2.0 * np.pi * np.arange(count) / count
-    radial = np.sqrt(level / eigenvalues)
+    with np.errstate(over="raise"):      # FloatingPointError; then x + v cannot overflow
+        radial = np.sqrt(level / eigenvalues)
     local = np.stack([radial[0] * np.cos(angles), radial[1] * np.sin(angles)])
     return x + (eigenvectors @ local).T

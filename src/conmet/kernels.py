@@ -65,15 +65,15 @@ def _factor_support(coeffs):
     return exponent, coeffs
 
 
-def _int_power(x, e):
-    """x**e for a small nonnegative integer e by repeated squaring."""
+def _int_power(powers, e):
+    """x**e for a small nonnegative integer e by repeated squaring; powers,
+    which starts as {1: x}, keeps every power formed for the next call."""
     if e == 0:
-        return np.ones_like(x)
-    if e == 1:
-        return x
-    half = _int_power(x, e // 2)
-    sq = half * half
-    return sq if e % 2 == 0 else sq * x
+        return np.ones_like(powers[1])
+    if e not in powers:
+        half = _int_power(powers, e // 2)
+        powers[e] = half * half if e % 2 == 0 else half * half * powers[1]
+    return powers[e]
 
 
 class _FactoredRadial:
@@ -84,13 +84,13 @@ class _FactoredRadial:
         self.exponent = int(exponent)
         self.cofactor = tuple(float(a) for a in cofactor)
 
-    def eval_unit(self, t):
+    def eval_unit(self, t, powers):
         """Horner evaluation for a 1-D array of t values inside [0, 1)."""
         acc = np.full(t.shape, self.cofactor[-1])
         for a in self.cofactor[-2::-1]:
             acc *= t
             acc += a
-        acc *= _int_power(1.0 - t, self.exponent)
+        acc *= _int_power(powers, self.exponent)
         if self.outer != 1.0:
             acc *= self.outer
         return acc
@@ -166,17 +166,18 @@ class RadialKernel:
     def profile_values(self, r):
         """psi, psi1 and psi2 on one shared support mask.
 
-        The polynomials are evaluated only on the entries inside the support.
-        Returns a tuple (psi, psi1, psi2) of arrays shaped like r.
+        The polynomials, which share the powers of 1 - t, are evaluated only
+        on the entries inside the support.  Returns (psi, psi1, psi2) shaped like r.
         """
         r = np.asarray(r, dtype=float)
         t = (self.shape_parameter * r).ravel()
         inside = t < 1.0
         t_in = t[inside]
+        powers = {1: 1.0 - t_in}
         values = []
         for helper in (self._psi, self._psi1, self._psi2):
             flat = np.zeros(t.shape)
-            flat[inside] = helper.eval_unit(t_in)
+            flat[inside] = helper.eval_unit(t_in, powers)
             values.append(flat.reshape(r.shape))
         return tuple(values)
 

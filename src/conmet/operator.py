@@ -118,11 +118,15 @@ def pairwise_scalars(kernel, centre, rows, row_f, cols, col_f):
     del r
     dot_k = np.einsum("kd,kd->k", cols, col_f)[None, :] - rows @ col_f.T   # <x_k - x_l, f_k>
     dot_l = row_f @ cols.T - np.einsum("ld,ld->l", rows, row_f)[:, None]  # <x_k - x_l, f_l>
-    h = -psi2 * dot_k * dot_l - psi1 * (row_f @ col_f.T)
-    del psi2
-    theta = psi1 * dot_k
-    g2 = -psi1 * dot_l
-    return psi, theta, g2, h
+    # in place; -(a b) == (-a) b in round-to-nearest: the docstring's values, bit for bit
+    psi2 *= dot_k
+    psi2 *= dot_l
+    h = np.negative(psi2, out=psi2)
+    f_dot = row_f @ col_f.T                                              # <f_l, f_k>
+    h -= np.multiply(f_dot, psi1, out=f_dot)
+    dot_k *= psi1                                                        # theta
+    dot_l *= psi1
+    return psi, dot_k, np.negative(dot_l, out=dot_l), h
 
 
 def near_box(points, box, radius):

@@ -4,6 +4,7 @@ formulas, that the batched production path is checked against."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from conmet import triangle_indices
 
@@ -163,3 +164,47 @@ def column_representer_matrix(jac, pairs):
         for a, (p, q) in enumerate(pairs):
             out[a, b] = w[p, q]
     return out
+
+
+def _power_by_squaring(x, e):
+    """x**e by repeated squaring, without sharing powers between calls."""
+    if e == 0:
+        return np.ones_like(x)
+    if e == 1:
+        return x
+    half = _power_by_squaring(x, e // 2)
+    sq = half * half
+    return sq if e % 2 == 0 else sq * x
+
+
+def profile_values_by_helper(kernel, r):
+    """(psi, psi1, psi2) with each helper evaluated on its own: Horner on the
+    cofactor, times (1 - t)**e formed afresh, times the outer factor."""
+    r = np.asarray(r, dtype=float)
+    t = (kernel.shape_parameter * r).ravel()
+    inside = t < 1.0
+    t_in = t[inside]
+    values = []
+    for helper in (kernel._psi, kernel._psi1, kernel._psi2):
+        acc = np.full(t_in.shape, helper.cofactor[-1])
+        for a in helper.cofactor[-2::-1]:
+            acc = acc * t_in + a
+        acc = acc * _power_by_squaring(1.0 - t_in, helper.exponent)
+        if helper.outer != 1.0:
+            acc = acc * helper.outer
+        flat = np.zeros(t.shape)
+        flat[inside] = acc
+        values.append(flat.reshape(r.shape))
+    return tuple(values)
+
+
+def pairwise_scalars_by_expression(kernel, centre, rows, row_f, cols, col_f):
+    """(psi, theta, g2, h) of operator.pairwise_scalars, each formed as the
+    expression written in its docstring, one new array per operation."""
+    rows = rows - centre
+    cols = cols - centre
+    psi, psi1, psi2 = profile_values_by_helper(kernel, cdist(rows, cols))
+    dot_k = np.einsum("kd,kd->k", cols, col_f)[None, :] - rows @ col_f.T
+    dot_l = row_f @ cols.T - np.einsum("ld,ld->l", rows, row_f)[:, None]
+    h = -psi2 * dot_k * dot_l - psi1 * (row_f @ col_f.T)
+    return psi, psi1 * dot_k, -psi1 * dot_l, h

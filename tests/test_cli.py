@@ -174,6 +174,42 @@ def test_ellipses_all_anchors_failing_exits_3(tmp_path, capsys):
     assert "not positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--anchor", "0,0", "--level", "nan"], "level must be positive and finite"),
+    (["--anchor", "0,0", "--level", "inf"], "level must be positive and finite"),
+    (["--anchor", "inf,0"], "anchors are finite 'x,y' pairs, got 'inf,0'"),
+    (["--anchor", "0,0", "--anchor", "0,nan"], "anchors are finite 'x,y' pairs, got '0,nan'"),
+    (["--anchor", "1,2,3"], "anchors are finite 'x,y' pairs, got '1,2,3'"),
+], ids=["level-nan", "level-inf", "anchor-inf", "anchor-nan", "anchor-three"])
+def test_ellipses_non_finite_input_exits_2(tmp_path, capsys, args, message):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25})
+    assert cli.main(["ellipses", str(cfg), *args]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ellipses.csv").exists()
+    assert not (tmp_path / "out" / "ellipses_summary.json").exists()
+
+
+def test_ellipses_overflowing_sample_exits_3_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25})
+    assert cli.main(["ellipses", str(cfg), "--anchor", "0,0", "--level", "1e308"]) == 3
+    assert "numerical failure: overflow encountered in divide" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_threads_caps_the_evaluation_workers(capsys, monkeypatch):
+    from conmet import evaluate
+
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "")        # restored after the test
+    cli._limit_threads(1)
+    assert evaluate._eval_workers(100) == 1
+    # numpy is loaded with the package, so the BLAS pools are not resized
+    assert "caps the evaluation workers at 1; BLAS pools keep their size" in \
+        capsys.readouterr().err
+
+
 def test_ellipses_require_anchor(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))

@@ -1,5 +1,8 @@
 """Metric evaluation, definiteness diagnostics, errors, and the study harness."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,8 @@ from conmet import (
     triangle_indices,
     wendland_c8,
 )
+from conmet import evaluate
+from conmet.collocation import FactorizationError
 from conmet.evaluate import definiteness_batch
 from conmet.operator import pairwise_scalars
 from conftest import BOUNDS, straddling_pairs
@@ -142,7 +147,7 @@ def _lone_pairs(kernel, rng, taken):
     return np.array(nodes[len(taken):]), np.array(queries)
 
 
-def test_fields_batch_matches_all_node_sum(linear, kernel):
+def test_fields_batch_matches_all_node_sum(linear, kernel, monkeypatch):
     # shuffled nodes on [-4, 4]^2: the bulk left of x = -2.2, lone nodes right
     # of x = 1; two corners fix the centre at (-0.05, 0.15), where the
     # engine's centred distances round differently from the plain ones
@@ -161,25 +166,52 @@ def test_fields_batch_matches_all_node_sum(linear, kernel):
 
     empty = np.array([[-0.6, -3.0], [-0.6, 0.0], [-0.6, 3.0]])    # cells no node reaches
     batch = np.concatenate([rng.uniform(-4.0, 4.0, (40, 2)), empty, lone_queries])
-    # a point alone has a one-point box, so only the margin of near_box
-    # keeps the node of a pair at R to within rounding
-    s = np.concatenate([eval_metric_batch(solution, batch)]
-                       + [eval_metric_batch(solution, q[None]) for q in lone_queries])
-    fs = np.concatenate([eval_operator_batch(solution, batch)]
-                        + [eval_operator_batch(solution, q[None]) for q in lone_queries])
     points = np.concatenate([batch, lone_queries])
-
     oracle_s, oracle_fs = map(np.array, zip(*(_all_node_sums(solution, kernel, x)
                                               for x in points)))
-    for values, oracle in ((s, oracle_s), (fs, oracle_fs)):
-        assert np.allclose(values, oracle, rtol=0, atol=1e-12 * max(np.max(np.abs(oracle)), 1.0))
     query = conmet.collocation_data(system, points)
     psi = pairwise_scalars(kernel, cset.centre, query.points, query.f_values,
                            cset.points, cset.f_values)[0]
     reach = np.any(psi != 0.0, axis=1)
     assert not np.any(reach[40:43])
-    assert np.array_equal(np.any(s != 0.0, axis=(1, 2)), reach)
-    assert np.array_equal(np.any(fs != 0.0, axis=(1, 2)), reach)
+
+    # blocks of one row each and of the default budget, on one and two threads
+    for budget in (1, evaluate._EVAL_BLOCK_BYTES):
+        monkeypatch.setattr(evaluate, "_EVAL_BLOCK_BYTES", budget)
+        by_workers = []
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluate, "_eval_workers", lambda blocks, w=workers: min(w, blocks))
+            # a point alone has a one-point box, so only the margin of near_box
+            # keeps the node of a pair at R to within rounding
+            s = np.concatenate([eval_metric_batch(solution, batch)]
+                               + [eval_metric_batch(solution, q[None]) for q in lone_queries])
+            fs = np.concatenate([eval_operator_batch(solution, batch)]
+                                + [eval_operator_batch(solution, q[None]) for q in lone_queries])
+            for values, oracle in ((s, oracle_s), (fs, oracle_fs)):
+                assert np.allclose(values, oracle, rtol=0,
+                                   atol=1e-12 * max(np.max(np.abs(oracle)), 1.0))
+            assert np.array_equal(np.any(s != 0.0, axis=(1, 2)), reach)
+            assert np.array_equal(np.any(fs != 0.0, axis=(1, 2)), reach)
+            by_workers.append((s.tobytes(), fs.tobytes()))
+        assert by_workers[0] == by_workers[1]
+
+
+def test_fields_batch_threads_stress(solved_quarter, linear, monkeypatch):
+    # more workers than cores, one-row blocks and a short switch interval:
+    # a block writing rows that are not its own would change the bytes
+    system, _, _ = linear
+    query = conmet.collocation_data(system, make_grid(GridSpec(BOUNDS, 0.05, offset=0.025)))
+    monkeypatch.setattr(evaluate, "_EVAL_BLOCK_BYTES", 1)
+    results = []
+    for workers in (1, 8):
+        monkeypatch.setattr(evaluate, "_eval_workers", lambda blocks, w=workers: min(w, blocks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results.append([a.tobytes() for a in evaluate._fields_batch(solved_quarter, query)])
+        finally:
+            sys.setswitchinterval(interval)
+    assert results[0] == results[1]
 
 
 def test_eval_operator_at_collocation_points(solved_quarter, linear):
@@ -306,6 +338,53 @@ def test_convergence_study_single_alpha(linear, kernel):
     assert report.rows[0].ratio_s is None and report.rows[0].ratio is None
 
 
+def test_convergence_study_rows_equal_error_reports_in_given_order(linear, kernel):
+    # the study solves finest first; its rows must not depend on that order
+    system, exact, rhs = linear
+    alphas = [0.5, 0.25, 0.125]
+    check = GridSpec(BOUNDS, 1.0 / 32.0, offset=1.0 / 64.0)
+    report = convergence_study(system, exact, rhs, kernel, alphas, BOUNDS, check)
+    prev = None
+    for alpha, row in zip(alphas, report.rows):
+        cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
+        e, e_s = error_report(solve(gram, rhs, cset, kernel), exact, system, make_grid(check))
+        assert (row.alpha, row.e, row.e_s) == (alpha, e, e_s)
+        assert (row.ratio, row.ratio_s) == ((None, None) if prev is None
+                                            else (prev[0] / e, prev[1] / e_s))
+        prev = (e, e_s)
+
+
+def test_convergence_study_failure_at_coarse_spacing_names_it(linear, kernel, monkeypatch):
+    system, exact, rhs = linear
+    reached = []
+
+    def failing_solve(gram, rhs, cset, kernel, regularize=False):
+        reached.append(len(cset))
+        if len(cset) == 25:                     # the alpha = 0.5 grid
+            raise FactorizationError("not positive definite", pivot=7)
+        return solve(gram, rhs, cset, kernel, regularize=regularize)
+
+    monkeypatch.setattr(evaluate, "solve", failing_solve)
+    check = GridSpec(BOUNDS, 0.25, offset=0.125)
+    with pytest.raises(FactorizationError, match=r"^alpha=0\.5: not positive definite") as info:
+        convergence_study(system, exact, rhs, kernel, [0.5, 0.25], BOUNDS, check)
+    assert info.value.pivot == 7
+    assert reached == [81, 25]
+
+
+def test_eval_workers_capped_by_cpus_and_blocks(monkeypatch):
+    # counted, not started: the helper only decides how many threads to use
+    cpus = len(os.sched_getaffinity(0))
+    for cap, expected in (("100000", cpus), ("1", 1), ("0", cpus), ("-3", cpus),
+                          ("two", cpus), ("", cpus)):
+        monkeypatch.setenv("OMP_NUM_THREADS", cap)
+        assert evaluate._eval_workers(10 ** 6) == expected, cap
+        assert evaluate._eval_workers(1) == 1
+        assert evaluate._eval_workers(0) == 1
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert evaluate._eval_workers(10 ** 6) == cpus
+
+
 def test_convergence_study_requires_decreasing_alphas(linear, kernel):
     system, exact, rhs = linear
     check = GridSpec(BOUNDS, 0.25, offset=0.125)
@@ -397,6 +476,20 @@ def test_ellipse_rejects_bad_input():
         ellipse_points(np.zeros(2), np.eye(2), 0.0, 8)
     with pytest.raises(ValueError, match="two-dimensional"):
         ellipse_points(np.zeros(3), np.eye(3), 1.0, 8)
+    for level in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="level must be positive and finite"):
+            ellipse_points(np.zeros(2), np.eye(2), level, 8)
+    for anchor in ((np.inf, 0.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="anchor must be finite"):
+            ellipse_points(np.array(anchor), np.eye(2), 1.0, 8)
+
+
+@pytest.mark.parametrize("level, s_x", [(1e308, np.diag([0.25, 1.0])),
+                                        (1.0, np.diag([1e-320, 1.0]))],
+                         ids=["large-level", "tiny-eigenvalue"])
+def test_ellipse_overflowing_samples_raise(level, s_x):
+    with pytest.raises(FloatingPointError, match="overflow"):
+        ellipse_points(np.zeros(2), s_x, level, 8)
 
 
 # -- a three-dimensional system end to end ------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conmet import RadialKernel, wendland_c8
-from oracles import grad1_phi, hess12_phi, phi
+from oracles import grad1_phi, hess12_phi, phi, profile_values_by_helper
 
 # Exact-rational evaluations of the printed C^8 profile at c = 0.9,
 # computed offline with fractions.Fraction.
@@ -129,6 +129,23 @@ def test_profile_values_match_individual_helpers(kern):
     assert np.array_equal(psi, kern.psi(r))
     assert np.array_equal(psi1, kern.psi1(r))
     assert np.array_equal(psi2, kern.psi2(r))
+
+
+@pytest.mark.parametrize("c", [0.9, 1.0 / 3.0, 7.3])
+def test_profile_values_equal_per_helper_oracle_bit_for_bit(c):
+    # shared powers of 1 - t must not change a single bit of psi, psi1, psi2;
+    # radii on both sides of the support edge, some within rounding of it
+    kern = wendland_c8(c)
+    rng = np.random.default_rng(31)
+    edge = kern.support_radius * (1.0 + np.arange(-6, 7) * np.finfo(float).eps)
+    r = np.concatenate([1.5 * kern.support_radius * rng.random(500), edge,
+                        np.nextafter(kern.support_radius, [0.0, np.inf]), [0.0]])
+    assert np.any(kern.shape_parameter * r >= 1.0) and np.any(kern.shape_parameter * r < 1.0)
+    for shape in ((r.size,), (1, r.size), (r.size, 1)):
+        ours = kern.profile_values(r.reshape(shape))
+        oracle = profile_values_by_helper(kern, r.reshape(shape))
+        for name, a, b in zip(("psi", "psi1", "psi2"), ours, oracle):
+            assert a.shape == shape and np.array_equal(a, b), name
 
 
 def test_phi_diagonal_and_symmetry(kern):

@@ -20,6 +20,7 @@ from oracles import (
     FunctionalIndex,
     column_representer_matrix,
     gram_entry,
+    pairwise_scalars_by_expression,
     phi,
     representer_column,
     riesz_representer,
@@ -382,3 +383,22 @@ def test_pairwise_scalars_translation_invariant_far_from_origin():
                  for p in (pts, pts + 2.0 ** 12))           # centred on the grid's midpoint
     for name, a, b in zip(("psi", "theta", "g2", "h"), near, far):
         assert np.max(np.abs(b - a)) <= 1e-14 * np.max(np.abs(a)), name
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (3.7, -1.3), (-1000.1, 2.0 ** 12 + 0.3)])
+def test_pairwise_scalars_equal_expression_oracle_bit_for_bit(shift):
+    # the in-place forms of h, theta and g2 round exactly like the expressions;
+    # random, non-dyadic point sets, shifted, with pairs around the support edge
+    kernel = wendland_c8(0.9)
+    rng = np.random.default_rng(41)
+    rows = rng.uniform(-1.3, 1.3, (37, 2))
+    cols = np.concatenate([rng.uniform(-1.7, 1.7, (53, 2)),
+                           rows[:5] + kernel.support_radius * np.array([[0.6, 0.8]])])
+    rows, cols = rows + shift, cols + shift
+    row_f, col_f = rng.standard_normal(rows.shape), rng.standard_normal(cols.shape)
+    centre = 0.5 * (cols.min(axis=0) + cols.max(axis=0))
+    ours = pairwise_scalars(kernel, centre, rows, row_f, cols, col_f)
+    oracle = pairwise_scalars_by_expression(kernel, centre, rows, row_f, cols, col_f)
+    assert np.count_nonzero(ours[0]) not in (0, ours[0].size)
+    for name, a, b in zip(("psi", "theta", "g2", "h"), ours, oracle):
+        assert np.array_equal(a, b), name
