@@ -7,8 +7,8 @@ directory.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure or a problem too large for the available memory.  fields and
 ellipses reuse the beta.csv that solve wrote from the same inputs.
 
-Heavy imports happen inside the command handlers.  --threads caps the
-evaluation workers; the BLAS pools follow only the starting environment.
+Heavy imports happen inside the command handlers.  --threads sets
+OMP_NUM_THREADS, the cap on the assembly and evaluation worker threads.
 """
 
 import argparse
@@ -142,10 +142,7 @@ def _setup(config):
     from .kernels import wendland_c8
     from .systems import get_system
 
-    try:
-        bundle = get_system(config.system)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    bundle = get_system(config.system)        # ValueError: exit 2
     kernel = wendland_c8(config.kernel_c)
     if config.rhs_matrix is not None:
         rhs = np.asarray(config.rhs_matrix, dtype=float)
@@ -182,15 +179,12 @@ def _write_json(path, payload):
 
 def _solve_on_grid(bundle, kernel, rhs, points, regularize):
     """Assemble and solve; return the solution and its timing.json entries."""
-    from .collocation import FactorizationError, assemble, solve
+    from .collocation import assemble, solve
 
     t0 = time.perf_counter()
     cset, gram = assemble(bundle.system, kernel, points, equilibria=bundle.equilibria)
     t1 = time.perf_counter()
-    try:
-        solution = solve(gram, rhs, cset, kernel, regularize=regularize)
-    except FactorizationError as err:
-        raise NumericalError(f"factorization failed (pivot {err.pivot}): {err}") from err
+    solution = solve(gram, rhs, cset, kernel, regularize=regularize)
     return solution, {"beta_source": "solved", "assemble_seconds": t1 - t0,
                       "solve_seconds": time.perf_counter() - t1}
 
@@ -299,27 +293,18 @@ def _stored_or_solved(config, bundle, kernel, rhs):
 
 def cmd_convergence(config):
     """Run the error study over the configured spacings; write convergence.csv."""
-    from .collocation import FactorizationError
     from .evaluate import convergence_study
 
     bundle, kernel, rhs = _setup(config)
     if bundle.exact is None:
         raise ConfigError(f"system {config.system!r} has no exact metric; "
                           "the convergence study needs one")
-    try:
-        report = convergence_study(
-            bundle.system, bundle.exact, rhs, kernel, config.alphas,
-            config.grid.bounds, config.check_grid,
-            equilibria=bundle.equilibria, regularize=config.regularize)
-    except FactorizationError as err:
-        raise NumericalError(str(err)) from err
+    report = convergence_study(
+        bundle.system, bundle.exact, rhs, kernel, config.alphas,
+        config.grid.bounds, config.check_grid,
+        equilibria=bundle.equilibria, regularize=config.regularize)
 
-    rows = []
-    for row in report.rows:
-        rows.append([_fmt(row.alpha), _fmt(row.e_s),
-                     "" if row.ratio_s is None else _fmt(row.ratio_s),
-                     _fmt(row.e),
-                     "" if row.ratio is None else _fmt(row.ratio)])
+    rows = [["" if v is None else _fmt(v) for v in astuple(row)] for row in report.rows]
     rows.append(["reference", "", _fmt(report.reference_ratio),
                  "", _fmt(report.reference_ratio)])
     _write_csv(os.path.join(config.output_dir, "convergence.csv"),
@@ -371,6 +356,9 @@ def cmd_ellipses(config, anchors, level, count):
     """Sample metric ellipses of the solve around anchor points; write ellipses.csv."""
     from .evaluate import Definiteness, definiteness, ellipse_points, eval_metric
 
+    if not (0.0 < level < math.inf and count >= 1):     # before any solve
+        raise ConfigError("--level must be positive and finite and --count at least 1, "
+                          f"got {level} and {count}")
     bundle, kernel, rhs = _setup(config)
     if bundle.system.dim != 2:
         raise ConfigError("ellipse export requires a two-dimensional system")
@@ -432,8 +420,8 @@ def _build_parser():
         cmd.add_argument("--regularize", action="store_true", default=None,
                          help="retry a failed factorization with diagonal regularization")
         cmd.add_argument("--threads", type=int,
-                         help="cap the evaluation worker threads (default: one per CPU); "
-                              "BLAS pools follow only OPENBLAS_NUM_THREADS set at start")
+                         help="cap the assembly and evaluation worker threads "
+                              "(default: one per CPU) by setting OMP_NUM_THREADS")
         if name == "ellipses":
             cmd.add_argument("--anchor", action="append", default=[],
                              help="ellipse anchor 'x,y' (repeatable)")
@@ -449,14 +437,12 @@ def _limit_threads(threads):
         return
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    if "numpy" in sys.modules:
-        print(f"warning: --threads caps the evaluation workers at {threads}; BLAS pools "
-              "keep their size unless OPENBLAS_NUM_THREADS is set at start", file=sys.stderr)
+    os.environ["OMP_NUM_THREADS"] = str(threads)      # read by operator.block_workers
 
 
 def main(argv=None):
+    from .collocation import FactorizationError
+
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -479,6 +465,10 @@ def main(argv=None):
         return 2
     except (NumericalError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
+    except FactorizationError as err:
+        print(f"numerical failure: factorization failed (pivot {err.pivot}): {err}",
+              file=sys.stderr)
         return 3
     except MemoryError as err:
         print(f"insufficient memory: {err}", file=sys.stderr)

@@ -2,17 +2,16 @@
 
 The Gram matrix couples every pair of functionals (point k, component pair
 i <= j).  It is symmetric positive definite, stored dense, and it is the one
-large array of a solve: assembly computes only its lower block triangle,
-in chunks of block rows whose pairwise kernel quantities and block
-temporaries together stay within _ASSEMBLY_CHUNK_BYTES, and then copies
-that half onto the upper one tile by tile, so the returned matrix is
-exactly symmetric and assembly needs the Gram plus one chunk.  A block is
-zero when its two points lie at least the kernel's support radius apart,
-so each chunk stops at the last block column that operator.near_box keeps
-for the chunk rows' bounding box; the zero blocks past it are never
-computed.  Before it
-allocates the Gram, assembly checks that much against the memory the
-system reports as available and raises MemoryError if it does not fit.
+large array of a solve: assembly computes only its lower block triangle, in
+chunks of operator.block_rows(N) block rows that operator.run_blocks spreads
+over the worker threads, and then copies that half onto the upper one tile
+by tile, so the returned matrix is exactly symmetric and assembly needs the
+Gram plus one chunk per worker.  A block is zero when its two points lie at
+least the kernel's support radius apart, so each chunk stops at the last
+block column that operator.near_box keeps for the chunk rows' bounding box;
+the zero blocks past it are never computed.  Before it allocates the Gram,
+assembly checks that much against the memory the system reports as
+available and raises MemoryError if it does not fit.
 The solve consumes the Gram, as LAPACK's xPOTRF consumes its input: the
 Cholesky factor overwrites the lower triangle, and the residual is read
 from the untouched upper one and the saved diagonal.  A diagonal
@@ -30,7 +29,8 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .operator import coordinate_matrices, near_box, pairwise_scalars, triangle_indices
+from .operator import (block_rows, block_workers, coordinate_matrices, near_box,
+                       pairwise_scalars, run_blocks, triangle_indices)
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _DIVISIBILITY_TOL = 1e-12
-_ASSEMBLY_CHUNK_BYTES = 64 * 2 ** 20
 _TILE = 128                                   # edge of the square tiles of a triangle copy
 _MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",                     # cgroup v2
                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")   # cgroup v1
@@ -224,8 +223,8 @@ def assemble(system, kernel, points, equilibria=()):
     exactly symmetric.  Raises ValueError for duplicate points (naming the
     offending pair) and when a supplied equilibrium inside the convex hull of
     the points violates its eigenvalue condition, and MemoryError, before
-    allocating anything large, when the Gram plus one assembly chunk exceeds
-    the memory the system reports as available.
+    allocating anything large, when the Gram plus one assembly chunk per
+    worker exceeds the memory the system reports as available.
     """
     cset = collocation_data(system, points)
     dup = _find_duplicates(cset.points)
@@ -238,24 +237,23 @@ def assemble(system, kernel, points, equilibria=()):
     col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]
     big_n, m = len(cset), len(scale)
     dim = big_n * m
-    _check_memory(dim)
+    chunk = block_rows(big_n)
+    chunks = [(l0, min(big_n, l0 + chunk)) for l0 in range(0, big_n, chunk)]
+    # Alive per worker: one chunk's four (rows, N) pairwise arrays, m x m
+    # such arrays of value and one temporary; pairwise_scalars peaks below ten.
+    _check_memory(dim, block_workers(len(chunks)) * max(m * m + 5, 10) * 8 * chunk * big_n)
 
     # Block row l, block column k:
     #   B_lk = R_l (psi C_k + theta D) + g2 C_k + h D
     # for k >= l only, built in (l, a, k, b) layout so the R_l contraction is
     # one batched GEMM per chunk of block rows.  Block row l is stored as
-    # block column l of the Fortran-ordered Gram, whose lower half it is.
+    # block column l of the Fortran-ordered Gram, whose lower half it is, so
+    # the chunks write disjoint columns.
     gram = np.zeros((dim, dim), order="F")
-    block_rows = gram.T.reshape(big_n, m, dim)                # a view: writes fill the Gram
-    # Alive per block pair: the four pairwise arrays, one m x m block of
-    # value and a pair-sized temporary; pairwise_scalars itself peaks
-    # below ten arrays.  The first chunk is the largest, and later ones shrink
-    # while the part of the Gram they have filled grows, so assembly peaks
-    # near the Gram plus one chunk.
-    pair_bytes = 8 * max(m * m + 5, 10)
-    chunk = max(1, _ASSEMBLY_CHUNK_BYTES // (pair_bytes * big_n))
-    for l0 in range(0, big_n, chunk):
-        l1 = min(big_n, l0 + chunk)
+    gram_rows = gram.T.reshape(big_n, m, dim)                # a view: writes fill the Gram
+
+    def assemble_chunk(bounds):
+        l0, l1 = bounds
         # Block columns from k1 on lie outside the support of every chunk
         # row, so their blocks keep the zeros of np.zeros.
         rows = cset.points[l0:l1]
@@ -276,13 +274,14 @@ def assemble(system, kernel, points, equilibria=()):
         np.multiply(psi[:, None, :, None], cols[None], out=value)
         for a in range(m):
             value[:, a, :, a] += theta * scale[a]
-        body = block_rows[l0:l1, :, l0 * m:k1 * m]
+        body = gram_rows[l0:l1, :, l0 * m:k1 * m]
         np.matmul(row_ops[l0:l1], value.reshape(shape), out=body)
         np.multiply(g2[:, None, :, None], cols[None], out=value)
         for a in range(m):
             value[:, a, :, a] += h * scale[a]
         body += value.reshape(shape)
-        del psi, theta, g2, h, value
+
+    run_blocks(assemble_chunk, chunks)
     _mirror_lower(gram)
     return cset, gram
 
@@ -309,9 +308,9 @@ def _available_memory_bytes():
     return min(found, default=None)
 
 
-def _check_memory(dim):
-    """Raise MemoryError if a dim x dim Gram and one assembly chunk do not fit."""
-    needed = 8 * dim * dim + _ASSEMBLY_CHUNK_BYTES
+def _check_memory(dim, chunk_bytes):
+    """Raise MemoryError if a dim x dim Gram and chunk_bytes more do not fit."""
+    needed = 8 * dim * dim + chunk_bytes
     available = _available_memory_bytes()
     if available is not None and needed > available:
         raise MemoryError(

@@ -14,18 +14,17 @@ operator.pairwise_scalars with the query points as rows, and f, Df at the
 query points come from collocation_data, so assembly and evaluation share one
 engine and one callback loop.  Evaluation groups the query points into square
 cells whose edge is the kernel's support radius and splits each cell into
-blocks whose (points, nodes) arrays take _EVAL_BLOCK_BYTES each, summing
-only over the nodes that operator.near_box keeps for a block, since every
-other node contributes exactly zero.  One worker thread per usable CPU, at
-most OMP_NUM_THREADS, runs the blocks; each writes its own rows, so the
-values do not depend on the worker count.  convergence_study evaluates the
-finest spacing first, right after its solve, so that Gram peaks before any
-block exists.  Every result is exactly symmetric by construction.
+blocks of operator.block_rows(K) points, with K the count of nodes that
+operator.near_box keeps for the cell; a block sums only over the nodes kept
+for it, since every other node contributes exactly zero.  operator.run_blocks
+runs the blocks on the worker threads that assembly uses too; each block
+writes its own rows, so the values do not depend on the worker count.
+convergence_study evaluates the finest spacing first, right after its solve,
+so that Gram peaks before any block exists.  Every result is exactly
+symmetric by construction.
 """
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +32,8 @@ import numpy as np
 
 from .collocation import (FactorizationError, GridSpec, assemble, collocation_data,
                           make_grid, solve)
-from .operator import apply_operator, near_box, operator_image, pairwise_scalars
+from .operator import (apply_operator, block_rows, near_box, operator_image,
+                       pairwise_scalars, run_blocks)
 
 __all__ = [
     "eval_metric",
@@ -51,8 +51,6 @@ __all__ = [
     "ellipse_points",
 ]
 
-_EVAL_BLOCK_BYTES = 1 << 20     # one (rows, near nodes) float array of an evaluation block
-
 
 def _symmetrize(fields):
     """Exactly symmetric copy, (T + T^T)/2 slice by slice."""
@@ -67,11 +65,11 @@ def _combine(weights_a, flats_a, weights_b, flats_b, n):
 
 
 def _cell_blocks(points, nodes, edge):
-    """Index arrays that split the points into blocks of _EVAL_BLOCK_BYTES.
+    """Index arrays that split the points into blocks within square cells.
 
-    The points are stably sorted by their square cell of the given edge; each
-    block lies in one cell and has _EVAL_BLOCK_BYTES // (8 K) rows, with K
-    the count of nodes that near_box keeps for the cell.
+    The points are stably sorted by their cell of the given edge; each block
+    lies in one cell and has block_rows(K) rows, with K the count of nodes
+    that near_box keeps for the cell.
     """
     cells = np.floor(points / edge)
     order = np.lexsort(cells.T[::-1])
@@ -81,17 +79,9 @@ def _cell_blocks(points, nodes, edge):
     for c0, c1 in zip(bounds[:-1], bounds[1:]):
         cell = points[order[c0:c1]]
         near = np.count_nonzero(near_box(nodes, (cell.min(axis=0), cell.max(axis=0)), edge))
-        step = max(1, _EVAL_BLOCK_BYTES // (8 * max(near, 1)))
+        step = block_rows(near)
         for e0 in range(c0, c1, step):
             yield order[e0:min(c1, e0 + step)]
-
-
-def _eval_workers(blocks):
-    """Threads for the blocks: one per usable CPU and block, at most OMP_NUM_THREADS >= 1."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cap = os.environ.get("OMP_NUM_THREADS", "").strip()
-    cap = int(cap) if cap.isdecimal() and int(cap) >= 1 else blocks
-    return max(1, min(cpus or 1, cap, blocks))
 
 
 def _fields_batch(solution, query):
@@ -119,14 +109,7 @@ def _fields_batch(solution, query):
                             query.jacobians[block])
         fs_out[block] = _symmetrize(fs)
 
-    blocks = list(_cell_blocks(query.points, cset.points, radius))
-    workers = _eval_workers(len(blocks))
-    if workers == 1:
-        for block in blocks:
-            evaluate_block(block)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(evaluate_block, blocks))       # re-raises a block's error
+    run_blocks(evaluate_block, _cell_blocks(query.points, cset.points, radius))
     return s_out, fs_out
 
 
@@ -278,15 +261,11 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
         del gram        # the error evaluation does not need it
         errors[alpha] = error_report(solution, exact, system, check_points)
-    rows = []
-    prev = None
-    for alpha in alphas:
-        err, err_s = errors[alpha]
-        if prev is None:
-            rows.append(ConvergenceRow(alpha, err_s, None, err, None))
-        else:
-            rows.append(ConvergenceRow(alpha, err_s, prev[1] / err_s, err, prev[0] / err))
-        prev = (err, err_s)
+    first = errors[alphas[0]]
+    rows = [ConvergenceRow(alphas[0], first[1], None, first[0], None)]
+    for coarse, fine in zip(alphas, alphas[1:]):
+        (e0, s0), (e1, s1) = errors[coarse], errors[fine]
+        rows.append(ConvergenceRow(fine, s1, s0 / s1, e1, e0 / e1))
     reference = 2.0 ** (kernel.sigma - 1.0 - system.dim / 2.0)
     return ConvergenceReport(rows=tuple(rows), reference_ratio=reference)
 

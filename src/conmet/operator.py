@@ -30,7 +30,14 @@ evaluation uses rows = query points, where the same four numbers give S and
 L(S) as sums over the nodes.  All four vanish once r >= 1/c, and near_box is
 the one test both callers use to leave such pairs out of the engine: it keeps
 the points within the support radius of a box around a group of rows.
+
+Both also cut their work by one rule, block_rows, and run the blocks with
+run_blocks on block_workers threads; the cuts ignore the worker count and each
+block writes only its own output, so the results do not depend on it.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -46,6 +53,7 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _SUPPORT_MARGIN = 1e-12
+_BLOCK_BYTES = 1 << 20          # one (rows, columns) float64 array of a block
 
 
 def triangle_indices(n):
@@ -140,6 +148,29 @@ def near_box(points, box, radius):
     lo, hi = box
     gap = np.maximum(lo - points, 0.0) + np.maximum(points - hi, 0.0)
     return ~(np.sqrt(np.einsum("kd,kd->k", gap, gap)) > radius * (1.0 + _SUPPORT_MARGIN))
+
+
+def block_rows(columns):
+    """Rows of a block whose (rows, columns) float64 arrays take _BLOCK_BYTES each."""
+    return max(1, _BLOCK_BYTES // (8 * max(columns, 1)))
+
+
+def block_workers(blocks):
+    """Threads for the blocks: one per usable CPU and block, at most OMP_NUM_THREADS >= 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cap = os.environ.get("OMP_NUM_THREADS", "").strip()
+    cap = int(cap) if cap.isdecimal() and int(cap) >= 1 else blocks
+    return max(1, min(cpus or 1, cap, blocks))
+
+
+def run_blocks(work, blocks):
+    """Call work(block) for every block on block_workers threads, inline for one."""
+    blocks = list(blocks)
+    workers = block_workers(len(blocks))
+    if workers == 1:
+        return list(map(work, blocks))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(work, blocks))          # re-raises a block's error
 
 
 def coordinate_matrices(jacobians):

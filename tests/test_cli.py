@@ -199,15 +199,15 @@ def test_ellipses_overflowing_sample_exits_3_and_writes_nothing(tmp_path, capsys
 
 
 def test_threads_caps_the_evaluation_workers(capsys, monkeypatch):
-    from conmet import evaluate
+    from conmet import operator
 
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "")        # restored after the test
     cli._limit_threads(1)
-    assert evaluate._eval_workers(100) == 1
-    # numpy is loaded with the package, so the BLAS pools are not resized
-    assert "caps the evaluation workers at 1; BLAS pools keep their size" in \
-        capsys.readouterr().err
+    assert operator.block_workers(100) == 1
+    # the BLAS pools took their size when numpy loaded; --threads leaves them alone
+    assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == ""
+    assert capsys.readouterr().err == ""
 
 
 def test_ellipses_require_anchor(tmp_path, capsys):
@@ -219,16 +219,21 @@ def test_ellipses_require_anchor(tmp_path, capsys):
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     import conmet.collocation
+    import conmet.evaluate
 
     def broken_solve(*args, **kwargs):
         raise conmet.collocation.FactorizationError("synthetic failure", pivot=7)
 
-    monkeypatch.setattr(conmet.collocation, "solve", broken_solve)
+    for module in (conmet.collocation, conmet.evaluate):     # solve, convergence
+        monkeypatch.setattr(module, "solve", broken_solve)
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))
-    assert cli.main(["solve", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "pivot 7" in err
+    for command in ("solve", "convergence"):
+        assert cli.main([command, str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: factorization failed (pivot 7)" in err
+        assert not (tmp_path / "out" / "solution.json").exists()
+        assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
 def test_insufficient_memory_exits_3(tmp_path, capsys, monkeypatch):
@@ -426,3 +431,17 @@ def test_output_dir_naming_a_file_exits_2_before_assembly(tmp_path, capsys, asse
         err = capsys.readouterr().err
         assert "cannot use output directory" in err and str(target) in err
     assert assemble_calls == []
+
+
+@pytest.mark.parametrize("args", [["--level", "nan"], ["--level", "0"], ["--level", "-1"],
+                                  ["--count", "0"]],
+                         ids=["level-nan", "level-zero", "level-negative", "count-zero"])
+def test_ellipses_bad_level_or_count_exits_2_before_assembly(tmp_path, capsys, assemble_calls,
+                                                             args):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    assert cli.main(["ellipses", str(cfg), "--anchor", "0,0", *args]) == 2
+    assert "--level must be positive and finite and --count at least 1" in \
+        capsys.readouterr().err
+    assert assemble_calls == []
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 """Grids, geometric quantities, Gram assembly, and the SPD solve."""
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -208,9 +209,9 @@ def _wide_nodes(kernel, rng):
 
 
 def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
-    # every chunk size, down to one block row, must keep every pair the
-    # kernel does not map to zero, including pairs at the radius to within
-    # rounding, and leave exactly zero blocks for all others
+    # every chunk size, down to one block row, on one and two workers, must
+    # keep every pair the kernel does not map to zero, including pairs at the
+    # radius to within rounding, and leave exactly zero blocks for all others
     system, _, _ = linear
     nodes = _wide_nodes(kernel, np.random.default_rng(71))
     cset = conmet.collocation_data(system, nodes)
@@ -224,14 +225,20 @@ def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
                                             point_data(cset, k), FunctionalIndex(k, *pk))
     psi = pairwise_scalars(kernel, cset.centre, cset.points, cset.f_values,
                            cset.points, cset.f_values)[0]
-    for budget in (1, 50_000, None):            # one, seven and all block rows per chunk
-        if budget is not None:
-            monkeypatch.setattr(conmet.collocation, "_ASSEMBLY_CHUNK_BYTES", budget)
-        _, gram = assemble(system, kernel, nodes)
-        blocks = gram.reshape(big_n, 3, big_n, 3)
-        assert np.allclose(blocks, oracle, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(np.any(blocks != 0.0, axis=(1, 3)), psi != 0.0)
-        monkeypatch.undo()
+    # one, two, seven and all block rows per chunk; one- and two-row chunks
+    # round differently here, so a cut that followed the worker count would show
+    for budget in (1, 8 * 2 * big_n, 8 * 7 * big_n, conmet.operator._BLOCK_BYTES):
+        monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", budget)
+        by_workers = []
+        for workers in (1, 2):
+            monkeypatch.setattr(conmet.operator, "block_workers",
+                                lambda blocks, w=workers: min(w, blocks))
+            _, gram = assemble(system, kernel, nodes)
+            blocks = gram.reshape(big_n, 3, big_n, 3)
+            assert np.allclose(blocks, oracle, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(np.any(blocks != 0.0, axis=(1, 3)), psi != 0.0)
+            by_workers.append(gram.tobytes())
+        assert by_workers[0] == by_workers[1]
 
 
 def test_assemble_two_point_fd_oracle(linear, kernel):
@@ -275,6 +282,25 @@ def test_assemble_bitwise_deterministic(linear, kernel):
     _, gram1 = assemble(system, kernel, pts)
     _, gram2 = assemble(system, kernel, pts)
     assert np.array_equal(gram1, gram2)
+
+
+def test_assemble_threads_stress(linear, kernel, monkeypatch):
+    # more workers than cores, one-row chunks and a short switch interval:
+    # a chunk writing columns that are not its own would change the bytes
+    system, _, _ = linear
+    pts = make_grid(GridSpec(BOUNDS, 0.125))
+    monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 1)
+    grams = []
+    for workers in (1, 8):
+        monkeypatch.setattr(conmet.operator, "block_workers",
+                            lambda blocks, w=workers: min(w, blocks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grams.append(assemble(system, kernel, pts)[1].tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+    assert grams[0] == grams[1]
 
 
 def test_assemble_random_sets_spd_and_symmetric(linear, kernel):
@@ -328,11 +354,12 @@ def test_available_memory_is_positive_or_unknown():
 
 
 def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
-    # assembly works in chunks of the budget and the solve factors in place,
-    # so the Gram is the only dim x dim array alive at any time
+    # assembly works in chunks of the budget, one per worker, and the solve
+    # factors in place, so the Gram is the only dim x dim array alive at any time
     system, _, rhs = linear
     budget = 2 ** 20
-    monkeypatch.setattr(conmet.collocation, "_ASSEMBLY_CHUNK_BYTES", budget)
+    monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", budget // 32)   # 14 of 289 rows
+    monkeypatch.setattr(conmet.operator, "block_workers", lambda blocks: min(2, blocks))
     pts = make_grid(GridSpec(BOUNDS, 0.125))
     tracemalloc.start()
     try:

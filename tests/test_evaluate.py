@@ -30,7 +30,7 @@ from conmet import (
     triangle_indices,
     wendland_c8,
 )
-from conmet import evaluate
+from conmet import evaluate, operator
 from conmet.collocation import FactorizationError
 from conmet.evaluate import definiteness_batch
 from conmet.operator import pairwise_scalars
@@ -176,11 +176,11 @@ def test_fields_batch_matches_all_node_sum(linear, kernel, monkeypatch):
     assert not np.any(reach[40:43])
 
     # blocks of one row each and of the default budget, on one and two threads
-    for budget in (1, evaluate._EVAL_BLOCK_BYTES):
-        monkeypatch.setattr(evaluate, "_EVAL_BLOCK_BYTES", budget)
+    for budget in (1, operator._BLOCK_BYTES):
+        monkeypatch.setattr(operator, "_BLOCK_BYTES", budget)
         by_workers = []
         for workers in (1, 2):
-            monkeypatch.setattr(evaluate, "_eval_workers", lambda blocks, w=workers: min(w, blocks))
+            monkeypatch.setattr(operator, "block_workers", lambda blocks, w=workers: min(w, blocks))
             # a point alone has a one-point box, so only the margin of near_box
             # keeps the node of a pair at R to within rounding
             s = np.concatenate([eval_metric_batch(solution, batch)]
@@ -201,10 +201,10 @@ def test_fields_batch_threads_stress(solved_quarter, linear, monkeypatch):
     # a block writing rows that are not its own would change the bytes
     system, _, _ = linear
     query = conmet.collocation_data(system, make_grid(GridSpec(BOUNDS, 0.05, offset=0.025)))
-    monkeypatch.setattr(evaluate, "_EVAL_BLOCK_BYTES", 1)
+    monkeypatch.setattr(operator, "_BLOCK_BYTES", 1)
     results = []
     for workers in (1, 8):
-        monkeypatch.setattr(evaluate, "_eval_workers", lambda blocks, w=workers: min(w, blocks))
+        monkeypatch.setattr(operator, "block_workers", lambda blocks, w=workers: min(w, blocks))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -378,11 +378,11 @@ def test_eval_workers_capped_by_cpus_and_blocks(monkeypatch):
     for cap, expected in (("100000", cpus), ("1", 1), ("0", cpus), ("-3", cpus),
                           ("two", cpus), ("", cpus)):
         monkeypatch.setenv("OMP_NUM_THREADS", cap)
-        assert evaluate._eval_workers(10 ** 6) == expected, cap
-        assert evaluate._eval_workers(1) == 1
-        assert evaluate._eval_workers(0) == 1
+        assert operator.block_workers(10 ** 6) == expected, cap
+        assert operator.block_workers(1) == 1
+        assert operator.block_workers(0) == 1
     monkeypatch.delenv("OMP_NUM_THREADS")
-    assert evaluate._eval_workers(10 ** 6) == cpus
+    assert operator.block_workers(10 ** 6) == cpus
 
 
 def test_convergence_study_requires_decreasing_alphas(linear, kernel):
