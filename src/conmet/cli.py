@@ -96,6 +96,10 @@ def load_config(path, output_dir=None, regularize=None):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
+    for key, kind, name in (("system", str, "a string"), ("output_dir", str, "a string"),
+                            ("regularize", bool, "true or false")):
+        if key in raw and not isinstance(raw[key], kind):     # bool("false") is True
+            raise ConfigError(f"{key} must be {name}, got {json.dumps(raw[key])}")
 
     kernel_raw = raw.get("kernel", {})
     if not isinstance(kernel_raw, dict):
@@ -112,7 +116,7 @@ def load_config(path, output_dir=None, regularize=None):
 
         rhs = raw.get("rhs_matrix")
         config = RunConfig(
-            system=str(raw.get("system", "linear-example")),
+            system=raw.get("system", "linear-example"),
             kernel_c=float(kernel_raw.get("c", 0.9)),
             rhs_matrix=None if rhs is None else [[float(v) for v in row] for row in rhs],
             grid=grid,
@@ -160,15 +164,16 @@ def _setup(config):
     return bundle, kernel, rhs
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
+def _float_lines(table):
+    """Each row of a float table as one CSV line; "%.17g" % v == format(v, ".17g")."""
+    line = ",".join(["%.17g"] * table.shape[1])       # integral values print as integers
+    return (line % row for row in map(tuple, table.tolist()))
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, lines):
+    """Header and lines, whose fields need no quoting, ended by \r\n as csv.writer ends them."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.writelines(line + "\r\n" for line in [",".join(header), *lines])
 
 
 def _write_json(path, payload):
@@ -227,9 +232,8 @@ def cmd_solve(config):
 
     header, i, j = _beta_columns(bundle.system.dim)
     beta_path = os.path.join(config.output_dir, "beta.csv")
-    table = np.column_stack([points, solution.beta[:, i, j]])
-    _write_csv(beta_path, header,
-               ([str(k)] + [_fmt(v) for v in row] for k, row in enumerate(table)))
+    table = np.column_stack([np.arange(len(points)), points, solution.beta[:, i, j]])
+    _write_csv(beta_path, header, _float_lines(table))
     diag = solution.diagnostics
     _write_json(os.path.join(config.output_dir, "solution.json"), {
         "system": config.system,
@@ -304,11 +308,11 @@ def cmd_convergence(config):
         config.grid.bounds, config.check_grid,
         equilibria=bundle.equilibria, regularize=config.regularize)
 
-    rows = [["" if v is None else _fmt(v) for v in astuple(row)] for row in report.rows]
-    rows.append(["reference", "", _fmt(report.reference_ratio),
-                 "", _fmt(report.reference_ratio)])
+    lines = [",".join("" if v is None else "%.17g" % v for v in astuple(row))
+             for row in report.rows]
+    lines.append("reference,,%.17g,,%.17g" % ((report.reference_ratio,) * 2))
     _write_csv(os.path.join(config.output_dir, "convergence.csv"),
-               ["alpha", "e_s", "ratio_s", "e", "ratio"], rows)
+               ["alpha", "e_s", "ratio_s", "e", "ratio"], lines)
     for row in report.rows:
         print(f"alpha={row.alpha:<10g} e_s={row.e_s:<12.4e} e={row.e:.4e}")
     print(f"reference ratio {report.reference_ratio:.4f} -> {config.output_dir}")
@@ -337,8 +341,7 @@ def cmd_fields(config):
     bad_fs = int(np.count_nonzero(
         definiteness_batch(fields["fs"]) != Definiteness.NEGATIVE_DEFINITE.value))
     t1 = time.perf_counter()
-    _write_csv(os.path.join(config.output_dir, "fields.csv"), header,
-               ([_fmt(v) for v in row] for row in table))
+    _write_csv(os.path.join(config.output_dir, "fields.csv"), header, _float_lines(table))
     _write_json(os.path.join(config.output_dir, "fields_summary.json"), {
         "n_points": len(table),
         "metric_not_positive_definite": bad_s,
@@ -376,7 +379,7 @@ def cmd_ellipses(config, anchors, level, count):
                            "reason": "metric not positive definite here"})
             continue
         for v in ellipse_points(anchor, s_x, level, count):
-            rows.append([str(anchor_id), _fmt(v[0]), _fmt(v[1])])
+            rows.append("%d,%.17g,%.17g" % (anchor_id, *v))
         report.append({"id": anchor_id, "anchor": list(anchor), "ok": True})
     t1 = time.perf_counter()
     _write_csv(os.path.join(config.output_dir, "ellipses.csv"),

@@ -4,8 +4,9 @@ The Gram matrix couples every pair of functionals (point k, component pair
 i <= j).  It is symmetric positive definite, stored dense, and it is the one
 large array of a solve: assembly computes only its lower block triangle, in
 chunks of operator.block_rows(N) block rows that operator.run_blocks spreads
-over the worker threads, and then copies that half onto the upper one tile
-by tile, so the returned matrix is exactly symmetric and assembly needs the
+over the worker threads.  Each chunk copies the lower blocks it has just
+computed onto its own block rows of the upper half while they are still in
+cache, so the returned matrix is exactly symmetric and assembly needs the
 Gram plus one chunk per worker.  A block is zero when its two points lie at
 least the kernel's support radius apart, so each chunk stops at the last
 block column that operator.near_box keeps for the chunk rows' bounding box;
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .operator import (block_rows, block_workers, coordinate_matrices, near_box,
                        pairwise_scalars, run_blocks, triangle_indices)
@@ -187,11 +188,9 @@ def collocation_data(system, points):
     n = system.dim
     if points.shape[1] != n:
         raise ValueError(f"points have dimension {points.shape[1]}, system has {n}")
-    f_values = np.empty((len(points), n))
-    jacobians = np.empty((len(points), n, n))
-    for k, x in enumerate(points):
-        f_values[k] = np.asarray(system.f(x), dtype=float)
-        jacobians[k] = np.asarray(system.jacobian(x), dtype=float)
+    shape = (len(points), n)
+    f_values = np.array([system.f(x) for x in points], dtype=float).reshape(shape)
+    jacobians = np.array([system.jacobian(x) for x in points], dtype=float).reshape(shape + (n,))
     return CollocationSet(system, points, f_values, jacobians)
 
 
@@ -199,13 +198,15 @@ def _check_equilibria(system, points, equilibria):
     if not equilibria or len(points) <= points.shape[1]:
         return
     try:
-        hull = Delaunay(points)
+        facets = ConvexHull(points).equations        # rows (normal, offset)
     except QhullError:
-        logger.warning("could not triangulate collocation points; "
+        logger.warning("could not form the convex hull of the collocation points; "
                        "skipping equilibrium condition check")
         return
+    # inside, on a facet to within rounding at the coordinates' scale
+    tol = 100.0 * np.finfo(float).eps * np.max(np.abs(points))
     for x0, sign in equilibria:
-        if hull.find_simplex(np.asarray(x0, dtype=float)) < 0:
+        if np.any(facets[:, :-1] @ np.asarray(x0, dtype=float) + facets[:, -1] > tol):
             continue
         result = check_equilibrium_condition(system, x0, sign)
         if not result.satisfied:
@@ -280,9 +281,11 @@ def assemble(system, kernel, points, equilibria=()):
         for a in range(m):
             value[:, a, :, a] += h * scale[a]
         body += value.reshape(shape)
+        # The chunk's block rows of the upper half: no other chunk writes
+        # them, and no chunk writes past k1 below them.
+        _mirror_lower(gram, l0 * m, l1 * m, k1 * m)
 
     run_blocks(assemble_chunk, chunks)
-    _mirror_lower(gram)
     return cset, gram
 
 
@@ -318,19 +321,18 @@ def _check_memory(dim, chunk_bytes):
             f"{needed / 1e6:.0f} MB, but only {available / 1e6:.0f} MB are available")
 
 
-def _mirror_lower(a):
-    """Overwrite the strict upper triangle of a with the transpose of the lower.
+def _mirror_lower(a, start, end, stop):
+    """Set a[i, j] = a[j, i] for start <= i < end and i < j < stop.
 
     Works in square tiles, so the copy stays in cache and its temporaries
-    stay one tile large.  _mirror_lower(a.T) copies the upper one down.
+    stay one tile large.  _mirror_lower(a.T, ...) copies the upper half down.
     """
-    dim = len(a)
-    for j0 in range(0, dim, _TILE):
-        j1 = min(dim, j0 + _TILE)
+    for j0 in range(start, end, _TILE):
+        j1 = min(end, j0 + _TILE)
         tile = a[j0:j1, j0:j1]
         np.copyto(tile, tile.T, where=np.tri(j1 - j0, k=-1, dtype=bool).T)
-        for i0 in range(j1, dim, _TILE):
-            i1 = min(dim, i0 + _TILE)
+        for i0 in range(j1, stop, _TILE):
+            i1 = min(stop, i0 + _TILE)
             a[j0:j1, i0:i1] = a[i0:i1, j0:j1].T
 
 
@@ -432,7 +434,7 @@ def solve(gram, rhs, cset, kernel, regularize=False):
         epsilon = 1e-10 * np.sum(diagonal) / dim
         logger.warning("Cholesky failed at pivot %s; retrying with diagonal "
                        "regularization eps=%.3e", err.pivot, epsilon)
-        _mirror_lower(gram.T)
+        _mirror_lower(gram.T, 0, dim, dim)
         gram[np.diag_indices_from(gram)] = diagonal + epsilon
         factor = _cholesky(gram)
         regularized = True

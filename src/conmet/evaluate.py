@@ -20,8 +20,9 @@ for it, since every other node contributes exactly zero.  operator.run_blocks
 runs the blocks on the worker threads that assembly uses too; each block
 writes its own rows, so the values do not depend on the worker count.
 convergence_study evaluates the finest spacing first, right after its solve,
-so that Gram peaks before any block exists.  Every result is exactly
-symmetric by construction.
+so that Gram peaks before any block exists; f, Df, M and L(M) at the check
+points it computes once per study, after that Gram is freed.  Every result
+is exactly symmetric by construction.
 """
 
 import enum
@@ -30,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .collocation import (FactorizationError, GridSpec, assemble, collocation_data,
-                          make_grid, solve)
+from .collocation import (CollocationSet, FactorizationError, GridSpec, assemble,
+                          collocation_data, make_grid, solve)
 from .operator import (apply_operator, block_rows, near_box, operator_image,
                        pairwise_scalars, run_blocks)
 
@@ -202,22 +203,36 @@ def field_export(solution, system, grid):
     }
 
 
+@dataclass(frozen=True)
+class _CheckGrid(CollocationSet):
+    m: np.ndarray           # the exact metric M at the points
+    fm: np.ndarray          # and L(M)
+
+
+def _check_grid(exact, system, check_points):
+    check_points = np.atleast_2d(np.asarray(check_points, dtype=float))
+    if len(check_points) == 0:
+        raise ValueError("empty check grid")
+    q = collocation_data(system, check_points)
+    m = np.array([exact.value(x) for x in check_points], dtype=float)
+    gradients = np.array([exact.gradient(x) for x in check_points], dtype=float)
+    fm = apply_operator(m, gradients, q.f_values, q.jacobians)
+    return _CheckGrid(system, q.points, q.f_values, q.jacobians, m, fm)
+
+
 def error_report(solution, exact, system, check_points):
     """Max-norm errors of S and L(S) against an exact metric.
 
     Returns (e, e_s): the componentwise maximum of |S - M| and of
     |L(S) - L(M)| over the check points, with L(M) evaluated through
-    apply_operator from the exact value/gradient callables.
+    apply_operator from the exact value/gradient callables.  check_points may
+    also be the _CheckGrid that convergence_study computes once per study.
     """
-    check_points = np.atleast_2d(np.asarray(check_points, dtype=float))
-    if len(check_points) == 0:
-        raise ValueError("empty check grid")
-    query = collocation_data(system, check_points)
-    s_all, fs_all = _fields_batch(solution, query)
-    m = np.array([exact.value(x) for x in check_points], dtype=float)
-    gradients = np.array([exact.gradient(x) for x in check_points], dtype=float)
-    fm = apply_operator(m, gradients, query.f_values, query.jacobians)
-    return float(np.max(np.abs(s_all - m))), float(np.max(np.abs(fs_all - fm)))
+    if not isinstance(check_points, _CheckGrid):
+        check_points = _check_grid(exact, system, check_points)
+    s_all, fs_all = _fields_batch(solution, check_points)
+    return (float(np.max(np.abs(s_all - check_points.m))),
+            float(np.max(np.abs(fs_all - check_points.fm))))
 
 
 @dataclass(frozen=True)
@@ -250,7 +265,7 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
         raise ValueError("the convergence study needs at least one spacing")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"spacings must be strictly decreasing, got {alphas}")
-    check_points = make_grid(check_spec)
+    check = None
     errors = {}
     for alpha in reversed(alphas):      # finest first; see the module docstring
         grid = make_grid(GridSpec(bounds=bounds, spacing=alpha))
@@ -260,7 +275,9 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
         except FactorizationError as err:
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
         del gram        # the error evaluation does not need it
-        errors[alpha] = error_report(solution, exact, system, check_points)
+        if check is None:
+            check = _check_grid(exact, system, make_grid(check_spec))
+        errors[alpha] = error_report(solution, exact, system, check)
     first = errors[alphas[0]]
     rows = [ConvergenceRow(alphas[0], first[1], None, first[0], None)]
     for coarse, fine in zip(alphas, alphas[1:]):

@@ -108,14 +108,9 @@ def check_equilibrium_condition(system, x0, stability_sign="stable"):
     if np.linalg.norm(fx) > _EQUILIBRIUM_TOL:
         raise ValueError(f"point {x0.tolist()} is not an equilibrium: |f| = {np.linalg.norm(fx):.3e}")
     eigs = np.linalg.eigvals(np.asarray(system.jacobian(x0), dtype=float))
-    real = eigs.real
+    real = eigs.real if stability_sign == "unstable" else -eigs.real     # > 0 when satisfied
     indeterminate = bool(np.min(np.abs(real)) <= _EIGENVALUE_TOL)
-    if indeterminate:
-        satisfied = False
-    elif stability_sign == "stable":
-        satisfied = bool(np.all(real < 0.0))
-    else:
-        satisfied = bool(np.all(real > 0.0))
+    satisfied = not indeterminate and bool(np.all(real > 0.0))
     return EquilibriumCheck(satisfied, indeterminate, tuple(eigs), stability_sign)
 
 
@@ -170,8 +165,7 @@ def register_system(name, system, exact=None, rhs=None, equilibria=(),
     sample_box = tuple((float(lo), float(hi)) for lo, hi in sample_box)
     if validate:
         rng = np.random.default_rng(0)
-        los = np.array([b[0] for b in sample_box])
-        his = np.array([b[1] for b in sample_box])
+        los, his = np.array(sample_box).T
         points = los + rng.random((5, system.dim)) * (his - los)
         jacobian_consistency(system, points)
     equilibria = tuple((np.asarray(x0, dtype=float), sign) for x0, sign in equilibria)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import conmet.cli as cli
@@ -96,6 +97,38 @@ def test_wrong_value_types_exit_2(tmp_path, capsys, override):
     _write_config(str(cfg), **override)
     assert cli.main(["convergence", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [{"regularize": "false"}, {"output_dir": None},
+                                      {"system": 5}], ids=["regularize", "output_dir", "system"])
+def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, override):
+    # bool("false") is True, str(None) is "None" and str(5) is "5": each is rejected
+    import conmet.collocation
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled despite a config error")
+
+    monkeypatch.setattr(conmet.collocation, "assemble", no_assembly)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), **override)
+    for command in ("solve", "convergence", "fields"):
+        assert cli.main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {next(iter(override))} must be" in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_csv_values_are_format_17g(tmp_path):
+    values = [-0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
+              1.7976931348623157e308, 0.1, -3.0, 1681.0]
+    table = np.array([values, values[::-1]])
+    lines = list(cli._float_lines(table))
+    assert lines == [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+    cli._write_csv(tmp_path / "t.csv", ["a"] * len(values), lines)
+    with open(tmp_path / "ref.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows([["a"] * len(values)] + [line.split(",") for line in lines])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_convergence_single_alpha_csv(tmp_path, capsys):

@@ -241,6 +241,29 @@ def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
         assert by_workers[0] == by_workers[1]
 
 
+def test_assemble_mirrors_each_chunk_like_a_whole_matrix_copy(linear, kernel, monkeypatch):
+    # each chunk copies its lower blocks onto its upper block rows; the result
+    # must be the lower triangle, computed with no mirror at all, copied onto
+    # the upper one afterwards, for every chunk size and worker count
+    system, _, _ = linear
+    for nodes in (_wide_nodes(kernel, np.random.default_rng(72)),
+                  make_grid(GridSpec(BOUNDS, 0.125))):
+        big_n = len(nodes)
+        for rows in (1, 2, 7, big_n):
+            monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 8 * rows * big_n)
+            for workers in (1, 2):
+                monkeypatch.setattr(conmet.operator, "block_workers",
+                                    lambda blocks, w=workers: min(w, blocks))
+                _, gram = assemble(system, kernel, nodes)
+                with monkeypatch.context() as patch:
+                    patch.setattr(conmet.collocation, "_mirror_lower", lambda *args: None)
+                    _, lower = assemble(system, kernel, nodes)
+                whole = np.where(np.tri(len(lower), dtype=bool), lower, lower.T)
+                assert gram.flags.f_contiguous
+                assert np.array_equal(gram, gram.T)
+                assert _bits(gram) == _bits(np.asfortranarray(whole))
+
+
 def test_assemble_two_point_fd_oracle(linear, kernel):
     # X = {(0,0), (0.5,0)}: every entry against finite-difference double
     # application of the operator to the representer fields
@@ -383,6 +406,39 @@ def test_assemble_checks_equilibrium_condition(kernel):
     assemble(unstable, kernel, pts, equilibria=((np.zeros(2), "unstable"),))
 
 
+def _expanding_about(x0):
+    """x' = x - x0: one equilibrium at x0, both eigenvalues +1 (unstable)."""
+    x0 = np.asarray(x0, dtype=float)
+    return DynamicalSystem(2, lambda x: np.asarray(x, float) - x0,
+                           lambda x: np.eye(2), label="expanding")
+
+
+@pytest.mark.parametrize("x0", [[0.25, -0.25], [-1.0, -1.0], [1.0, 1.0], [1.0, 0.3],
+                                [-0.5, -1.0]],
+                         ids=["interior", "corner", "far-corner", "edge", "edge-node"])
+def test_equilibrium_in_hull_is_checked(kernel, x0):
+    # interior points, corners and edges of the grid's hull are inside
+    pts = make_grid(GridSpec(BOUNDS, 0.5))
+    with pytest.raises(ValueError, match="eigenvalue condition"):
+        assemble(_expanding_about(x0), kernel, pts, equilibria=((x0, "stable"),))
+    assemble(_expanding_about(x0), kernel, pts, equilibria=((x0, "unstable"),))
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-13])
+def test_equilibrium_outside_hull_is_skipped(kernel, gap):
+    pts = make_grid(GridSpec(BOUNDS, 0.5))
+    for x0 in ([1.0 + gap, 0.2], [-0.3, -1.0 - gap], [1.0 + gap, 1.0 + gap]):
+        assemble(_expanding_about(x0), kernel, pts, equilibria=((x0, "stable"),))
+
+
+def test_flat_point_set_skips_equilibrium_check(kernel, caplog):
+    pts = np.array([[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+    with caplog.at_level("WARNING", logger="conmet.collocation"):
+        assemble(_expanding_about([0.0, 0.0]), kernel, pts,
+                 equilibria=((np.zeros(2), "stable"),))
+    assert "skipping equilibrium condition check" in caplog.text
+
+
 # -- solve ---------------------------------------------------------------------
 
 def test_solve_single_equilibrium_point_lyapunov_case(linear, kernel):
@@ -516,6 +572,33 @@ def test_solve_consumes_gram(linear, kernel):
         assert solution.diagnostics.regularized
         assert solution.diagnostics.relative_residual == pytest.approx(
             _recomputed_residual(spoiled, solution, rhs), rel=1e-5, abs=1e-13)
+
+
+def test_regularized_retry_restores_the_lower_triangle(linear, kernel, monkeypatch):
+    # a first factorization that fails after writing into the lower triangle,
+    # as xPOTRF does: the retry must rebuild A from the upper triangle and
+    # give the beta of a fresh A + eps I
+    system, _, rhs = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.25)))
+    eps = 1e-10 * np.sum(gram.diagonal().copy()) / len(gram)
+    shifted = gram.copy(order="F")
+    shifted[np.diag_indices_from(shifted)] += eps
+    expected = solve(shifted, rhs, cset, kernel).beta
+    cholesky = conmet.collocation._cholesky
+    calls = []
+
+    def failing_once(a):
+        calls.append(len(a))
+        if len(calls) == 1:
+            a[np.tril_indices_from(a)] = np.nan
+            raise FactorizationError("not positive definite", pivot=1)
+        return cholesky(a)
+
+    monkeypatch.setattr(conmet.collocation, "_cholesky", failing_once)
+    solution = solve(gram, rhs, cset, kernel, regularize=True)
+    assert len(calls) == 2 and solution.diagnostics.regularized
+    assert solution.diagnostics.epsilon == eps
+    assert _bits(solution.beta) == _bits(expected)
 
 
 def test_solve_permutation_invariance(linear, kernel):

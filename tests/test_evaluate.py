@@ -354,6 +354,44 @@ def test_convergence_study_rows_equal_error_reports_in_given_order(linear, kerne
         prev = (e, e_s)
 
 
+def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeypatch):
+    # f, Df, M and grad M at the check points are computed once per study;
+    # every spacing still goes through error_report with the whole check grid
+    system, exact, rhs = linear
+    check = GridSpec(BOUNDS, 0.125, offset=0.0625)         # apart from every node
+    check_points = {tuple(x) for x in make_grid(check)}
+    calls = {name: [] for name in ("f", "jacobian", "value", "gradient")}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name].append(tuple(np.asarray(x, dtype=float)))
+            return fn(x)
+        return wrapper
+
+    counted_system = DynamicalSystem(2, counted("f", system.f),
+                                     counted("jacobian", system.jacobian))
+    counted_exact = ExactMetric(counted("value", exact.value), counted("gradient", exact.gradient))
+    reports = []
+    original = evaluate.error_report
+
+    def recorded(solution, exact, system, check_points):
+        reports.append(len(check_points))
+        return original(solution, exact, system, check_points)
+
+    monkeypatch.setattr(evaluate, "error_report", recorded)
+    alphas = [0.5, 0.25, 0.125]
+    report = convergence_study(counted_system, counted_exact, rhs, kernel, alphas, BOUNDS, check)
+    assert reports == [len(check_points)] * len(alphas)
+    for name, points in calls.items():
+        at_check = [x for x in points if x in check_points]
+        assert sorted(at_check) == sorted(check_points), name
+    # the same rows as a study that evaluates each spacing from scratch
+    for alpha, row in zip(alphas, report.rows):
+        cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
+        solution = solve(gram, rhs, cset, kernel)
+        assert (row.e, row.e_s) == original(solution, exact, system, make_grid(check))
+
+
 def test_convergence_study_failure_at_coarse_spacing_names_it(linear, kernel, monkeypatch):
     system, exact, rhs = linear
     reached = []
