@@ -34,12 +34,9 @@ from .collocation import (
     FactorizationError,
 )
 from .evaluate import (
-    eval_metric,
     eval_metric_batch,
-    eval_operator,
     eval_operator_batch,
     Definiteness,
-    definiteness,
     field_export,
     error_report,
     ConvergenceRow,
@@ -59,8 +56,7 @@ __all__ = [
     "GridSpec", "make_grid", "separation_distance", "fill_distance_estimate",
     "CollocationSet", "collocation_data", "assemble", "solve",
     "RecoverySolution", "SolveDiagnostics", "FactorizationError",
-    "eval_metric", "eval_metric_batch", "eval_operator", "eval_operator_batch",
-    "Definiteness", "definiteness", "field_export",
+    "eval_metric_batch", "eval_operator_batch", "Definiteness", "field_export",
     "error_report", "ConvergenceRow", "ConvergenceReport", "convergence_study",
     "ellipse_points",
 ]

@@ -61,6 +61,13 @@ def _reject_unknown(mapping, allowed, context):
         raise ConfigError(f"unknown {context} keys: {', '.join(unknown)}")
 
 
+def _number(value, name):
+    """A JSON number as float; true, false, strings and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _parse_grid(raw, name, default_bounds, default_spacing, default_offset=None):
     """Parse one grid object; default_offset None means half the spacing
     (the staggered check-grid convention)."""
@@ -69,15 +76,15 @@ def _parse_grid(raw, name, default_bounds, default_spacing, default_offset=None)
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be an object")
     _reject_unknown(raw, _GRID_KEYS, name)
-    bounds = raw.get("bounds", default_bounds)
-    spacing = float(raw.get("spacing", default_spacing))
+    spacing = _number(raw.get("spacing", default_spacing), f"{name} spacing")
     if default_offset is None:
         default_offset = spacing / 2.0
     try:
         spec = GridSpec(
-            bounds=tuple(tuple(b) for b in bounds),
+            bounds=tuple(tuple(_number(v, f"{name} bounds entry") for v in b)
+                         for b in raw.get("bounds", default_bounds)),
             spacing=spacing,
-            offset=float(raw.get("offset", default_offset)),
+            offset=_number(raw.get("offset", default_offset), f"{name} offset"),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid {name}: {err}") from err
@@ -107,18 +114,19 @@ def load_config(path, output_dir=None, regularize=None):
     _reject_unknown(kernel_raw, _KERNEL_KEYS, "kernel")
 
     default_bounds = ((-1.0, 1.0), (-1.0, 1.0))
-    try:         # a value of the wrong JSON type, such as null for a number
+    try:         # a value of the wrong JSON type, such as a number for a list
         grid = _parse_grid(raw.get("grid", {}), "grid", default_bounds, 0.125,
                            default_offset=0.0)
         check = _parse_grid(raw.get("check_grid", {}), "check_grid",
                             grid.bounds, 1.0 / 64.0)
-        alphas = tuple(float(a) for a in raw.get("alphas", _DEFAULT_ALPHAS))
+        alphas = tuple(_number(a, "alphas entry") for a in raw.get("alphas", _DEFAULT_ALPHAS))
 
         rhs = raw.get("rhs_matrix")
         config = RunConfig(
             system=raw.get("system", "linear-example"),
-            kernel_c=float(kernel_raw.get("c", 0.9)),
-            rhs_matrix=None if rhs is None else [[float(v) for v in row] for row in rhs],
+            kernel_c=_number(kernel_raw.get("c", 0.9), "kernel c"),
+            rhs_matrix=None if rhs is None else [[_number(v, "rhs_matrix entry") for v in row]
+                                                 for row in rhs],
             grid=grid,
             check_grid=check,
             alphas=alphas,
@@ -126,7 +134,7 @@ def load_config(path, output_dir=None, regularize=None):
                            else raw.get("output_dir", "out")),
             regularize=bool(regularize if regularize is not None
                             else raw.get("regularize", False)),
-            probe_spacing=float(raw.get("probe_spacing", 0.05)),
+            probe_spacing=_number(raw.get("probe_spacing", 0.05), "probe_spacing"),
         )
     except TypeError as err:
         raise ConfigError(f"config value of the wrong type: {err}") from err
@@ -357,7 +365,9 @@ def cmd_fields(config):
 
 def cmd_ellipses(config, anchors, level, count):
     """Sample metric ellipses of the solve around anchor points; write ellipses.csv."""
-    from .evaluate import Definiteness, definiteness, ellipse_points, eval_metric
+    import numpy as np
+
+    from .evaluate import Definiteness, definiteness_batch, ellipse_points, eval_metric_batch
 
     if not (0.0 < level < math.inf and count >= 1):     # before any solve
         raise ConfigError("--level must be positive and finite and --count at least 1, "
@@ -368,19 +378,18 @@ def cmd_ellipses(config, anchors, level, count):
     solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
 
     t0 = time.perf_counter()
+    metrics = eval_metric_batch(solution, np.array(anchors, dtype=float))
+    positive = definiteness_batch(metrics) == Definiteness.POSITIVE_DEFINITE.value
+    failed = int(np.count_nonzero(~positive))
     rows = []
     report = []
-    failed = 0
-    for anchor_id, anchor in enumerate(anchors):
-        s_x = eval_metric(solution, anchor)
-        if definiteness(s_x) is not Definiteness.POSITIVE_DEFINITE:
-            failed += 1
-            report.append({"id": anchor_id, "anchor": list(anchor), "ok": False,
-                           "reason": "metric not positive definite here"})
+    for anchor_id, (anchor, s_x, ok) in enumerate(zip(anchors, metrics, positive)):
+        report.append({"id": anchor_id, "anchor": list(anchor), "ok": bool(ok)})
+        if not ok:
+            report[-1]["reason"] = "metric not positive definite here"
             continue
-        for v in ellipse_points(anchor, s_x, level, count):
-            rows.append("%d,%.17g,%.17g" % (anchor_id, *v))
-        report.append({"id": anchor_id, "anchor": list(anchor), "ok": True})
+        rows.extend("%d,%.17g,%.17g" % (anchor_id, *v)
+                    for v in ellipse_points(anchor, s_x, level, count))
     t1 = time.perf_counter()
     _write_csv(os.path.join(config.output_dir, "ellipses.csv"),
                ["anchor_id", "x", "y"], rows)

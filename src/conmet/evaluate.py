@@ -21,8 +21,10 @@ runs the blocks on the worker threads that assembly uses too; each block
 writes its own rows, so the values do not depend on the worker count.
 convergence_study evaluates the finest spacing first, right after its solve,
 so that Gram peaks before any block exists; f, Df, M and L(M) at the check
-points it computes once per study, after that Gram is freed.  Every result
-is exactly symmetric by construction.
+points it computes once per study, after that Gram is freed, with one call
+each to the batched ExactMetric.value and .gradient.  Every result is
+exactly symmetric by construction.  Evaluation and classification take
+arrays only: a single point x is the batch x[None].
 """
 
 import enum
@@ -37,12 +39,9 @@ from .operator import (apply_operator, block_rows, near_box, operator_image,
                        pairwise_scalars, run_blocks)
 
 __all__ = [
-    "eval_metric",
     "eval_metric_batch",
-    "eval_operator",
     "eval_operator_batch",
     "Definiteness",
-    "definiteness",
     "definiteness_batch",
     "field_export",
     "error_report",
@@ -119,19 +118,9 @@ def eval_metric_batch(solution, points):
     return _fields_batch(solution, collocation_data(solution.collocation.system, points))[0]
 
 
-def eval_metric(solution, x):
-    """Recovered metric S(x), a symmetric dim x dim matrix."""
-    return eval_metric_batch(solution, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def eval_operator_batch(solution, points):
     """Operator image L(S) at each row of points; (E, n, n) array."""
     return _fields_batch(solution, collocation_data(solution.collocation.system, points))[1]
-
-
-def eval_operator(solution, x):
-    """Operator image L(S)(x) = Df^T S + S Df + S' at one point."""
-    return eval_operator_batch(solution, np.asarray(x, dtype=float)[None, :])[0]
 
 
 class Definiteness(str, enum.Enum):
@@ -147,11 +136,18 @@ def definiteness_batch(matrices, tol=0.0):
     For 2 x 2 matrices the trace/determinant criterion decides, otherwise
     the extreme eigenvalues do.  Whenever the decisive quantity lies within
     tol of zero, and whenever a matrix has a non-finite entry, the result is
-    indeterminate.  Returns an (E,) array of Definiteness values.
+    indeterminate.  Returns an (E,) array of Definiteness values.  Raises
+    ValueError unless the last two axes are square and every finite matrix
+    is symmetric within 1e-12 of its largest entry.
     """
     a = np.asarray(matrices, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     finite = np.all(np.isfinite(a), axis=(-2, -1))
     a = np.where(finite[..., None, None], a, 0.0)
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(a - np.swapaxes(a, -1, -2)) > 1e-12 * scale[..., None, None]):
+        raise ValueError("matrix is not symmetric")
     if a.shape[-1] == 2:
         det, tr = np.linalg.det(a), np.trace(a, axis1=-2, axis2=-1)
         pos, neg, indef = (det > tol) & (tr > tol), (det > tol) & (tr < -tol), det < -tol
@@ -163,21 +159,6 @@ def definiteness_batch(matrices, tol=0.0):
                      [Definiteness.INDETERMINATE.value, Definiteness.POSITIVE_DEFINITE.value,
                       Definiteness.NEGATIVE_DEFINITE.value, Definiteness.INDEFINITE.value],
                      default=Definiteness.INDETERMINATE.value)
-
-
-def definiteness(matrix, tol=0.0):
-    """Classify one symmetric matrix; see definiteness_batch for the criterion.
-
-    Asymmetric finite input raises ValueError; a matrix with a non-finite
-    entry is indeterminate.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if (np.all(np.isfinite(a))
-            and np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a)))):
-        raise ValueError("matrix is not symmetric")
-    return Definiteness(definiteness_batch(a[None], tol)[0])
 
 
 def field_export(solution, system, grid):
@@ -214,9 +195,8 @@ def _check_grid(exact, system, check_points):
     if len(check_points) == 0:
         raise ValueError("empty check grid")
     q = collocation_data(system, check_points)
-    m = np.array([exact.value(x) for x in check_points], dtype=float)
-    gradients = np.array([exact.gradient(x) for x in check_points], dtype=float)
-    fm = apply_operator(m, gradients, q.f_values, q.jacobians)
+    m = np.asarray(exact.value(q.points), dtype=float)
+    fm = apply_operator(m, exact.gradient(q.points), q.f_values, q.jacobians)
     return _CheckGrid(system, q.points, q.f_values, q.jacobians, m, fm)
 
 

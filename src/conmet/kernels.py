@@ -16,7 +16,7 @@ then stored in the factored form
 
 which for the Wendland family has a nonnegative cofactor and therefore
 evaluates without cancellation on the whole support.  Outside the support all
-helpers are exactly zero.
+helpers are exactly zero.  RadialKernel.profile_values evaluates all three.
 """
 
 import math
@@ -115,8 +115,7 @@ class RadialKernel:
         Free-text name.
 
     Instances are immutable after construction and safe to share between
-    threads; every evaluation method is pure and accepts scalars or arrays
-    of radii.
+    threads; profile_values is pure and accepts scalars or arrays of radii.
     """
 
     def __init__(self, shape_parameter, sigma, psi_coefficients, label=""):
@@ -145,29 +144,12 @@ class RadialKernel:
         return (f"RadialKernel(label={self.label!r}, c={self.shape_parameter}, "
                 f"sigma={self.sigma})")
 
-    # -- radial profile and the two derivative quotients ---------------------
-
-    def _eval(self, index, r):
-        out = self.profile_values(r)[index]
-        return float(out) if out.ndim == 0 else out
-
-    def psi(self, r):
-        """Profile psi(r); exactly zero for r >= 1/c."""
-        return self._eval(0, r)
-
-    def psi1(self, r):
-        """psi'(r)/r, continuously extended to r = 0."""
-        return self._eval(1, r)
-
-    def psi2(self, r):
-        """(psi''(r) - psi'(r)/r)/r**2, continuously extended to r = 0."""
-        return self._eval(2, r)
-
     def profile_values(self, r):
         """psi, psi1 and psi2 on one shared support mask.
 
         The polynomials, which share the powers of 1 - t, are evaluated only
-        on the entries inside the support.  Returns (psi, psi1, psi2) shaped like r.
+        on the entries inside the support.  Returns (psi, psi1, psi2) shaped
+        like r, 0-d for a scalar r.
         """
         r = np.asarray(r, dtype=float)
         t = (self.shape_parameter * r).ravel()

@@ -44,8 +44,9 @@ class DynamicalSystem:
 
 @dataclass(frozen=True)
 class ExactMetric:
-    """Exact solution metric: value(x) is symmetric dim x dim, gradient(x)
-    holds the componentwise gradients as a (dim, dim, dim) array."""
+    """Exact solution metric on an (E, dim) point array: value(points) is the
+    (E, dim, dim) stack of symmetric values, gradient(points) the
+    (E, dim, dim, dim) stack with grad M_ij(points[e]) at [e, i, j]."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -123,7 +124,6 @@ def linear_example():
     """
     a = np.array([[-1.0, 1.0], [1.0, -2.0]])
     m = np.array([[1.0, 0.5], [0.5, 0.5]])
-    zero_grad = np.zeros((2, 2, 2))
 
     def f(x):
         return a @ np.asarray(x, dtype=float)
@@ -132,7 +132,8 @@ def linear_example():
         return a.copy()
 
     system = DynamicalSystem(2, f, jacobian, label="linear-example")
-    exact = ExactMetric(lambda x: m.copy(), lambda x: zero_grad.copy(), label="linear-example")
+    exact = ExactMetric(lambda points: np.tile(m, (len(points), 1, 1)),
+                        lambda points: np.zeros((len(points), 2, 2, 2)), label="linear-example")
     return system, exact, np.eye(2)
 
 
@@ -151,23 +152,24 @@ _REGISTRY = {}
 
 
 def register_system(name, system, exact=None, rhs=None, equilibria=(),
-                    sample_box=None, validate=True):
+                    sample_box=None):
     """Register a system under a CLI-visible name.
 
     Registration runs the Jacobian/finite-difference consistency check on a
     handful of deterministic sample points inside sample_box (default
-    [-1, 1]^dim).  Duplicate names are rejected.
+    [-1, 1]^dim).  Duplicate names are rejected.  exact, which the
+    convergence study needs, is batched (see ExactMetric): the study calls
+    each of its callables once, on all check points, and any result of
+    another shape fails it with ValueError.
     """
     if name in _REGISTRY:
         raise ValueError(f"system name {name!r} is already registered")
     if sample_box is None:
         sample_box = tuple((-1.0, 1.0) for _ in range(system.dim))
     sample_box = tuple((float(lo), float(hi)) for lo, hi in sample_box)
-    if validate:
-        rng = np.random.default_rng(0)
-        los, his = np.array(sample_box).T
-        points = los + rng.random((5, system.dim)) * (his - los)
-        jacobian_consistency(system, points)
+    rng = np.random.default_rng(0)
+    los, his = np.array(sample_box).T
+    jacobian_consistency(system, los + rng.random((5, system.dim)) * (his - los))
     equilibria = tuple((np.asarray(x0, dtype=float), sign) for x0, sign in equilibria)
     bundle = SystemBundle(
         system=system,

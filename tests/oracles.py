@@ -54,13 +54,13 @@ def _pair(x, y):
 
 def phi(kernel, x, y):
     """Kernel value psi(|x - y|)."""
-    return kernel.psi(np.linalg.norm(_pair(x, y)))
+    return kernel.profile_values(np.linalg.norm(_pair(x, y)))[0]
 
 
 def grad1_phi(kernel, x, y):
     """Gradient of phi in its first argument: psi1(r) * (x - y)."""
     diff = _pair(x, y)
-    return kernel.psi1(np.linalg.norm(diff)) * diff
+    return kernel.profile_values(np.linalg.norm(diff))[1] * diff
 
 
 def hess12_phi(kernel, x, y):
@@ -70,8 +70,8 @@ def hess12_phi(kernel, x, y):
     where it reduces to -psi1(0) I.
     """
     diff = _pair(x, y)
-    r = np.linalg.norm(diff)
-    return (-kernel.psi2(r)) * np.outer(diff, diff) - kernel.psi1(r) * np.eye(diff.size)
+    _, psi1, psi2 = kernel.profile_values(np.linalg.norm(diff))
+    return -psi2 * np.outer(diff, diff) - psi1 * np.eye(diff.size)
 
 
 def _sym_unit(n, i, j):
@@ -123,14 +123,12 @@ def gram_entry(kernel, data_l, index_l, data_k, index_k):
     """
     n = data_l.jac.shape[0]
     diff = data_k.x - data_l.x
-    r = np.linalg.norm(diff)
-    psi = kernel.psi(r)
-    psi1 = kernel.psi1(r)
+    psi, psi1, psi2 = kernel.profile_values(np.linalg.norm(diff))
     dot_k = diff @ data_k.f
     dot_l = diff @ data_l.f
     theta = psi1 * dot_k
     g2 = -psi1 * dot_l
-    h = -kernel.psi2(r) * dot_l * dot_k - psi1 * (data_l.f @ data_k.f)
+    h = -psi2 * dot_l * dot_k - psi1 * (data_l.f @ data_k.f)
 
     q = _sym_unit(n, index_k.i, index_k.j)
     p = data_k.jac @ q + q @ data_k.jac.T

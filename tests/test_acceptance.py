@@ -19,7 +19,7 @@ import conmet.cli as cli
 from conmet import (
     GridSpec,
     assemble,
-    eval_metric,
+    eval_metric_batch,
     eval_operator_batch,
     make_grid,
     solve,
@@ -114,15 +114,18 @@ def test_criterion_4_oracle_equivalence(linear, kernel, solved_eighth):
     # (a) radial derivative helpers vs central finite differences
     radii = (0.05 + 0.85 * rng.random(100)) * kernel.support_radius
     for r in radii:
+        _, psi1, psi2 = kernel.profile_values(r)
         h = 1e-6
-        fd1 = (kernel.psi(r + h) - kernel.psi(r - h)) / (2.0 * h * r)
-        if abs(kernel.psi1(r) - fd1) > 1e-6 * max(abs(fd1), 1e-3):
+        lo, hi = kernel.profile_values(np.array([r - h, r + h]))[0]
+        fd1 = (hi - lo) / (2.0 * h * r)
+        if abs(psi1 - fd1) > 1e-6 * max(abs(fd1), 1e-3):
             failures.append(f"psi1({r:.3f})")
         h = 1e-4
-        d2 = (kernel.psi(r + h) - 2 * kernel.psi(r) + kernel.psi(r - h)) / h ** 2
-        d1 = (kernel.psi(r + h) - kernel.psi(r - h)) / (2 * h)
+        lo, mid, hi = kernel.profile_values(np.array([r - h, r, r + h]))[0]
+        d2 = (hi - 2 * mid + lo) / h ** 2
+        d1 = (hi - lo) / (2 * h)
         fd2 = (d2 - d1 / r) / r ** 2
-        if abs(kernel.psi2(r) - fd2) > 1e-5 * max(abs(fd2), 1e-2):
+        if abs(psi2 - fd2) > 1e-5 * max(abs(fd2), 1e-2):
             failures.append(f"psi2({r:.3f})")
 
     def fd_apply(field, data):
@@ -169,11 +172,11 @@ def test_criterion_4_oracle_equivalence(linear, kernel, solved_eighth):
     for x in rng.uniform(-0.9, 0.9, (20, 2)):
         jac = system.jacobian(x)
         fx = system.f(x)
-        s_here = eval_metric(solved_eighth, x)
-        orbital = (conmet.eval_operator(solved_eighth, x)
+        s_here = eval_metric_batch(solved_eighth, x[None])[0]
+        orbital = (conmet.eval_operator_batch(solved_eighth, x[None])[0]
                    - jac.T @ s_here - s_here @ jac)
-        fd = (eval_metric(solved_eighth, x + t * fx)
-              - eval_metric(solved_eighth, x - t * fx)) / (2 * t)
+        fd = (eval_metric_batch(solved_eighth, (x + t * fx)[None])[0]
+              - eval_metric_batch(solved_eighth, (x - t * fx)[None])[0]) / (2 * t)
         if not np.allclose(orbital, fd, rtol=1e-5, atol=1e-7):
             failures.append("orbital")
 
@@ -219,7 +222,7 @@ def test_criterion_5_structural_invariants(linear, kernel, solved_quarter):
                          else 2.0 * solved_quarter.beta[k, i, j])
                 expansion += gamma * riesz_representer(
                     kernel, data, FunctionalIndex(k, i, j), x)
-        if not np.allclose(eval_metric(solved_quarter, x), expansion,
+        if not np.allclose(eval_metric_batch(solved_quarter, x[None])[0], expansion,
                            rtol=0, atol=1e-10):
             issues.append("form-equivalence")
 
@@ -231,7 +234,8 @@ def test_criterion_5_structural_invariants(linear, kernel, solved_quarter):
     sol_a = solve(gram_a, rhs, cset_a, kernel)
     sol_b = solve(gram_b, rhs, cset_b, kernel)
     for x in rng.uniform(-1, 1, (20, 2)):
-        if not np.allclose(eval_metric(sol_a, x), eval_metric(sol_b, x),
+        if not np.allclose(eval_metric_batch(sol_a, x[None])[0],
+                           eval_metric_batch(sol_b, x[None])[0],
                            rtol=0, atol=1e-10):
             issues.append("permutation")
 

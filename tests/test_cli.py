@@ -99,10 +99,35 @@ def test_wrong_value_types_exit_2(tmp_path, capsys, override):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", [{"regularize": "false"}, {"output_dir": None},
-                                      {"system": 5}], ids=["regularize", "output_dir", "system"])
-def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, override):
-    # bool("false") is True, str(None) is "None" and str(5) is "5": each is rejected
+_BOUNDS = [[-1, 1], [-1, 1]]
+
+
+@pytest.mark.parametrize("override, name", [
+    pytest.param({"regularize": "false"}, "regularize", id="regularize"),
+    pytest.param({"output_dir": None}, "output_dir", id="output_dir"),
+    pytest.param({"system": 5}, "system", id="system"),
+    pytest.param({"kernel": {"c": True}}, "kernel c", id="kernel-c"),
+    pytest.param({"alphas": ["0.5"]}, "alphas entry", id="alphas-string"),
+    pytest.param({"alphas": [0.5, None]}, "alphas entry", id="alphas-null"),
+    pytest.param({"probe_spacing": True}, "probe_spacing", id="probe_spacing"),
+    pytest.param({"grid": {"bounds": _BOUNDS, "spacing": "0.5"}}, "grid spacing",
+                 id="grid-spacing"),
+    pytest.param({"grid": {"bounds": _BOUNDS, "spacing": 0.5, "offset": False}}, "grid offset",
+                 id="grid-offset"),
+    pytest.param({"grid": {"bounds": [[-1, True], [-1, 1]], "spacing": 0.5}},
+                 "grid bounds entry", id="grid-bounds"),
+    pytest.param({"check_grid": {"bounds": _BOUNDS, "spacing": None}}, "check_grid spacing",
+                 id="check_grid-spacing"),
+    pytest.param({"check_grid": {"bounds": _BOUNDS, "spacing": 0.5, "offset": "0"}},
+                 "check_grid offset", id="check_grid-offset"),
+    pytest.param({"check_grid": {"bounds": [["-1", 1], [-1, 1]], "spacing": 0.5}},
+                 "check_grid bounds entry", id="check_grid-bounds"),
+    pytest.param({"rhs_matrix": [[True, 0], [0, 1]]}, "rhs_matrix entry", id="rhs-bool"),
+    pytest.param({"rhs_matrix": [[1, 0], [0, "1"]]}, "rhs_matrix entry", id="rhs-string"),
+])
+def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, override, name):
+    # bool("false") is True, str(None) is "None", str(5) is "5", float(True)
+    # is 1.0 and float("0.5") is 0.5: each is rejected
     import conmet.collocation
 
     def no_assembly(*args, **kwargs):
@@ -115,7 +140,7 @@ def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, 
     for command in ("solve", "convergence", "fields"):
         assert cli.main([command, str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {next(iter(override))} must be" in err
+        assert f"config error: {name} must be" in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
@@ -248,6 +273,23 @@ def test_ellipses_require_anchor(tmp_path, capsys):
     _write_config(str(cfg))
     assert cli.main(["ellipses", str(cfg)]) == 2
     assert "--anchor" in capsys.readouterr().err
+
+
+def test_exact_metric_of_the_wrong_shape_exits_2(tmp_path, capsys, monkeypatch):
+    # the exact metric is called on the whole check grid; one (n, n) matrix
+    # for all points fails apply_operator's shape check
+    from conmet import ExactMetric, linear_example, register_system, systems
+
+    monkeypatch.setattr(systems, "_REGISTRY", dict(systems._REGISTRY))
+    system, _, rhs = linear_example()
+    unbatched = ExactMetric(lambda points: np.array([[1.0, 0.5], [0.5, 0.5]]),
+                            lambda points: np.zeros((2, 2, 2)))
+    register_system("unbatched-exact", system, exact=unbatched, rhs=rhs)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), system="unbatched-exact")
+    assert cli.main(["convergence", str(cfg)]) == 2
+    assert "field data has wrong shape" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from conmet import (
     FactorizationError,
     GridSpec,
     assemble,
-    eval_metric,
+    eval_metric_batch,
     fill_distance_estimate,
     linear_example,
     make_grid,
@@ -450,7 +450,8 @@ def test_solve_single_equilibrium_point_lyapunov_case(linear, kernel):
     assert solution.diagnostics.relative_residual <= 1e-12
     expected_beta = np.array([[-0.05, -0.03], [-0.03, -0.02]])   # gamma = (-1/20, -3/50, -1/50)
     assert np.allclose(solution.beta[0], expected_beta, rtol=0, atol=1e-13)
-    assert np.allclose(eval_metric(solution, np.zeros(2)), exact.value(np.zeros(2)),
+    origin = np.zeros((1, 2))
+    assert np.allclose(eval_metric_batch(solution, origin), exact.value(origin),
                        rtol=0, atol=1e-12)
 
 
@@ -470,8 +471,8 @@ def test_solve_rhs_scaling_linearity(linear, kernel):
     base = solve(gram.copy(order="F"), rhs, cset, kernel)
     scaled = solve(gram, 4.0 * rhs, cset, kernel)
     assert np.allclose(scaled.beta, 4.0 * base.beta, rtol=1e-14, atol=0)
-    x = np.array([0.21, -0.43])
-    assert np.allclose(eval_metric(scaled, x), 4.0 * eval_metric(base, x),
+    x = np.array([[0.21, -0.43]])
+    assert np.allclose(eval_metric_batch(scaled, x), 4.0 * eval_metric_batch(base, x),
                        rtol=1e-13, atol=1e-15)
 
 
@@ -610,9 +611,9 @@ def test_solve_permutation_invariance(linear, kernel):
     cset_b, gram_b = assemble(system, kernel, pts[perm])
     sol_a = solve(gram_a, rhs, cset_a, kernel)
     sol_b = solve(gram_b, rhs, cset_b, kernel)
-    for x in rng.uniform(-1, 1, (20, 2)):
-        assert np.allclose(eval_metric(sol_a, x), eval_metric(sol_b, x),
-                           rtol=0, atol=1e-10)
+    xs = rng.uniform(-1, 1, (20, 2))
+    assert np.allclose(eval_metric_batch(sol_a, xs), eval_metric_batch(sol_b, xs),
+                       rtol=0, atol=1e-10)
 
 
 def test_solve_shape_mismatch_rejected(linear, kernel):

@@ -16,12 +16,9 @@ from conmet import (
     SolveDiagnostics,
     assemble,
     convergence_study,
-    definiteness,
     ellipse_points,
     error_report,
-    eval_metric,
     eval_metric_batch,
-    eval_operator,
     eval_operator_batch,
     field_export,
     linear_example,
@@ -53,14 +50,15 @@ def _zero_solution(linear, kernel, n_points=4):
 
 def test_eval_metric_zero_coefficients(linear, kernel):
     solution = _zero_solution(linear, kernel)
-    assert np.array_equal(eval_metric(solution, np.array([0.1, 0.2])), np.zeros((2, 2)))
-    assert np.array_equal(eval_operator(solution, np.array([0.1, 0.2])), np.zeros((2, 2)))
+    x = np.array([[0.1, 0.2]])
+    assert np.array_equal(eval_metric_batch(solution, x), np.zeros((1, 2, 2)))
+    assert np.array_equal(eval_operator_batch(solution, x), np.zeros((1, 2, 2)))
 
 
 def test_eval_metric_outside_support_is_zero(solved_quarter, kernel):
-    far = np.array([1.0 + kernel.support_radius + 0.05, 0.0])
-    assert np.array_equal(eval_metric(solved_quarter, far), np.zeros((2, 2)))
-    assert np.array_equal(eval_operator(solved_quarter, far), np.zeros((2, 2)))
+    far = np.array([[1.0 + kernel.support_radius + 0.05, 0.0]])
+    assert np.array_equal(eval_metric_batch(solved_quarter, far), np.zeros((1, 2, 2)))
+    assert np.array_equal(eval_operator_batch(solved_quarter, far), np.zeros((1, 2, 2)))
 
 
 def test_eval_metric_exactly_symmetric(solved_quarter):
@@ -76,13 +74,15 @@ def test_eval_batch_matches_single(solved_quarter):
     pts = rng.uniform(-1, 1, (10, 2))
     batch_s = eval_metric_batch(solved_quarter, pts)
     batch_fs = eval_operator_batch(solved_quarter, pts)
-    # identical calls are bitwise deterministic; single-point evaluation may
+    # identical calls are bitwise deterministic; a batch of one point may
     # differ in the last units because BLAS kernels depend on matrix shape
     assert np.array_equal(batch_s, eval_metric_batch(solved_quarter, pts))
     assert np.array_equal(batch_fs, eval_operator_batch(solved_quarter, pts))
     for e, x in enumerate(pts):
-        assert np.allclose(batch_s[e], eval_metric(solved_quarter, x), rtol=1e-13, atol=1e-14)
-        assert np.allclose(batch_fs[e], eval_operator(solved_quarter, x), rtol=1e-13, atol=1e-13)
+        assert np.allclose(batch_s[e], eval_metric_batch(solved_quarter, x[None])[0],
+                           rtol=1e-13, atol=1e-14)
+        assert np.allclose(batch_fs[e], eval_operator_batch(solved_quarter, x[None])[0],
+                           rtol=1e-13, atol=1e-13)
 
 
 def test_form1_equals_form2(solved_quarter, kernel):
@@ -92,14 +92,15 @@ def test_form1_equals_form2(solved_quarter, kernel):
     beta = solved_quarter.beta
     pairs = triangle_indices(2)
     rng = np.random.default_rng(52)
-    for x in rng.uniform(-1, 1, (50, 2)):
+    xs = rng.uniform(-1, 1, (50, 2))
+    for x, s_x in zip(xs, eval_metric_batch(solved_quarter, xs)):
         form1 = np.zeros((2, 2))
         for k in range(len(cset)):
             data = point_data(cset, k)
             for i, j in pairs:
                 gamma = beta[k, i, j] if i == j else 2.0 * beta[k, i, j]
                 form1 += gamma * riesz_representer(kernel, data, FunctionalIndex(k, i, j), x)
-        assert np.allclose(eval_metric(solved_quarter, x), form1, rtol=0, atol=1e-10)
+        assert np.allclose(s_x, form1, rtol=0, atol=1e-10)
 
 
 def _all_node_sums(solution, kernel, x):
@@ -225,23 +226,27 @@ def test_eval_operator_orbital_fd(solved_quarter, linear):
     system, _, _ = linear
     rng = np.random.default_rng(53)
     t = 1e-6
-    for x in rng.uniform(-0.9, 0.9, (50, 2)):
-        jac = system.jacobian(x)
-        fx = system.f(x)
-        s_here = eval_metric(solved_quarter, x)
-        orbital = eval_operator(solved_quarter, x) - jac.T @ s_here - s_here @ jac
-        fd = (eval_metric(solved_quarter, x + t * fx)
-              - eval_metric(solved_quarter, x - t * fx)) / (2.0 * t)
-        assert np.allclose(orbital, fd, rtol=1e-5, atol=1e-7)
+    xs = rng.uniform(-0.9, 0.9, (50, 2))
+    data = conmet.collocation_data(system, xs)
+    jac, step = data.jacobians, t * data.f_values
+    s_here = eval_metric_batch(solved_quarter, xs)
+    orbital = (eval_operator_batch(solved_quarter, xs)
+               - jac.transpose(0, 2, 1) @ s_here - s_here @ jac)
+    fd = (eval_metric_batch(solved_quarter, xs + step)
+          - eval_metric_batch(solved_quarter, xs - step)) / (2.0 * t)
+    assert np.allclose(orbital, fd, rtol=1e-5, atol=1e-7)
 
 
 # -- definiteness ----------------------------------------------------------------
 
+def _classes(matrices, tol=0.0):
+    return [Definiteness(c) for c in definiteness_batch(matrices, tol)]
+
+
 def test_definiteness_basic_cases():
-    assert definiteness(np.eye(2)) is Definiteness.POSITIVE_DEFINITE
-    assert definiteness(-np.eye(2)) is Definiteness.NEGATIVE_DEFINITE
-    assert definiteness(np.diag([1.0, -1.0])) is Definiteness.INDEFINITE
-    assert definiteness(np.diag([1.0, 1e-15]), tol=1e-12) is Definiteness.INDETERMINATE
+    assert _classes([np.eye(2), -np.eye(2), np.diag([1.0, -1.0])]) == [
+        Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE, Definiteness.INDEFINITE]
+    assert _classes([np.diag([1.0, 1e-15])], tol=1e-12) == [Definiteness.INDETERMINATE]
 
 
 def test_definiteness_methods_cross_check():
@@ -261,25 +266,26 @@ def test_definiteness_methods_cross_check():
                 expected = Definiteness.NEGATIVE_DEFINITE
             else:
                 expected = Definiteness.INDEFINITE
-            assert definiteness(a) is expected
+            assert _classes([a]) == [expected]
 
 
 def test_definiteness_higher_dimension():
-    assert definiteness(np.diag([1.0, 2.0, 3.0])) is Definiteness.POSITIVE_DEFINITE
-    assert definiteness(-np.diag([1.0, 2.0, 3.0])) is Definiteness.NEGATIVE_DEFINITE
-    assert definiteness(np.diag([1.0, -2.0, 3.0])) is Definiteness.INDEFINITE
+    stack = [np.diag([1.0, 2.0, 3.0]), -np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -2.0, 3.0])]
+    assert _classes(stack) == [Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE,
+                               Definiteness.INDEFINITE]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_definiteness_non_finite_is_indeterminate(n):
     for bad in (np.nan, np.inf, -np.inf):
-        assert definiteness(np.full((n, n), bad)) is Definiteness.INDETERMINATE
         spd = np.eye(n)
         spd[0, 0] = bad
-        assert definiteness(spd) is Definiteness.INDETERMINATE
         neg = -np.eye(n)
         neg[-1, -1] = bad
-        assert definiteness(neg) is Definiteness.INDETERMINATE
+        asymmetric = np.eye(n)
+        asymmetric[0, -1] = bad
+        assert _classes([np.full((n, n), bad), spd, neg, asymmetric]) == (
+            [Definiteness.INDETERMINATE] * 4)
 
 
 def test_definiteness_batch_matches_scalar():
@@ -291,14 +297,21 @@ def test_definiteness_batch_matches_scalar():
         stack[7] = np.zeros((n, n))
         codes = definiteness_batch(stack)
         assert codes.shape == (40,)
-        assert [Definiteness(c) for c in codes] == [definiteness(a) for a in stack]
+        assert [Definiteness(c) for c in codes] == [_classes([a])[0] for a in stack]
 
 
 def test_definiteness_rejects_asymmetric():
+    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), [[1.0, 1.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="not symmetric"):
-        definiteness(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        definiteness_batch(stack)
+    # a deviation within 1e-12 of the largest entry is round-off, not asymmetry
+    stack[2] = [[1e3, 1.0], [1.0 + 1e-10, 1e3]]
+    assert _classes(stack) == [Definiteness.POSITIVE_DEFINITE, Definiteness.INDETERMINATE,
+                               Definiteness.POSITIVE_DEFINITE]
     with pytest.raises(ValueError, match="square"):
-        definiteness(np.ones((2, 3)))
+        definiteness_batch(np.ones((4, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        definiteness_batch(np.ones(3))
 
 
 # -- error metrics and the study harness -----------------------------------------
@@ -306,7 +319,8 @@ def test_definiteness_rejects_asymmetric():
 def test_error_report_zero_solution_and_zero_metric(linear, kernel):
     # feeding back an exact metric identical to the recovered one gives (0, 0)
     solution = _zero_solution(linear, kernel)
-    zero_exact = ExactMetric(lambda x: np.zeros((2, 2)), lambda x: np.zeros((2, 2, 2)))
+    zero_exact = ExactMetric(lambda x: np.zeros((len(x), 2, 2)),
+                             lambda x: np.zeros((len(x), 2, 2, 2)))
     system, _, _ = linear
     check = make_grid(GridSpec(BOUNDS, 0.5))
     assert error_report(solution, zero_exact, system, check) == (0.0, 0.0)
@@ -355,8 +369,9 @@ def test_convergence_study_rows_equal_error_reports_in_given_order(linear, kerne
 
 
 def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeypatch):
-    # f, Df, M and grad M at the check points are computed once per study;
-    # every spacing still goes through error_report with the whole check grid
+    # f, Df, M and grad M at the check points are computed once per study,
+    # M and grad M in one batched call each; every spacing still goes through
+    # error_report with the whole check grid
     system, exact, rhs = linear
     check = GridSpec(BOUNDS, 0.125, offset=0.0625)         # apart from every node
     check_points = {tuple(x) for x in make_grid(check)}
@@ -364,7 +379,7 @@ def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeyp
 
     def counted(name, fn):
         def wrapper(x):
-            calls[name].append(tuple(np.asarray(x, dtype=float)))
+            calls[name].append(np.array(x, dtype=float))
             return fn(x)
         return wrapper
 
@@ -382,9 +397,12 @@ def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeyp
     alphas = [0.5, 0.25, 0.125]
     report = convergence_study(counted_system, counted_exact, rhs, kernel, alphas, BOUNDS, check)
     assert reports == [len(check_points)] * len(alphas)
-    for name, points in calls.items():
-        at_check = [x for x in points if x in check_points]
+    for name in ("f", "jacobian"):
+        at_check = [tuple(x) for x in calls[name] if tuple(x) in check_points]
         assert sorted(at_check) == sorted(check_points), name
+    for name in ("value", "gradient"):
+        assert len(calls[name]) == 1, name
+        assert sorted(map(tuple, calls[name][0])) == sorted(check_points), name
     # the same rows as a study that evaluates each spacing from scratch
     for alpha, row in zip(alphas, report.rows):
         cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
@@ -546,4 +564,4 @@ def test_three_dimensional_recovery():
     assert np.max(np.abs(images + rhs)) <= 1e-8
     values = eval_metric_batch(solution, pts)
     assert np.array_equal(values, values.transpose(0, 2, 1))
-    assert definiteness(values[13]) is Definiteness.POSITIVE_DEFINITE
+    assert _classes(values[13:14]) == [Definiteness.POSITIVE_DEFINITE]

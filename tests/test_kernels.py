@@ -23,18 +23,18 @@ def kern():
 
 def test_psi_at_zero_is_25_for_any_c():
     for c in (0.3, 0.9, 2.0, 11.0):
-        assert wendland_c8(c).psi(0.0) == 25.0
+        assert wendland_c8(c).profile_values(0.0)[0] == 25.0
 
 
 def test_psi_vanishes_at_and_beyond_support(kern):
     c = kern.shape_parameter
-    assert kern.psi(1.0 / c) == 0.0
-    assert kern.psi(2.0 / c) == 0.0
+    assert kern.profile_values(1.0 / c)[0] == 0.0
+    assert kern.profile_values(2.0 / c)[0] == 0.0
 
 
 def test_psi_frozen_values(kern):
-    assert kern.psi(0.5) == pytest.approx(PSI_HALF, rel=1e-14)
-    assert kern.psi(0.3) == pytest.approx(PSI_03, rel=1e-14)
+    assert kern.profile_values(0.5)[0] == pytest.approx(PSI_HALF, rel=1e-14)
+    assert kern.profile_values(0.3)[0] == pytest.approx(PSI_03, rel=1e-14)
 
 
 def test_invalid_shape_parameter():
@@ -58,53 +58,53 @@ def test_sigma_and_support(kern):
 def test_helpers_exactly_zero_outside_support(kern):
     rng = np.random.default_rng(7)
     r = kern.support_radius * (1.0 + 10.0 * rng.random(100))
-    assert np.all(kern.psi(r) == 0.0)
-    assert np.all(kern.psi1(r) == 0.0)
-    assert np.all(kern.psi2(r) == 0.0)
+    for values in kern.profile_values(r):
+        assert np.all(values == 0.0)
 
 
 def test_psi_positive_inside_support(kern):
     rng = np.random.default_rng(8)
     r = kern.support_radius * rng.random(200)
-    assert np.all(kern.psi(r) > 0.0)
+    assert np.all(kern.profile_values(r)[0] > 0.0)
 
 
 def test_psi1_origin_limit():
     for c in (0.5, 0.9, 1.7):
-        assert wendland_c8(c).psi1(0.0) == pytest.approx(-650.0 * c * c, rel=1e-14)
-    assert wendland_c8(0.9).psi1(0.0) == pytest.approx(PSI1_ZERO, rel=1e-14)
+        assert wendland_c8(c).profile_values(0.0)[1] == pytest.approx(-650.0 * c * c, rel=1e-14)
+    assert wendland_c8(0.9).profile_values(0.0)[1] == pytest.approx(PSI1_ZERO, rel=1e-14)
 
 
 def test_psi2_origin_limit():
     for c in (0.5, 0.9, 1.7):
-        assert wendland_c8(c).psi2(0.0) == pytest.approx(17160.0 * c ** 4, rel=1e-13)
-    assert wendland_c8(0.9).psi2(0.0) == pytest.approx(PSI2_ZERO, rel=1e-13)
+        assert wendland_c8(c).profile_values(0.0)[2] == pytest.approx(17160.0 * c ** 4, rel=1e-13)
+    assert wendland_c8(0.9).profile_values(0.0)[2] == pytest.approx(PSI2_ZERO, rel=1e-13)
 
 
 def test_smoothness_at_origin(kern):
     # C^8 kernel: one-sided difference quotients of psi tend to psi'(0) = 0
     steps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-    quotients = np.abs((kern.psi(steps) - kern.psi(0.0)) / steps)
+    quotients = np.abs((kern.profile_values(steps)[0] - kern.profile_values(0.0)[0]) / steps)
     assert np.all(np.diff(quotients) < 0)
     assert quotients[-1] < 1e-2
 
 
 def test_psi1_frozen_and_fd(kern):
-    assert kern.psi1(0.4) == pytest.approx(PSI1_04, rel=1e-13)
+    assert kern.profile_values(0.4)[1] == pytest.approx(PSI1_04, rel=1e-13)
     h = 1e-6
     r = 0.4
-    fd = (kern.psi(r + h) - kern.psi(r - h)) / (2.0 * h * r)
-    assert kern.psi1(r) == pytest.approx(fd, rel=1e-6)
+    lo, hi = kern.profile_values(np.array([r - h, r + h]))[0]
+    assert kern.profile_values(r)[1] == pytest.approx((hi - lo) / (2.0 * h * r), rel=1e-6)
 
 
 def test_psi2_frozen_and_fd(kern):
-    assert kern.psi2(0.7) == pytest.approx(PSI2_07, rel=1e-13)
+    assert kern.profile_values(0.7)[2] == pytest.approx(PSI2_07, rel=1e-13)
     h = 1e-4
     r = 0.7
-    d2 = (kern.psi(r + h) - 2.0 * kern.psi(r) + kern.psi(r - h)) / h ** 2
-    d1 = (kern.psi(r + h) - kern.psi(r - h)) / (2.0 * h)
+    lo, mid, hi = kern.profile_values(np.array([r - h, r, r + h]))[0]
+    d2 = (hi - 2.0 * mid + lo) / h ** 2
+    d1 = (hi - lo) / (2.0 * h)
     fd = (d2 - d1 / r) / r ** 2
-    assert kern.psi2(r) == pytest.approx(fd, rel=1e-5)
+    assert kern.profile_values(r)[2] == pytest.approx(fd, rel=1e-5)
 
 
 def test_radial_helpers_fd_consistency_random(kern):
@@ -112,23 +112,16 @@ def test_radial_helpers_fd_consistency_random(kern):
     radii = 0.05 + 0.85 * rng.random(100) * kern.support_radius
     h = 1e-6
     for r in radii:
-        fd1 = (kern.psi(r + h) - kern.psi(r - h)) / (2.0 * h * r)
-        assert kern.psi1(r) == pytest.approx(fd1, rel=1e-6, abs=1e-8)
+        lo, hi = kern.profile_values(np.array([r - h, r + h]))[0]
+        fd1 = (hi - lo) / (2.0 * h * r)
+        assert kern.profile_values(r)[1] == pytest.approx(fd1, rel=1e-6, abs=1e-8)
     h = 1e-4
     for r in radii:
-        d2 = (kern.psi(r + h) - 2.0 * kern.psi(r) + kern.psi(r - h)) / h ** 2
-        d1 = (kern.psi(r + h) - kern.psi(r - h)) / (2.0 * h)
+        lo, mid, hi = kern.profile_values(np.array([r - h, r, r + h]))[0]
+        d2 = (hi - 2.0 * mid + lo) / h ** 2
+        d1 = (hi - lo) / (2.0 * h)
         fd2 = (d2 - d1 / r) / r ** 2
-        assert kern.psi2(r) == pytest.approx(fd2, rel=1e-5, abs=1e-6)
-
-
-def test_profile_values_match_individual_helpers(kern):
-    rng = np.random.default_rng(3)
-    r = 2.0 * rng.random((40, 7))
-    psi, psi1, psi2 = kern.profile_values(r)
-    assert np.array_equal(psi, kern.psi(r))
-    assert np.array_equal(psi1, kern.psi1(r))
-    assert np.array_equal(psi2, kern.psi2(r))
+        assert kern.profile_values(r)[2] == pytest.approx(fd2, rel=1e-5, abs=1e-6)
 
 
 @pytest.mark.parametrize("c", [0.9, 1.0 / 3.0, 7.3])
@@ -199,7 +192,7 @@ def test_grad1_phi_matches_finite_differences(kern):
 
 def test_hess12_phi_coincident_value(kern):
     x = np.array([0.3, -0.4])
-    expected = -kern.psi1(0.0) * np.eye(2)
+    expected = -kern.profile_values(0.0)[1] * np.eye(2)
     assert np.allclose(hess12_phi(kern, x, x), expected, rtol=0, atol=1e-12)
     # finite differences confirm the sign convention at coincident points
     h = 1e-4
@@ -253,12 +246,13 @@ def test_scalar_positive_definiteness(kern):
 
 
 def test_vectorized_matches_scalar(kern):
+    # arrays of any shape give the values of their entries taken one by one
     rng = np.random.default_rng(31)
-    r = 2.0 * rng.random(50)
-    for helper in (kern.psi, kern.psi1, kern.psi2):
-        batch = helper(r)
-        single = np.array([helper(v) for v in r])
-        assert np.array_equal(batch, single)
+    r = 2.0 * rng.random((10, 7))
+    single = np.array([kern.profile_values(v) for v in r.ravel()])
+    for index, batch in enumerate(kern.profile_values(r)):
+        assert batch.shape == r.shape
+        assert np.array_equal(batch.ravel(), single[:, index])
 
 
 # expansion of (1-t)^6 (35 t^2 + 18 t + 3), the C^4 profile for up to three
@@ -268,17 +262,18 @@ WENDLAND_C4 = (3, 0, -28, 0, 210, -448, 420, -192, 35)
 
 def test_interface_admits_other_profile_orders():
     kern = RadialKernel(1.3, 3.5, WENDLAND_C4, label="wendland-c4")
-    assert kern.psi(0.0) == 3.0
-    assert kern.psi(1.0 / 1.3) == 0.0
+    assert kern.profile_values(0.0)[0] == 3.0
+    assert kern.profile_values(1.0 / 1.3)[0] == 0.0
     # psi1(0) = 2 p_2 c^2 from the quadratic term of the profile
-    assert kern.psi1(0.0) == pytest.approx(-56.0 * 1.3 ** 2, rel=1e-13)
+    assert kern.profile_values(0.0)[1] == pytest.approx(-56.0 * 1.3 ** 2, rel=1e-13)
     h, r = 1e-6, 0.3
-    fd1 = (kern.psi(r + h) - kern.psi(r - h)) / (2.0 * h * r)
-    assert kern.psi1(r) == pytest.approx(fd1, rel=1e-6)
+    lo, hi = kern.profile_values(np.array([r - h, r + h]))[0]
+    assert kern.profile_values(r)[1] == pytest.approx((hi - lo) / (2.0 * h * r), rel=1e-6)
     h = 1e-4
-    d2 = (kern.psi(r + h) - 2.0 * kern.psi(r) + kern.psi(r - h)) / h ** 2
-    d1 = (kern.psi(r + h) - kern.psi(r - h)) / (2.0 * h)
-    assert kern.psi2(r) == pytest.approx((d2 - d1 / r) / r ** 2, rel=1e-5)
+    lo, mid, hi = kern.profile_values(np.array([r - h, r, r + h]))[0]
+    d2 = (hi - 2.0 * mid + lo) / h ** 2
+    d1 = (hi - lo) / (2.0 * h)
+    assert kern.profile_values(r)[2] == pytest.approx((d2 - d1 / r) / r ** 2, rel=1e-5)
 
 
 def test_rejects_profiles_too_rough_for_derivative_quotients():

@@ -80,7 +80,7 @@ def test_apply_operator_zero_field():
 def test_apply_operator_constant_metric_gives_minus_identity():
     system, exact, _ = linear_example()
     x = np.array([0.3, 0.8])
-    out = _apply_at(system, exact.value(x), exact.gradient(x), x)
+    out = _apply_at(system, exact.value(x[None])[0], exact.gradient(x[None])[0], x)
     assert np.allclose(out, -np.eye(2), rtol=0, atol=1e-14)
 
 

@@ -25,9 +25,9 @@ def test_linear_example_rhs_and_metric():
     system, exact, rhs = linear_example()
     assert system.dim == 2
     assert np.array_equal(rhs, np.eye(2))
-    x = np.array([0.7, -0.2])
-    assert np.array_equal(exact.value(x), [[1.0, 0.5], [0.5, 0.5]])
-    assert np.array_equal(exact.gradient(x), np.zeros((2, 2, 2)))
+    x = np.array([[0.7, -0.2], [0.1, 0.3], [-2.0, 5.0]])
+    assert np.array_equal(exact.value(x), [[[1.0, 0.5], [0.5, 0.5]]] * 3)
+    assert np.array_equal(exact.gradient(x), np.zeros((3, 2, 2, 2)))
 
 
 def test_linear_example_field_values():
@@ -41,7 +41,7 @@ def test_linear_example_lyapunov_identity():
     # Df^T M + M Df = -I for the stated constant metric (direct product)
     system, exact, _ = linear_example()
     jac = system.jacobian(np.zeros(2))
-    m = exact.value(np.zeros(2))
+    m = exact.value(np.zeros((1, 2)))[0]
     assert np.allclose(jac.T @ m + m @ jac, -np.eye(2), rtol=0, atol=1e-15)
 
 
@@ -50,7 +50,7 @@ def test_linear_example_operator_identity_random_points():
     system, exact, rhs = linear_example()
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, (50, 2))
-    images = apply_operator([exact.value(x) for x in pts], [exact.gradient(x) for x in pts],
+    images = apply_operator(exact.value(pts), exact.gradient(pts),
                             [system.f(x) for x in pts], [system.jacobian(x) for x in pts])
     for image in images:
         assert np.allclose(image, -rhs, rtol=0, atol=1e-14)
