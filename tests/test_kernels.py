@@ -124,6 +124,17 @@ def test_radial_helpers_fd_consistency_random(kern):
         assert kern.profile_values(r)[2] == pytest.approx(fd2, rel=1e-5, abs=1e-6)
 
 
+def test_profile_values_match_individual_helpers(kern):
+    # each of psi, psi1, psi2 evaluated on its own over a 2-D radius array
+    rng = np.random.default_rng(3)
+    r = 2.0 * rng.random((40, 7))
+    psi, psi1, psi2 = kern.profile_values(r)
+    one_psi, one_psi1, one_psi2 = profile_values_by_helper(kern, r)
+    assert np.array_equal(psi, one_psi)
+    assert np.array_equal(psi1, one_psi1)
+    assert np.array_equal(psi2, one_psi2)
+
+
 @pytest.mark.parametrize("c", [0.9, 1.0 / 3.0, 7.3])
 def test_profile_values_equal_per_helper_oracle_bit_for_bit(c):
     # shared powers of 1 - t must not change a single bit of psi, psi1, psi2;
