@@ -35,7 +35,7 @@ class NumericalError(Exception):
 
 _DEFAULT_ALPHAS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
 _TOP_KEYS = {"system", "kernel", "rhs_matrix", "grid", "check_grid", "alphas",
-             "output_dir", "regularize", "probe_spacing"}
+             "output_dir", "probe_spacing"}
 _GRID_KEYS = {"bounds", "spacing", "offset"}
 _KERNEL_KEYS = {"c"}
 
@@ -51,7 +51,6 @@ class RunConfig:
     check_grid: object          # GridSpec
     alphas: tuple
     output_dir: str
-    regularize: bool
     probe_spacing: float
 
 
@@ -91,8 +90,8 @@ def _parse_grid(raw, name, default_bounds, default_spacing, default_offset=None)
     return spec
 
 
-def load_config(path, output_dir=None, regularize=None):
-    """Read and validate a JSON config file; flags override file values."""
+def load_config(path, output_dir=None):
+    """Read and validate a JSON config file; --output-dir overrides the file's."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -103,10 +102,9 @@ def load_config(path, output_dir=None, regularize=None):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
-    for key, kind, name in (("system", str, "a string"), ("output_dir", str, "a string"),
-                            ("regularize", bool, "true or false")):
-        if key in raw and not isinstance(raw[key], kind):     # bool("false") is True
-            raise ConfigError(f"{key} must be {name}, got {json.dumps(raw[key])}")
+    for key in ("system", "output_dir"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a string, got {json.dumps(raw[key])}")
 
     kernel_raw = raw.get("kernel", {})
     if not isinstance(kernel_raw, dict):
@@ -132,8 +130,6 @@ def load_config(path, output_dir=None, regularize=None):
             alphas=alphas,
             output_dir=str(output_dir if output_dir is not None
                            else raw.get("output_dir", "out")),
-            regularize=bool(regularize if regularize is not None
-                            else raw.get("regularize", False)),
             probe_spacing=_number(raw.get("probe_spacing", 0.05), "probe_spacing"),
         )
     except TypeError as err:
@@ -190,14 +186,14 @@ def _write_json(path, payload):
         handle.write("\n")
 
 
-def _solve_on_grid(bundle, kernel, rhs, points, regularize):
+def _solve_on_grid(bundle, kernel, rhs, points):
     """Assemble and solve; return the solution and its timing.json entries."""
     from .collocation import assemble, solve
 
     t0 = time.perf_counter()
     cset, gram = assemble(bundle.system, kernel, points, equilibria=bundle.equilibria)
     t1 = time.perf_counter()
-    solution = solve(gram, rhs, cset, kernel, regularize=regularize)
+    solution = solve(gram, rhs, cset, kernel)
     return solution, {"beta_source": "solved", "assemble_seconds": t1 - t0,
                       "solve_seconds": time.perf_counter() - t1}
 
@@ -219,7 +215,7 @@ def _solve_key(config, rhs):
 
     inputs = {"system": config.system, "c": config.kernel_c, "rhs": rhs.tolist(),
               "grid": astuple(config.grid),          # bounds, spacing, offset
-              "regularize": config.regularize, "version": __version__}
+              "version": __version__}
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
@@ -236,7 +232,7 @@ def cmd_solve(config):
 
     bundle, kernel, rhs = _setup(config)
     points = make_grid(config.grid)
-    solution, timing = _solve_on_grid(bundle, kernel, rhs, points, config.regularize)
+    solution, timing = _solve_on_grid(bundle, kernel, rhs, points)
 
     header, i, j = _beta_columns(bundle.system.dim)
     beta_path = os.path.join(config.output_dir, "beta.csv")
@@ -251,7 +247,6 @@ def cmd_solve(config):
         "relative_residual": diag.relative_residual,
         "factorization": diag.factorization,
         "regularized": diag.regularized,
-        "regularization_epsilon": diag.epsilon,
         "min_pivot": diag.min_pivot,
         "separation_distance": separation_distance(points) if len(points) > 1 else None,
         "fill_distance_estimate": fill_distance_estimate(
@@ -291,11 +286,11 @@ def _stored_or_solved(config, bundle, kernel, rhs):
                    and np.all(np.isfinite(table)) and np.array_equal(table[:, 1:n + 1], points))
         diagnostics = SolveDiagnostics(
             meta["n_unknowns"], meta["relative_residual"], meta["factorization"],
-            meta["regularized"], meta["regularization_epsilon"], meta["min_pivot"])
+            meta["regularized"], meta["min_pivot"])
     except (OSError, ValueError, LookupError, TypeError):
         matches = False
     if not matches:
-        return _solve_on_grid(bundle, kernel, rhs, points, config.regularize)
+        return _solve_on_grid(bundle, kernel, rhs, points)
     print(f"reused {beta_path}, solved from the same inputs", file=sys.stderr)
     beta = np.zeros((len(points), n, n))
     beta[:, i, j] = beta[:, j, i] = table[:, n + 1:]
@@ -314,7 +309,7 @@ def cmd_convergence(config):
     report = convergence_study(
         bundle.system, bundle.exact, rhs, kernel, config.alphas,
         config.grid.bounds, config.check_grid,
-        equilibria=bundle.equilibria, regularize=config.regularize)
+        equilibria=bundle.equilibria)
 
     lines = [",".join("" if v is None else "%.17g" % v for v in astuple(row))
              for row in report.rows]
@@ -429,8 +424,6 @@ def _build_parser():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="path to the JSON config file")
         cmd.add_argument("--output-dir", help="override the configured output directory")
-        cmd.add_argument("--regularize", action="store_true", default=None,
-                         help="retry a failed factorization with diagonal regularization")
         cmd.add_argument("--threads", type=int,
                          help="cap the assembly and evaluation worker threads "
                               "(default: one per CPU) by setting OMP_NUM_THREADS")
@@ -459,8 +452,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _limit_threads(args.threads)
-        config = load_config(args.config, output_dir=args.output_dir,
-                             regularize=args.regularize)
+        config = load_config(args.config, output_dir=args.output_dir)
         if args.command == "solve":
             return cmd_solve(config)
         if args.command == "convergence":

@@ -15,10 +15,10 @@ assembly checks that much against the memory the system reports as
 available and raises MemoryError if it does not fit.
 The solve consumes the Gram, as LAPACK's xPOTRF consumes its input: the
 Cholesky factor overwrites the lower triangle, and the residual is read
-from the untouched upper one and the saved diagonal.  A diagonal
-regularisation fallback exists only behind an explicit opt-in flag because
-a factorisation failure indicates near-degenerate geometry rather than an
-expected condition.
+from the untouched upper one and the saved diagonal.  The Gram of a
+positive definite kernel is SPD in exact arithmetic, so a failed factor
+means near-degenerate node geometry; it raises FactorizationError and is
+not retried.
 """
 
 import logging
@@ -325,7 +325,7 @@ def _mirror_lower(a, start, end, stop):
     """Set a[i, j] = a[j, i] for start <= i < end and i < j < stop.
 
     Works in square tiles, so the copy stays in cache and its temporaries
-    stay one tile large.  _mirror_lower(a.T, ...) copies the upper half down.
+    stay one tile large.
     """
     for j0 in range(start, end, _TILE):
         j1 = min(end, j0 + _TILE)
@@ -365,9 +365,8 @@ def _cholesky(gram):
 class SolveDiagnostics:
     dimension: int
     relative_residual: float
-    factorization: str
-    regularized: bool
-    epsilon: Optional[float] = None
+    factorization: str                     # always "cholesky" and False: solve has
+    regularized: bool                      # one path; both stay solution.json keys
     min_pivot: Optional[float] = None      # smallest diagonal entry of the factor
 
 
@@ -386,23 +385,21 @@ class RecoverySolution:
     diagnostics: SolveDiagnostics
 
 
-def solve(gram, rhs, cset, kernel, regularize=False):
+def solve(gram, rhs, cset, kernel):
     """Solve the collocation system for the right-hand-side matrix C.
 
     The stacked right-hand side repeats -C_ij over the functional ordering.
-    On factorisation failure a FactorizationError carrying the pivot index is
-    raised unless regularize=True, in which case the solve is retried once
-    with eps = 1e-10 tr(A)/dim added to the diagonal (loudly, via a warning,
-    and recorded in the diagnostics).
+    A failed Cholesky factor raises a FactorizationError carrying the pivot
+    index.
 
     gram (writeable float64) is consumed, as LAPACK's xPOTRF consumes its
     input: a Fortran-ordered gram, as assemble returns it, is factored in
     place and holds the Cholesky factor in its lower half afterwards, also
     after a FactorizationError, so a Gram is good for one solve.  The
-    reported relative_residual is ||A gamma - b|| / ||b|| with the
-    unregularised A, read from the untouched strict upper triangle and the
-    saved diagonal.  A non-finite C is a ValueError, and a solution that
-    overflows to non-finite values a FloatingPointError.
+    reported relative_residual is ||A gamma - b|| / ||b||, read from the
+    untouched strict upper triangle and the saved diagonal.  A non-finite C
+    is a ValueError, and a solution that overflows to non-finite values a
+    FloatingPointError.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = cset.system.dim
@@ -424,20 +421,7 @@ def solve(gram, rhs, cset, kernel, regularize=False):
     b = -np.tile(rhs[i, j], len(cset))
 
     diagonal = gram.diagonal().copy()
-    regularized = False
-    epsilon = None
-    try:
-        factor = _cholesky(gram)
-    except FactorizationError as err:
-        if not regularize:
-            raise
-        epsilon = 1e-10 * np.sum(diagonal) / dim
-        logger.warning("Cholesky failed at pivot %s; retrying with diagonal "
-                       "regularization eps=%.3e", err.pivot, epsilon)
-        _mirror_lower(gram.T, 0, dim, dim)
-        gram[np.diag_indices_from(gram)] = diagonal + epsilon
-        factor = _cholesky(gram)
-        regularized = True
+    factor = _cholesky(gram)
     gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
     if not np.all(np.isfinite(gamma)):
         raise FloatingPointError("the solution of the collocation system is not finite "
@@ -455,8 +439,7 @@ def solve(gram, rhs, cset, kernel, regularize=False):
         dimension=dim,
         relative_residual=residual,
         factorization="cholesky",
-        regularized=regularized,
-        epsilon=epsilon,
+        regularized=False,
         min_pivot=min_pivot,
     )
     return RecoverySolution(cset, kernel, beta, rhs, diagnostics)

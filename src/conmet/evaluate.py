@@ -130,12 +130,12 @@ class Definiteness(str, enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-def definiteness_batch(matrices, tol=0.0):
+def definiteness_batch(matrices):
     """Classify each symmetric matrix of an (E, n, n) stack.
 
     For 2 x 2 matrices the trace/determinant criterion decides, otherwise
-    the extreme eigenvalues do.  Whenever the decisive quantity lies within
-    tol of zero, and whenever a matrix has a non-finite entry, the result is
+    the extreme eigenvalues do.  Whenever the decisive quantity is exactly
+    zero, and whenever a matrix has a non-finite entry, the result is
     indeterminate.  Returns an (E,) array of Definiteness values.  Raises
     ValueError unless the last two axes are square and every finite matrix
     is symmetric within 1e-12 of its largest entry.
@@ -150,11 +150,11 @@ def definiteness_batch(matrices, tol=0.0):
         raise ValueError("matrix is not symmetric")
     if a.shape[-1] == 2:
         det, tr = np.linalg.det(a), np.trace(a, axis1=-2, axis2=-1)
-        pos, neg, indef = (det > tol) & (tr > tol), (det > tol) & (tr < -tol), det < -tol
+        pos, neg, indef = (det > 0.0) & (tr > 0.0), (det > 0.0) & (tr < 0.0), det < 0.0
     else:
         eigs = np.linalg.eigvalsh(a)
         low, high = eigs[..., 0], eigs[..., -1]
-        pos, neg, indef = low > tol, high < -tol, (low < -tol) & (high > tol)
+        pos, neg, indef = low > 0.0, high < 0.0, (low < 0.0) & (high > 0.0)
     return np.select([~finite, pos, neg, indef],
                      [Definiteness.INDETERMINATE.value, Definiteness.POSITIVE_DEFINITE.value,
                       Definiteness.NEGATIVE_DEFINITE.value, Definiteness.INDEFINITE.value],
@@ -238,20 +238,21 @@ class ConvergenceReport:
 
 
 def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
-                      equilibria=(), regularize=False):
+                      equilibria=()):
     """Solve on the grid family X_alpha and tabulate errors and ratios."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("the convergence study needs at least one spacing")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"spacings must be strictly decreasing, got {alphas}")
+    # every spacing's GridSpec first, so one that does not divide the box fails before any solve
+    specs = {alpha: GridSpec(bounds=bounds, spacing=alpha) for alpha in alphas}
     check = None
     errors = {}
     for alpha in reversed(alphas):      # finest first; see the module docstring
-        grid = make_grid(GridSpec(bounds=bounds, spacing=alpha))
-        cset, gram = assemble(system, kernel, grid, equilibria=equilibria)
+        cset, gram = assemble(system, kernel, make_grid(specs[alpha]), equilibria=equilibria)
         try:
-            solution = solve(gram, rhs, cset, kernel, regularize=regularize)
+            solution = solve(gram, rhs, cset, kernel)
         except FactorizationError as err:
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
         del gram        # the error evaluation does not need it

@@ -73,15 +73,15 @@ def operator_image(values, orbital, jacobians):
     return out
 
 
-def apply_operator(values, gradients, f_values, jacobians, tol=_SYMMETRY_TOL):
+def apply_operator(values, gradients, f_values, jacobians):
     """Apply the PDE operator to explicitly given matrix fields at E points.
 
     Parameters
     ----------
     values : (E, n, n) array
-        Field values M(x_e), each symmetric within tol.
+        Field values M(x_e), each symmetric within 1e-12.
     gradients : (E, n, n, n) array
-        gradients[e, i, j] = grad M_ij(x_e), symmetric in (i, j) within tol.
+        gradients[e, i, j] = grad M_ij(x_e), symmetric in (i, j) within 1e-12.
     f_values, jacobians : (E, n) and (E, n, n) arrays
         f(x_e) and Df(x_e).
 
@@ -96,9 +96,9 @@ def apply_operator(values, gradients, f_values, jacobians, tol=_SYMMETRY_TOL):
             or jacobians.shape != (e, n, n)):
         raise ValueError(f"field data has wrong shape for {e} points in dimension {n}: "
                          f"{values.shape}, {gradients.shape}, {jacobians.shape}")
-    if np.any(np.abs(values - values.transpose(0, 2, 1)) > tol):
+    if np.any(np.abs(values - values.transpose(0, 2, 1)) > _SYMMETRY_TOL):
         raise ValueError("field value is not symmetric")
-    if np.any(np.abs(gradients - gradients.transpose(0, 2, 1, 3)) > tol):
+    if np.any(np.abs(gradients - gradients.transpose(0, 2, 1, 3)) > _SYMMETRY_TOL):
         raise ValueError("field gradients are not symmetric in the component pair")
     values = 0.5 * (values + values.transpose(0, 2, 1))
     gradients = 0.5 * (gradients + gradients.transpose(0, 2, 1, 3))

@@ -145,7 +145,6 @@ class SystemBundle:
     exact: Optional[ExactMetric] = None
     rhs: Optional[np.ndarray] = None
     equilibria: tuple = ()        # ((point, "stable"|"unstable"), ...)
-    sample_box: tuple = ()        # per-axis (lo, hi) used for validation draws
 
 
 _REGISTRY = {}
@@ -165,10 +164,9 @@ def register_system(name, system, exact=None, rhs=None, equilibria=(),
     if name in _REGISTRY:
         raise ValueError(f"system name {name!r} is already registered")
     if sample_box is None:
-        sample_box = tuple((-1.0, 1.0) for _ in range(system.dim))
-    sample_box = tuple((float(lo), float(hi)) for lo, hi in sample_box)
+        sample_box = ((-1.0, 1.0),) * system.dim
     rng = np.random.default_rng(0)
-    los, his = np.array(sample_box).T
+    los, his = np.array(sample_box, dtype=float).T
     jacobian_consistency(system, los + rng.random((5, system.dim)) * (his - los))
     equilibria = tuple((np.asarray(x0, dtype=float), sign) for x0, sign in equilibria)
     bundle = SystemBundle(
@@ -176,7 +174,6 @@ def register_system(name, system, exact=None, rhs=None, equilibria=(),
         exact=exact,
         rhs=None if rhs is None else np.asarray(rhs, dtype=float),
         equilibria=equilibria,
-        sample_box=sample_box,
     )
     _REGISTRY[name] = bundle
     return bundle

@@ -103,7 +103,6 @@ _BOUNDS = [[-1, 1], [-1, 1]]
 
 
 @pytest.mark.parametrize("override, name", [
-    pytest.param({"regularize": "false"}, "regularize", id="regularize"),
     pytest.param({"output_dir": None}, "output_dir", id="output_dir"),
     pytest.param({"system": 5}, "system", id="system"),
     pytest.param({"kernel": {"c": True}}, "kernel c", id="kernel-c"),
@@ -126,8 +125,8 @@ _BOUNDS = [[-1, 1], [-1, 1]]
     pytest.param({"rhs_matrix": [[1, 0], [0, "1"]]}, "rhs_matrix entry", id="rhs-string"),
 ])
 def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, override, name):
-    # bool("false") is True, str(None) is "None", str(5) is "5", float(True)
-    # is 1.0 and float("0.5") is 0.5: each is rejected
+    # str(None) is "None", str(5) is "5", float(True) is 1.0 and
+    # float("0.5") is 0.5: each is rejected
     import conmet.collocation
 
     def no_assembly(*args, **kwargs):
@@ -379,8 +378,10 @@ _CONSUMERS = {
 
 @pytest.fixture
 def assemble_calls(monkeypatch):
-    """A list that grows by one entry per collocation.assemble call."""
+    """A list that grows by one entry per collocation.assemble call, also
+    from the convergence study."""
     import conmet.collocation
+    import conmet.evaluate
 
     calls = []
     original = conmet.collocation.assemble
@@ -390,6 +391,7 @@ def assemble_calls(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(conmet.collocation, "assemble", counted)
+    monkeypatch.setattr(conmet.evaluate, "assemble", counted)
     return calls
 
 
@@ -445,7 +447,7 @@ def _one_digit(cells):
 
 
 @pytest.mark.parametrize("stale", [
-    "grid", "rhs_matrix", "kernel", "regularize", "beta digit", "no solution.json",
+    "grid", "rhs_matrix", "kernel", "beta digit", "no solution.json",
     "beta NaN, digest updated", "node moved, digest updated",
 ])
 def test_stale_inputs_solve_again(tmp_path, capsys, assemble_calls, stale):
@@ -453,7 +455,6 @@ def test_stale_inputs_solve_again(tmp_path, capsys, assemble_calls, stale):
     _write_config(str(cfg), **_COARSE)
     out = tmp_path / "out"
     assert _run("solve", cfg, out) == 0
-    extra = []
     if stale == "grid":
         _write_config(str(cfg), **dict(_COARSE, grid={"bounds": [[-1, 1], [-1, 1]],
                                                       "spacing": 1.0}))
@@ -461,8 +462,6 @@ def test_stale_inputs_solve_again(tmp_path, capsys, assemble_calls, stale):
         _write_config(str(cfg), rhs_matrix=[[2.0, 0.0], [0.0, 1.0]], **_COARSE)
     elif stale == "kernel":
         _write_config(str(cfg), kernel={"c": 0.8}, **_COARSE)
-    elif stale == "regularize":
-        extra = ["--regularize"]
     elif stale == "beta digit":
         _edit_beta(out, _one_digit, update_digest=False)
     elif stale == "no solution.json":
@@ -472,11 +471,11 @@ def test_stale_inputs_solve_again(tmp_path, capsys, assemble_calls, stale):
     else:
         _edit_beta(out, lambda cells: [cells[0], "-0.75"] + cells[2:], update_digest=True)
     capsys.readouterr()
-    assert _run("fields", cfg, out, *extra) == 0
+    assert _run("fields", cfg, out) == 0
     assert len(assemble_calls) == 2
     assert "reused" not in capsys.readouterr().err
     assert json.loads((out / "timing.json").read_text())["beta_source"] == "solved"
-    assert _run("fields", cfg, tmp_path / "fresh", *extra) == 0
+    assert _run("fields", cfg, tmp_path / "fresh") == 0
     assert _artifacts("fields", out) == _artifacts("fields", tmp_path / "fresh")
 
 
@@ -519,4 +518,34 @@ def test_ellipses_bad_level_or_count_exits_2_before_assembly(tmp_path, capsys, a
     assert "--level must be positive and finite and --count at least 1" in \
         capsys.readouterr().err
     assert assemble_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_spacing_anywhere_in_alphas_exits_2_before_assembly(tmp_path, capsys,
+                                                                assemble_calls):
+    # 0.125 alone would assemble and solve; 0.3 does not divide [-1, 1]
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), alphas=[0.3, 0.125])
+    assert cli.main(["convergence", str(cfg)]) == 2
+    assert "spacing 0.3 does not divide the edge" in capsys.readouterr().err
+    assert assemble_calls == []
+
+
+def test_removed_regularize_key_exits_2_before_any_work(tmp_path, capsys, assemble_calls):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), regularize=False)
+    for command in ("solve", "convergence", "fields"):
+        assert cli.main([command, str(cfg)]) == 2
+        assert "unknown config keys: regularize" in capsys.readouterr().err
+    assert assemble_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_regularize_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", str(cfg), "--regularize"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --regularize" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -501,30 +501,21 @@ def test_solve_beta_exactly_symmetric(solved_quarter):
     assert np.array_equal(beta, beta.transpose(0, 2, 1))
 
 
-def test_solve_factorization_error_carries_pivot(linear, kernel):
+def test_solve_factorization_error_carries_pivot(linear, kernel, monkeypatch):
+    # one Cholesky attempt per solve: a spoiled Gram raises and is not retried
     system, _, rhs = linear
     cset, gram = assemble(system, kernel, [[0.0, 0.0], [0.2, 0.1]])
     eps = 1e-10 * np.trace(gram) / len(gram)
     low = np.min(np.linalg.eigvalsh(gram))
     spoiled = gram - (low + 0.5 * eps) * np.eye(len(gram))
+    cholesky = conmet.collocation._cholesky
+    calls = []
+    monkeypatch.setattr(conmet.collocation, "_cholesky",
+                        lambda a: calls.append(len(a)) or cholesky(a))
     with pytest.raises(FactorizationError) as err:
         solve(spoiled, rhs, cset, kernel)
     assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
-
-
-def test_solve_regularization_is_opt_in(linear, kernel):
-    system, _, rhs = linear
-    cset, gram = assemble(system, kernel, [[0.0, 0.0], [0.2, 0.1]])
-    eps = 1e-10 * np.trace(gram) / len(gram)
-    low = np.min(np.linalg.eigvalsh(gram))
-    spoiled = gram - (low + 0.5 * eps) * np.eye(len(gram))
-    solution = solve(spoiled, rhs, cset, kernel, regularize=True)
-    diag = solution.diagnostics
-    assert diag.regularized
-    assert diag.epsilon == pytest.approx(1e-10 * np.trace(spoiled) / len(spoiled))
-    # the healthy path must not silently regularize
-    clean = solve(gram, rhs, cset, kernel, regularize=True)
-    assert not clean.diagnostics.regularized and clean.diagnostics.epsilon is None
+    assert calls == [len(gram)]
 
 
 def _bits(array):
@@ -543,7 +534,7 @@ def test_solve_consumes_gram(linear, kernel):
     # the factor overwrites the lower triangle in place; the strict upper
     # triangle stays as assembled, and the residual read from it and the
     # saved diagonal is the one of the assembled matrix, for either memory
-    # order, on success and on the regularized retry
+    # order
     system, _, rhs = linear
     cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.25)))
     kept = gram.copy(order="F")
@@ -568,38 +559,6 @@ def test_solve_consumes_gram(linear, kernel):
     with pytest.raises(FactorizationError) as err:
         solve(spoiled.copy(order="F"), rhs, cset, kernel)
     assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
-    for order in "FC":
-        solution = solve(np.array(spoiled, order=order), rhs, cset, kernel, regularize=True)
-        assert solution.diagnostics.regularized
-        assert solution.diagnostics.relative_residual == pytest.approx(
-            _recomputed_residual(spoiled, solution, rhs), rel=1e-5, abs=1e-13)
-
-
-def test_regularized_retry_restores_the_lower_triangle(linear, kernel, monkeypatch):
-    # a first factorization that fails after writing into the lower triangle,
-    # as xPOTRF does: the retry must rebuild A from the upper triangle and
-    # give the beta of a fresh A + eps I
-    system, _, rhs = linear
-    cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.25)))
-    eps = 1e-10 * np.sum(gram.diagonal().copy()) / len(gram)
-    shifted = gram.copy(order="F")
-    shifted[np.diag_indices_from(shifted)] += eps
-    expected = solve(shifted, rhs, cset, kernel).beta
-    cholesky = conmet.collocation._cholesky
-    calls = []
-
-    def failing_once(a):
-        calls.append(len(a))
-        if len(calls) == 1:
-            a[np.tril_indices_from(a)] = np.nan
-            raise FactorizationError("not positive definite", pivot=1)
-        return cholesky(a)
-
-    monkeypatch.setattr(conmet.collocation, "_cholesky", failing_once)
-    solution = solve(gram, rhs, cset, kernel, regularize=True)
-    assert len(calls) == 2 and solution.diagnostics.regularized
-    assert solution.diagnostics.epsilon == eps
-    assert _bits(solution.beta) == _bits(expected)
 
 
 def test_solve_permutation_invariance(linear, kernel):
