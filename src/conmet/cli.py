@@ -35,7 +35,7 @@ class NumericalError(Exception):
 
 _DEFAULT_ALPHAS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
 _TOP_KEYS = {"system", "kernel", "rhs_matrix", "grid", "check_grid", "alphas",
-             "output_dir", "probe_spacing"}
+             "output_dir"}
 _GRID_KEYS = {"bounds", "spacing", "offset"}
 _KERNEL_KEYS = {"c"}
 
@@ -51,7 +51,6 @@ class RunConfig:
     check_grid: object          # GridSpec
     alphas: tuple
     output_dir: str
-    probe_spacing: float
 
 
 def _reject_unknown(mapping, allowed, context):
@@ -130,15 +129,12 @@ def load_config(path, output_dir=None):
             alphas=alphas,
             output_dir=str(output_dir if output_dir is not None
                            else raw.get("output_dir", "out")),
-            probe_spacing=_number(raw.get("probe_spacing", 0.05), "probe_spacing"),
         )
     except TypeError as err:
         raise ConfigError(f"config value of the wrong type: {err}") from err
     if not 0.0 < config.kernel_c < math.inf:
         raise ConfigError("kernel shape parameter must be positive and finite, "
                           f"got {config.kernel_c}")
-    if not config.probe_spacing > 0.0:
-        raise ConfigError(f"probe_spacing must be positive, got {config.probe_spacing}")
     return config
 
 
@@ -249,8 +245,9 @@ def cmd_solve(config):
         "regularized": diag.regularized,
         "min_pivot": diag.min_pivot,
         "separation_distance": separation_distance(points) if len(points) > 1 else None,
+        # probes a quarter spacing apart hit the cell centres of a grid with offset 0
         "fill_distance_estimate": fill_distance_estimate(
-            points, config.grid.bounds, config.probe_spacing),
+            points, config.grid.bounds, config.grid.spacing / 4),
         "solve_key": _solve_key(config, rhs),
         "beta_sha256": _file_sha256(beta_path),
     })
@@ -332,7 +329,7 @@ def cmd_fields(config):
     bundle, kernel, rhs = _setup(config)
     solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
     t0 = time.perf_counter()
-    fields = field_export(solution, bundle.system, make_grid(config.check_grid))
+    fields = field_export(solution, make_grid(config.check_grid))
     dim = bundle.system.dim
     coord_names = ["x", "y"] if dim == 2 else [f"x{a}" for a in range(dim)]
     header = coord_names + ["trace_S", "det_S", "trace_FS", "neg_det_FS",

@@ -120,30 +120,22 @@ def separation_distance(points):
     return float(np.min(dist[:, 1]))
 
 
-def _probe_grid(bounds, spacing):
-    axes = []
-    for lo, hi in bounds:
-        count = int(np.floor((hi - lo) / spacing + 1e-9)) + 1
-        vals = lo + spacing * np.arange(count)
-        if hi - vals[-1] > 1e-9 * spacing:
-            vals = np.append(vals, hi)
-        axes.append(vals)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(bounds))
-
-
 def fill_distance_estimate(points, bounds, probe_spacing):
     """Fill distance of the point set over the box, probed on a fine grid.
 
-    The estimate is the largest probe-to-nearest-point distance, a lower
-    bound of the true fill distance that converges as probe_spacing -> 0.
+    The probes form a tensor grid that spans every edge in equal steps of at
+    most probe_spacing.  The estimate is the largest probe-to-nearest-point
+    distance, a lower bound of the true fill distance that converges as
+    probe_spacing -> 0.
     """
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         raise ValueError("fill distance of an empty point set")
     if not probe_spacing > 0.0:
         raise ValueError(f"probe spacing must be positive, got {probe_spacing}")
-    probes = _probe_grid(tuple((float(lo), float(hi)) for lo, hi in bounds), probe_spacing)
+    axes = [np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / probe_spacing - 1e-9))) + 1)
+            for lo, hi in bounds]
+    probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     dist, _ = cKDTree(points).query(probes, k=1)
     return float(np.max(dist))
 
@@ -159,11 +151,6 @@ class CollocationSet:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def n_functionals(self):
-        n = self.system.dim
-        return len(self.points) * (n * (n + 1)) // 2
 
     @property
     def centre(self):
@@ -183,15 +170,10 @@ def _find_duplicates(points):
 
 
 def collocation_data(system, points):
-    """Evaluate f and Df at every point and cache them in a CollocationSet."""
+    """Cache f and Df at the points, one call to each batched callback, in a
+    CollocationSet; a ValueError names any wrong shape (DynamicalSystem.values)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = system.dim
-    if points.shape[1] != n:
-        raise ValueError(f"points have dimension {points.shape[1]}, system has {n}")
-    shape = (len(points), n)
-    f_values = np.array([system.f(x) for x in points], dtype=float).reshape(shape)
-    jacobians = np.array([system.jacobian(x) for x in points], dtype=float).reshape(shape + (n,))
-    return CollocationSet(system, points, f_values, jacobians)
+    return CollocationSet(system, points, *system.values(points))
 
 
 def _check_equilibria(system, points, equilibria):

@@ -11,19 +11,19 @@ The recovered metric and the operator image have the closed forms
 with r_k = |x_k - x|, b_k the coefficient matrices, and H12 the mixed kernel
 Hessian.  The weights of both sums are the pairwise quantities of
 operator.pairwise_scalars with the query points as rows, and f, Df at the
-query points come from collocation_data, so assembly and evaluation share one
-engine and one callback loop.  Evaluation groups the query points into square
-cells whose edge is the kernel's support radius and splits each cell into
-blocks of operator.block_rows(K) points, with K the count of nodes that
+query points come from collocation_data, one batched call each, so assembly
+and evaluation share one engine.  Evaluation groups the query points into
+square cells whose edge is the kernel's support radius and splits each cell
+into blocks of operator.block_rows(K) points, with K the count of nodes that
 operator.near_box keeps for the cell; a block sums only over the nodes kept
 for it, since every other node contributes exactly zero.  operator.run_blocks
 runs the blocks on the worker threads that assembly uses too; each block
 writes its own rows, so the values do not depend on the worker count.
-convergence_study evaluates the finest spacing first, right after its solve,
-so that Gram peaks before any block exists; f, Df, M and L(M) at the check
-points it computes once per study, after that Gram is freed, with one call
-each to the batched ExactMetric.value and .gradient.  Every result is
-exactly symmetric by construction.  Evaluation and classification take
+convergence_study computes f, Df, M and L(M) at the check points once per
+study, before its first assembly, so an exact metric of the wrong shape
+fails before any Gram exists.  It evaluates the finest spacing first, right
+after its solve, so that Gram peaks before any block exists.  Every result
+is exactly symmetric by construction.  Evaluation and classification take
 arrays only: a single point x is the batch x[None].
 """
 
@@ -161,7 +161,7 @@ def definiteness_batch(matrices):
                      default=Definiteness.INDETERMINATE.value)
 
 
-def field_export(solution, system, grid):
+def field_export(solution, grid):
     """Sample S and L(S) with their definiteness scalars on a point list.
 
     Returns a dict of arrays whose entry e belongs to the point x[e]: "x"
@@ -170,7 +170,7 @@ def field_export(solution, system, grid):
     "max_eig_fs".
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    s, fs = _fields_batch(solution, collocation_data(system, grid))
+    s, fs = _fields_batch(solution, collocation_data(solution.collocation.system, grid))
     return {
         "x": grid,
         "s": s,
@@ -191,16 +191,15 @@ class _CheckGrid(CollocationSet):
 
 
 def _check_grid(exact, system, check_points):
-    check_points = np.atleast_2d(np.asarray(check_points, dtype=float))
-    if len(check_points) == 0:
-        raise ValueError("empty check grid")
     q = collocation_data(system, check_points)
+    if len(q) == 0:
+        raise ValueError("empty check grid")
     m = np.asarray(exact.value(q.points), dtype=float)
     fm = apply_operator(m, exact.gradient(q.points), q.f_values, q.jacobians)
     return _CheckGrid(system, q.points, q.f_values, q.jacobians, m, fm)
 
 
-def error_report(solution, exact, system, check_points):
+def error_report(solution, exact, check_points):
     """Max-norm errors of S and L(S) against an exact metric.
 
     Returns (e, e_s): the componentwise maximum of |S - M| and of
@@ -209,7 +208,7 @@ def error_report(solution, exact, system, check_points):
     also be the _CheckGrid that convergence_study computes once per study.
     """
     if not isinstance(check_points, _CheckGrid):
-        check_points = _check_grid(exact, system, check_points)
+        check_points = _check_grid(exact, solution.collocation.system, check_points)
     s_all, fs_all = _fields_batch(solution, check_points)
     return (float(np.max(np.abs(s_all - check_points.m))),
             float(np.max(np.abs(fs_all - check_points.fm))))
@@ -247,7 +246,7 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
         raise ValueError(f"spacings must be strictly decreasing, got {alphas}")
     # every spacing's GridSpec first, so one that does not divide the box fails before any solve
     specs = {alpha: GridSpec(bounds=bounds, spacing=alpha) for alpha in alphas}
-    check = None
+    check = _check_grid(exact, system, make_grid(check_spec))
     errors = {}
     for alpha in reversed(alphas):      # finest first; see the module docstring
         cset, gram = assemble(system, kernel, make_grid(specs[alpha]), equilibria=equilibria)
@@ -256,9 +255,7 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
         except FactorizationError as err:
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
         del gram        # the error evaluation does not need it
-        if check is None:
-            check = _check_grid(exact, system, make_grid(check_spec))
-        errors[alpha] = error_report(solution, exact, system, check)
+        errors[alpha] = error_report(solution, exact, check)
     first = errors[alphas[0]]
     rows = [ConvergenceRow(alphas[0], first[1], None, first[0], None)]
     for coarse, fine in zip(alphas, alphas[1:]):

@@ -1,9 +1,9 @@
 """Autonomous ODE systems x' = f(x) and exact reference metrics.
 
-Systems are supplied as code callbacks (right-hand side plus exact Jacobian);
-the registry maps CLI-visible names to built-in systems together with optional
-reference data (exact metric, default right-hand-side matrix, known
-equilibria).  All callables are expected to be pure and reentrant.
+Systems are supplied as batched code callbacks (right-hand side plus exact
+Jacobian); the registry maps CLI-visible names to built-in systems together
+with optional reference data (exact metric, default right-hand-side matrix,
+known equilibria).  All callables are expected to be pure and reentrant.
 """
 
 from dataclasses import dataclass
@@ -26,11 +26,16 @@ __all__ = [
 
 _EQUILIBRIUM_TOL = 1e-10
 _EIGENVALUE_TOL = 1e-12
+_JACOBIAN_RTOL = 1e-5                 # of the Jacobian against finite differences
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class DynamicalSystem:
-    """Right-hand side f and exact Jacobian of an autonomous ODE on R^dim."""
+    """Right-hand side f and exact Jacobian of an autonomous ODE on R^dim,
+    both batched: f maps an (E, dim) point array to the (E, dim) array of f
+    values, jacobian to the (E, dim, dim) stack of Df.  values() calls each
+    once and is the one check of these shapes."""
 
     dim: int
     f: Callable[[np.ndarray], np.ndarray]
@@ -40,6 +45,20 @@ class DynamicalSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"system dimension must be >= 1, got {self.dim}")
+
+    def values(self, points):
+        """(f, Df) at the points; a ValueError names any shape but (E, dim)."""
+        points = np.asarray(points, dtype=float)
+        n = self.dim
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValueError(f"points have shape {points.shape}, system dimension is {n}")
+        e = len(points)
+        f_values, jacobians = (np.asarray(g(points), dtype=float) for g in (self.f, self.jacobian))
+        if (f_values.shape, jacobians.shape) != ((e, n), (e, n, n)):
+            raise ValueError(f"system {self.label!r} returned f of shape {f_values.shape} and Df "
+                             f"of shape {jacobians.shape} at {e} points, expected {(e, n)} and "
+                             f"{(e, n, n)}: the callbacks take all points at once")
+        return f_values, jacobians
 
 
 @dataclass(frozen=True)
@@ -63,34 +82,24 @@ class EquilibriumCheck:
     stability_sign: str
 
 
-def _fd_jacobian(f, x, step=1e-6):
-    x = np.asarray(x, dtype=float)
-    n = len(np.asarray(f(x), dtype=float))
-    jac = np.empty((n, x.size))
-    for a in range(x.size):
-        e = np.zeros_like(x)
-        e[a] = step
-        jac[:, a] = (np.asarray(f(x + e), float) - np.asarray(f(x - e), float)) / (2 * step)
-    return jac
-
-
-def jacobian_consistency(system, points, rtol=1e-5):
+def jacobian_consistency(system, points):
     """Check the supplied Jacobian against central finite differences of f.
 
-    Returns the worst relative deviation over the given points; raises
-    ValueError if it exceeds rtol.
-    """
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        exact = np.asarray(system.jacobian(x), dtype=float)
-        approx = _fd_jacobian(system.f, x)
-        scale = max(1.0, np.max(np.abs(exact)))
-        worst = max(worst, np.max(np.abs(exact - approx)) / scale)
-    if worst > rtol:
+    Calls each callback on the (E, dim) points and on all their shifts at
+    once.  Returns the worst relative deviation; raises ValueError if it
+    exceeds 1e-5 or a callback result has the wrong shape."""
+    points = np.asarray(points, dtype=float)
+    n = system.dim
+    exact = system.values(points)[1]
+    shifted = points[:, None] + _FD_STEP * np.concatenate([np.eye(n), -np.eye(n)])
+    f_shifted = system.values(shifted.reshape(-1, n))[0].reshape(-1, 2, n, n)  # [e, sign, a, i]
+    approx = (f_shifted[:, 0] - f_shifted[:, 1]).transpose(0, 2, 1) / (2 * _FD_STEP)
+    scale = np.maximum(1.0, np.max(np.abs(exact), axis=(1, 2)))
+    worst = float(np.max(np.max(np.abs(exact - approx), axis=(1, 2)) / scale, initial=0.0))
+    if worst > _JACOBIAN_RTOL:
         raise ValueError(
             f"Jacobian of {system.label or 'system'} deviates from finite "
-            f"differences of f by {worst:.3e} (> {rtol:.1e})")
+            f"differences of f by {worst:.3e} (> {_JACOBIAN_RTOL:.1e})")
     return worst
 
 
@@ -105,10 +114,10 @@ def check_equilibrium_condition(system, x0, stability_sign="stable"):
     if stability_sign not in ("stable", "unstable"):
         raise ValueError(f"stability_sign must be 'stable' or 'unstable', got {stability_sign!r}")
     x0 = np.asarray(x0, dtype=float)
-    fx = np.asarray(system.f(x0), dtype=float)
+    (fx,), (jac,) = system.values(x0[None])
     if np.linalg.norm(fx) > _EQUILIBRIUM_TOL:
         raise ValueError(f"point {x0.tolist()} is not an equilibrium: |f| = {np.linalg.norm(fx):.3e}")
-    eigs = np.linalg.eigvals(np.asarray(system.jacobian(x0), dtype=float))
+    eigs = np.linalg.eigvals(jac)
     real = eigs.real if stability_sign == "unstable" else -eigs.real     # > 0 when satisfied
     indeterminate = bool(np.min(np.abs(real)) <= _EIGENVALUE_TOL)
     satisfied = not indeterminate and bool(np.all(real > 0.0))
@@ -124,14 +133,8 @@ def linear_example():
     """
     a = np.array([[-1.0, 1.0], [1.0, -2.0]])
     m = np.array([[1.0, 0.5], [0.5, 0.5]])
-
-    def f(x):
-        return a @ np.asarray(x, dtype=float)
-
-    def jacobian(x):
-        return a.copy()
-
-    system = DynamicalSystem(2, f, jacobian, label="linear-example")
+    system = DynamicalSystem(2, lambda x: x @ a.T, lambda x: np.tile(a, (len(x), 1, 1)),
+                             label="linear-example")
     exact = ExactMetric(lambda points: np.tile(m, (len(points), 1, 1)),
                         lambda points: np.zeros((len(points), 2, 2, 2)), label="linear-example")
     return system, exact, np.eye(2)
@@ -154,12 +157,12 @@ def register_system(name, system, exact=None, rhs=None, equilibria=(),
                     sample_box=None):
     """Register a system under a CLI-visible name.
 
-    Registration runs the Jacobian/finite-difference consistency check on a
-    handful of deterministic sample points inside sample_box (default
-    [-1, 1]^dim).  Duplicate names are rejected.  exact, which the
-    convergence study needs, is batched (see ExactMetric): the study calls
-    each of its callables once, on all check points, and any result of
-    another shape fails it with ValueError.
+    system and exact, which the convergence study needs, are batched (see
+    DynamicalSystem and ExactMetric).  Registration checks the Jacobian
+    against finite differences of f at a handful of deterministic sample
+    points inside sample_box (default [-1, 1]^dim), which a callback result
+    of another shape, such as one point's f, fails with ValueError.
+    Duplicate names are rejected.
     """
     if name in _REGISTRY:
         raise ValueError(f"system name {name!r} is already registered")

@@ -140,7 +140,7 @@ def test_criterion_4_oracle_equivalence(linear, kernel, solved_eighth):
 
     def data_at(x):
         x = np.asarray(x, float)
-        return CollocationPointData(x, system.f(x), system.jacobian(x))
+        return CollocationPointData(x, system.f(x[None])[0], system.jacobian(x[None])[0])
 
     # (b) operator on kernel columns vs brute-force application
     for _ in range(10):
@@ -170,8 +170,8 @@ def test_criterion_4_oracle_equivalence(linear, kernel, solved_eighth):
     # (d) orbital part of L(S) vs finite differences of S along f
     t = 1e-6
     for x in rng.uniform(-0.9, 0.9, (20, 2)):
-        jac = system.jacobian(x)
-        fx = system.f(x)
+        jac = system.jacobian(x[None])[0]
+        fx = system.f(x[None])[0]
         s_here = eval_metric_batch(solved_eighth, x[None])[0]
         orbital = (conmet.eval_operator_batch(solved_eighth, x[None])[0]
                    - jac.T @ s_here - s_here @ jac)
@@ -203,7 +203,7 @@ def test_criterion_5_structural_invariants(linear, kernel, solved_quarter):
     # index-pair symmetry of the operator on kernel columns, 1e-13
     for _ in range(100):
         x_k = rng.uniform(-1, 1, 2)
-        data = CollocationPointData(x_k, system.f(x_k), system.jacobian(x_k))
+        data = CollocationPointData(x_k, system.f(x_k[None])[0], system.jacobian(x_k[None])[0])
         x = x_k + rng.uniform(-0.9, 0.9, 2)
         cols = {(mu, nu): representer_column(kernel, data, x, mu, nu)
                 for mu, nu in itertools.product(range(2), range(2))}

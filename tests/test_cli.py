@@ -102,29 +102,31 @@ def test_wrong_value_types_exit_2(tmp_path, capsys, override):
 _BOUNDS = [[-1, 1], [-1, 1]]
 
 
-@pytest.mark.parametrize("override, name", [
-    pytest.param({"output_dir": None}, "output_dir", id="output_dir"),
-    pytest.param({"system": 5}, "system", id="system"),
-    pytest.param({"kernel": {"c": True}}, "kernel c", id="kernel-c"),
-    pytest.param({"alphas": ["0.5"]}, "alphas entry", id="alphas-string"),
-    pytest.param({"alphas": [0.5, None]}, "alphas entry", id="alphas-null"),
-    pytest.param({"probe_spacing": True}, "probe_spacing", id="probe_spacing"),
-    pytest.param({"grid": {"bounds": _BOUNDS, "spacing": "0.5"}}, "grid spacing",
+@pytest.mark.parametrize("override, message", [
+    pytest.param({"output_dir": None}, "output_dir must be", id="output_dir"),
+    pytest.param({"system": 5}, "system must be", id="system"),
+    pytest.param({"kernel": {"c": True}}, "kernel c must be", id="kernel-c"),
+    pytest.param({"alphas": ["0.5"]}, "alphas entry must be", id="alphas-string"),
+    pytest.param({"alphas": [0.5, None]}, "alphas entry must be", id="alphas-null"),
+    pytest.param({"probe_spacing": True}, "unknown config keys: probe_spacing",
+                 id="probe_spacing"),
+    pytest.param({"grid": {"bounds": _BOUNDS, "spacing": "0.5"}}, "grid spacing must be",
                  id="grid-spacing"),
-    pytest.param({"grid": {"bounds": _BOUNDS, "spacing": 0.5, "offset": False}}, "grid offset",
-                 id="grid-offset"),
+    pytest.param({"grid": {"bounds": _BOUNDS, "spacing": 0.5, "offset": False}},
+                 "grid offset must be", id="grid-offset"),
     pytest.param({"grid": {"bounds": [[-1, True], [-1, 1]], "spacing": 0.5}},
-                 "grid bounds entry", id="grid-bounds"),
-    pytest.param({"check_grid": {"bounds": _BOUNDS, "spacing": None}}, "check_grid spacing",
-                 id="check_grid-spacing"),
+                 "grid bounds entry must be", id="grid-bounds"),
+    pytest.param({"check_grid": {"bounds": _BOUNDS, "spacing": None}},
+                 "check_grid spacing must be", id="check_grid-spacing"),
     pytest.param({"check_grid": {"bounds": _BOUNDS, "spacing": 0.5, "offset": "0"}},
-                 "check_grid offset", id="check_grid-offset"),
+                 "check_grid offset must be", id="check_grid-offset"),
     pytest.param({"check_grid": {"bounds": [["-1", 1], [-1, 1]], "spacing": 0.5}},
-                 "check_grid bounds entry", id="check_grid-bounds"),
-    pytest.param({"rhs_matrix": [[True, 0], [0, 1]]}, "rhs_matrix entry", id="rhs-bool"),
-    pytest.param({"rhs_matrix": [[1, 0], [0, "1"]]}, "rhs_matrix entry", id="rhs-string"),
+                 "check_grid bounds entry must be", id="check_grid-bounds"),
+    pytest.param({"rhs_matrix": [[True, 0], [0, 1]]}, "rhs_matrix entry must be", id="rhs-bool"),
+    pytest.param({"rhs_matrix": [[1, 0], [0, "1"]]}, "rhs_matrix entry must be", id="rhs-string"),
 ])
-def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, override, name):
+def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, override,
+                                                 message):
     # str(None) is "None", str(5) is "5", float(True) is 1.0 and
     # float("0.5") is 0.5: each is rejected
     import conmet.collocation
@@ -139,7 +141,7 @@ def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, 
     for command in ("solve", "convergence", "fields"):
         assert cli.main([command, str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {name} must be" in err
+        assert f"config error: {message}" in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
@@ -274,9 +276,10 @@ def test_ellipses_require_anchor(tmp_path, capsys):
     assert "--anchor" in capsys.readouterr().err
 
 
-def test_exact_metric_of_the_wrong_shape_exits_2(tmp_path, capsys, monkeypatch):
+def test_exact_metric_of_the_wrong_shape_exits_2(tmp_path, capsys, monkeypatch,
+                                                assemble_calls):
     # the exact metric is called on the whole check grid; one (n, n) matrix
-    # for all points fails apply_operator's shape check
+    # for all points fails apply_operator's shape check before any assembly
     from conmet import ExactMetric, linear_example, register_system, systems
 
     monkeypatch.setattr(systems, "_REGISTRY", dict(systems._REGISTRY))
@@ -289,6 +292,26 @@ def test_exact_metric_of_the_wrong_shape_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["convergence", str(cfg)]) == 2
     assert "field data has wrong shape" in capsys.readouterr().err
     assert not (tmp_path / "out" / "convergence.csv").exists()
+    assert assemble_calls == []
+
+
+def test_per_point_system_exits_2(tmp_path, capsys, monkeypatch):
+    # callbacks written for one point: register_system rejects them, so the
+    # bundle goes into the registry directly; the first call on the grid
+    # names the shapes
+    from conmet import systems
+
+    monkeypatch.setattr(systems, "_REGISTRY", dict(systems._REGISTRY))
+    a = np.array([[-1.0, 1.0], [1.0, -2.0]])
+    per_point = systems.DynamicalSystem(
+        2, lambda x: np.array([-x[0] + x[1], x[0] - 2.0 * x[1]]), lambda x: a.copy())
+    systems._REGISTRY["per-point"] = systems.SystemBundle(per_point)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), system="per-point")
+    assert cli.main(["solve", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "expected (9, 2) and (9, 2, 2)" in err
+    assert not (tmp_path / "out" / "beta.csv").exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -148,12 +148,12 @@ def test_collocation_set_enumeration(linear, kernel):
     pts = make_grid(GridSpec(BOUNDS, 1.0))
     cset, _ = assemble(system, kernel, pts)
     indices = functional_indices(cset)
-    assert len(indices) == cset.n_functionals == 9 * 3
+    assert len(indices) == 9 * 3
     expected = [(k, i, j) for k in range(9) for i, j in ((0, 0), (0, 1), (1, 1))]
     assert [(ix.k, ix.i, ix.j) for ix in indices] == expected
     data = point_data(cset, 4)
     assert np.array_equal(data.x, pts[4])
-    assert np.array_equal(data.f, system.f(pts[4]))
+    assert np.array_equal(data.f, system.f(pts[4:5])[0])
 
 
 def test_assemble_single_point_is_spd(linear, kernel):
@@ -352,8 +352,9 @@ def test_assemble_translation_invariant_far_from_origin(kernel):
     # (whose entries are not dyadic, so the products round)
     mat = np.array([[-1.0, 0.3], [0.7, -2.1]])
     shift = np.full(2, 2.0 ** 12)
-    base = DynamicalSystem(2, lambda x: mat @ x, lambda x: mat, label="base")
-    moved = DynamicalSystem(2, lambda x: mat @ (x - shift), lambda x: mat, label="shifted")
+    jac = lambda x: np.tile(mat, (len(x), 1, 1))
+    base = DynamicalSystem(2, lambda x: x @ mat.T, jac, label="base")
+    moved = DynamicalSystem(2, lambda x: (x - shift) @ mat.T, jac, label="shifted")
     pts = make_grid(GridSpec(BOUNDS, 0.125))
     _, near = assemble(base, kernel, pts)
     _, far = assemble(moved, kernel, pts + shift)
@@ -397,7 +398,7 @@ def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
 
 def test_assemble_checks_equilibrium_condition(kernel):
     unstable = DynamicalSystem(2, lambda x: np.asarray(x, float),
-                               lambda x: np.eye(2), label="expanding")
+                               lambda x: np.tile(np.eye(2), (len(x), 1, 1)), label="expanding")
     pts = make_grid(GridSpec(BOUNDS, 0.5))
     with pytest.raises(ValueError, match="eigenvalue condition"):
         assemble(unstable, kernel, pts,
@@ -410,7 +411,7 @@ def _expanding_about(x0):
     """x' = x - x0: one equilibrium at x0, both eigenvalues +1 (unstable)."""
     x0 = np.asarray(x0, dtype=float)
     return DynamicalSystem(2, lambda x: np.asarray(x, float) - x0,
-                           lambda x: np.eye(2), label="expanding")
+                           lambda x: np.tile(np.eye(2), (len(x), 1, 1)), label="expanding")
 
 
 @pytest.mark.parametrize("x0", [[0.25, -0.25], [-1.0, -1.0], [1.0, 1.0], [1.0, 0.3],

@@ -107,7 +107,7 @@ def _all_node_sums(solution, kernel, x):
     """S(x) and L(S)(x) summed over the representers of every node in reach;
     the other terms are exactly 0 (r >= R) and left out."""
     cset = solution.collocation
-    data_x = CollocationPointData(x, cset.system.f(x), cset.system.jacobian(x))
+    data_x = CollocationPointData(x, cset.system.f(x[None])[0], cset.system.jacobian(x[None])[0])
     pairs = triangle_indices(2)
     s, fs = np.zeros((2, 2)), np.zeros((2, 2))
     for k in np.flatnonzero(np.linalg.norm(cset.points - x, axis=1)
@@ -322,15 +322,14 @@ def test_error_report_zero_solution_and_zero_metric(linear, kernel):
     solution = _zero_solution(linear, kernel)
     zero_exact = ExactMetric(lambda x: np.zeros((len(x), 2, 2)),
                              lambda x: np.zeros((len(x), 2, 2, 2)))
-    system, _, _ = linear
     check = make_grid(GridSpec(BOUNDS, 0.5))
-    assert error_report(solution, zero_exact, system, check) == (0.0, 0.0)
+    assert error_report(solution, zero_exact, check) == (0.0, 0.0)
 
 
 def test_error_report_rejects_empty_grid(solved_quarter, linear):
-    system, exact, _ = linear
+    _, exact, _ = linear
     with pytest.raises(ValueError, match="empty"):
-        error_report(solved_quarter, exact, system, np.empty((0, 2)))
+        error_report(solved_quarter, exact, np.empty((0, 2)))
 
 
 def test_convergence_study_two_alphas(linear, kernel):
@@ -362,7 +361,7 @@ def test_convergence_study_rows_equal_error_reports_in_given_order(linear, kerne
     prev = None
     for alpha, row in zip(alphas, report.rows):
         cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
-        e, e_s = error_report(solve(gram, rhs, cset, kernel), exact, system, make_grid(check))
+        e, e_s = error_report(solve(gram, rhs, cset, kernel), exact, make_grid(check))
         assert (row.alpha, row.e, row.e_s) == (alpha, e, e_s)
         assert (row.ratio, row.ratio_s) == ((None, None) if prev is None
                                             else (prev[0] / e, prev[1] / e_s))
@@ -390,16 +389,16 @@ def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeyp
     reports = []
     original = evaluate.error_report
 
-    def recorded(solution, exact, system, check_points):
+    def recorded(solution, exact, check_points):
         reports.append(len(check_points))
-        return original(solution, exact, system, check_points)
+        return original(solution, exact, check_points)
 
     monkeypatch.setattr(evaluate, "error_report", recorded)
     alphas = [0.5, 0.25, 0.125]
     report = convergence_study(counted_system, counted_exact, rhs, kernel, alphas, BOUNDS, check)
     assert reports == [len(check_points)] * len(alphas)
     for name in ("f", "jacobian"):
-        at_check = [tuple(x) for x in calls[name] if tuple(x) in check_points]
+        at_check = [tuple(x) for batch in calls[name] for x in batch if tuple(x) in check_points]
         assert sorted(at_check) == sorted(check_points), name
     for name in ("value", "gradient"):
         assert len(calls[name]) == 1, name
@@ -408,7 +407,7 @@ def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeyp
     for alpha, row in zip(alphas, report.rows):
         cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
         solution = solve(gram, rhs, cset, kernel)
-        assert (row.e, row.e_s) == original(solution, exact, system, make_grid(check))
+        assert (row.e, row.e_s) == original(solution, exact, make_grid(check))
 
 
 def test_convergence_study_failure_at_coarse_spacing_names_it(linear, kernel, monkeypatch):
@@ -454,7 +453,7 @@ def test_convergence_study_requires_decreasing_alphas(linear, kernel):
 def test_field_export_shapes_and_collocation_values(solved_quarter, linear):
     system, _, _ = linear
     pts = solved_quarter.collocation.points
-    fields = field_export(solved_quarter, system, pts)
+    fields = field_export(solved_quarter, pts)
     assert fields["s"].shape == fields["fs"].shape == (len(pts), 2, 2)
     assert np.array_equal(fields["x"], pts)
     for e in range(len(pts)):
@@ -466,7 +465,7 @@ def test_field_export_shapes_and_collocation_values(solved_quarter, linear):
 
 def test_field_export_single_point(solved_quarter, linear):
     system, _, _ = linear
-    fields = field_export(solved_quarter, system, [[0.1, -0.2]])
+    fields = field_export(solved_quarter, [[0.1, -0.2]])
     assert len(fields["x"]) == 1
     assert fields["s"][0].shape == (2, 2)
 
@@ -475,7 +474,7 @@ def test_field_export_scalars_match_pointwise(solved_quarter, linear):
     # the batched trace, det and eigenvalue columns agree with per-point calls
     system, _, _ = linear
     rng = np.random.default_rng(57)
-    fields = field_export(solved_quarter, system, rng.uniform(-1.2, 1.2, (200, 2)))
+    fields = field_export(solved_quarter, rng.uniform(-1.2, 1.2, (200, 2)))
     for e in range(200):
         s_e, fs_e = fields["s"][e], fields["fs"][e]
         assert fields["trace_s"][e] == np.trace(s_e)
@@ -493,7 +492,7 @@ def test_field_export_contraction_region(solved_eighth, linear):
     # operator image negative definite across the whole check region
     system, _, _ = linear
     check = make_grid(GridSpec(BOUNDS, 1.0 / 16.0, offset=1.0 / 32.0))
-    fields = field_export(solved_eighth, system, check)
+    fields = field_export(solved_eighth, check)
     assert np.all(fields["trace_s"] > 0.0) and np.all(fields["det_s"] > 0.0)
     assert np.all(fields["trace_fs"] < 0.0) and np.all(fields["neg_det_fs"] < 0.0)
     assert np.all(fields["min_eig_s"] > 0.0) and np.all(fields["max_eig_fs"] < 0.0)
@@ -553,7 +552,8 @@ def test_ellipse_overflowing_samples_raise(level, s_x):
 
 def test_three_dimensional_recovery():
     a = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -1.5]])
-    system = DynamicalSystem(3, lambda x: a @ x, lambda x: a.copy(), label="3d")
+    system = DynamicalSystem(3, lambda x: x @ a.T, lambda x: np.tile(a, (len(x), 1, 1)),
+                             label="3d")
     kernel = wendland_c8(0.9)
     axis = (-0.5, 0.0, 0.5)
     pts = np.array([(x, y, z) for x in axis for y in axis for z in axis])

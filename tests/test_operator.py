@@ -32,8 +32,8 @@ FD_STEP = 1e-6
 
 def _point_data(system, x):
     x = np.asarray(x, dtype=float)
-    return CollocationPointData(x, np.asarray(system.f(x), float),
-                                np.asarray(system.jacobian(x), float))
+    return CollocationPointData(x, np.asarray(system.f(x[None])[0], float),
+                                np.asarray(system.jacobian(x[None])[0], float))
 
 
 def _raw_operator(jac, value, orbital):
@@ -56,8 +56,8 @@ def _fd_gradient(field, x, h=FD_STEP):
 def _fd_apply(system, field, x):
     """Operator applied to a matrix field with finite-difference gradients."""
     x = np.asarray(x, dtype=float)
-    jac = np.asarray(system.jacobian(x), float)
-    fx = np.asarray(system.f(x), float)
+    jac = np.asarray(system.jacobian(x[None])[0], float)
+    fx = np.asarray(system.f(x[None])[0], float)
     return _raw_operator(jac, np.asarray(field(x), float), _fd_gradient(field, x) @ fx)
 
 
@@ -65,8 +65,7 @@ def _apply_at(system, value, gradients, x):
     """apply_operator on a stack of one point."""
     x = np.asarray(x, dtype=float)
     return apply_operator(np.asarray(value)[None], np.asarray(gradients)[None],
-                          np.asarray(system.f(x))[None],
-                          np.asarray(system.jacobian(x))[None])[0]
+                          system.f(x[None]), system.jacobian(x[None]))[0]
 
 
 # -- apply_operator -----------------------------------------------------------
@@ -98,8 +97,8 @@ def test_apply_operator_scalar_profile_field():
 
     for _ in range(10):
         x = rng.uniform(-1, 1, 2)
-        jac = system.jacobian(x)
-        fx = system.f(x)
+        jac = system.jacobian(x[None])[0]
+        fx = system.f(x[None])[0]
         gradients = np.einsum("ij,d->ijd", np.eye(2), grad_g(x))
         out = _apply_at(system, g(x) * np.eye(2), gradients, x)
         expected = g(x) * (jac.T + jac) + (grad_g(x) @ fx) * np.eye(2)
@@ -146,8 +145,7 @@ def test_apply_operator_stack_matches_pointwise_formula():
     values = values + values.transpose(0, 2, 1)
     grads = rng.random((7, 2, 2, 2))
     grads = grads + grads.transpose(0, 2, 1, 3)
-    f_values = np.array([system.f(x) for x in pts])
-    jacobians = np.array([system.jacobian(x) for x in pts])
+    f_values, jacobians = system.f(pts), system.jacobian(pts)
     out = apply_operator(values, grads, f_values, jacobians)
     for e in range(7):
         expected = _raw_operator(jacobians[e], values[e], grads[e] @ f_values[e])
@@ -361,7 +359,7 @@ def test_gram_entry_coincident_points_uses_origin_limits():
 def test_representer_machinery_generalizes_to_3d():
     rng = np.random.default_rng(18)
     a = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -1.5]])
-    system = conmet.DynamicalSystem(3, lambda x: a @ x, lambda x: a.copy())
+    system = conmet.DynamicalSystem(3, lambda x: x @ a.T, lambda x: np.tile(a, (len(x), 1, 1)))
     kern = wendland_c8(0.9)
     data = _point_data(system, rng.uniform(-0.5, 0.5, 3))
     x = data.x + rng.uniform(-0.5, 0.5, 3)

@@ -32,15 +32,15 @@ def test_linear_example_rhs_and_metric():
 
 def test_linear_example_field_values():
     system, _, _ = linear_example()
-    assert np.array_equal(system.f(np.zeros(2)), np.zeros(2))
-    assert np.array_equal(system.f(np.array([1.0, 1.0])), np.array([0.0, -1.0]))
-    assert np.array_equal(system.jacobian(np.zeros(2)), [[-1.0, 1.0], [1.0, -2.0]])
+    assert np.array_equal(system.f(np.zeros(2)[None])[0], np.zeros(2))
+    assert np.array_equal(system.f(np.array([1.0, 1.0])[None])[0], np.array([0.0, -1.0]))
+    assert np.array_equal(system.jacobian(np.zeros(2)[None])[0], [[-1.0, 1.0], [1.0, -2.0]])
 
 
 def test_linear_example_lyapunov_identity():
     # Df^T M + M Df = -I for the stated constant metric (direct product)
     system, exact, _ = linear_example()
-    jac = system.jacobian(np.zeros(2))
+    jac = system.jacobian(np.zeros(2)[None])[0]
     m = exact.value(np.zeros((1, 2)))[0]
     assert np.allclose(jac.T @ m + m @ jac, -np.eye(2), rtol=0, atol=1e-15)
 
@@ -51,7 +51,7 @@ def test_linear_example_operator_identity_random_points():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, (50, 2))
     images = apply_operator(exact.value(pts), exact.gradient(pts),
-                            [system.f(x) for x in pts], [system.jacobian(x) for x in pts])
+                            system.f(pts), system.jacobian(pts))
     for image in images:
         assert np.allclose(image, -rhs, rtol=0, atol=1e-14)
 
@@ -65,8 +65,8 @@ def test_jacobian_consistency_builtin():
 def test_jacobian_consistency_rejects_wrong_jacobian():
     wrong = DynamicalSystem(
         2,
-        f=lambda x: np.array([np.sin(x[0]), x[0] * x[1]]),
-        jacobian=lambda x: np.eye(2),
+        f=lambda x: np.column_stack([np.sin(x[:, 0]), x[:, 0] * x[:, 1]]),
+        jacobian=lambda x: np.tile(np.eye(2), (len(x), 1, 1)),
         label="broken",
     )
     with pytest.raises(ValueError, match="deviates"):
@@ -86,8 +86,8 @@ def _constant_system(matrix):
     matrix = np.asarray(matrix, dtype=float)
     return DynamicalSystem(
         len(matrix),
-        f=lambda x, a=matrix: a @ x,
-        jacobian=lambda x, a=matrix: a.copy(),
+        f=lambda x, a=matrix: x @ a.T,
+        jacobian=lambda x, a=matrix: np.tile(a, (len(x), 1, 1)),
     )
 
 
@@ -142,12 +142,55 @@ def test_registry_rejects_duplicates_and_bad_jacobians():
         register_system("linear-example", system)
     wrong = DynamicalSystem(
         2,
-        f=lambda x: np.array([np.sin(x[0]), x[1] ** 2]),
-        jacobian=lambda x: np.zeros((2, 2)),
+        f=lambda x: np.column_stack([np.sin(x[:, 0]), x[:, 1] ** 2]),
+        jacobian=lambda x: np.zeros((len(x), 2, 2)),
     )
     with pytest.raises(ValueError, match="deviates"):
         register_system("broken-system", wrong)
     assert "broken-system" not in registered_systems()
+
+
+def _per_point_linear_example():
+    """The built-in system with callbacks written for one point x of shape
+    (2,); on a batch they index its first two rows."""
+    a = np.array([[-1.0, 1.0], [1.0, -2.0]])
+    return DynamicalSystem(2, f=lambda x: np.array([-x[0] + x[1], x[0] - 2.0 * x[1]]),
+                           jacobian=lambda x: a.copy(), label="per-point")
+
+
+def test_per_point_callbacks_are_rejected_with_their_shapes():
+    per_point = _per_point_linear_example()
+    with pytest.raises(ValueError, match=r"f of shape \(2, 2\) and Df of shape \(2, 2\) "
+                                         r"at 5 points, expected \(5, 2\) and \(5, 2, 2\)"):
+        register_system("per-point", per_point)
+    assert "per-point" not in registered_systems()
+    with pytest.raises(ValueError, match=r"expected \(3, 2\) and \(3, 2, 2\)"):
+        conmet.collocation_data(per_point, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"points have shape \(3, 3\), system dimension is 2"):
+        conmet.collocation_data(linear_example()[0], np.zeros((3, 3)))
+
+
+def test_callbacks_are_called_once_per_point_set():
+    system, _, _ = linear_example()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(points):
+            calls.append((name, points.shape))
+            return fn(points)
+        return wrapper
+
+    counted_system = DynamicalSystem(2, counted("f", system.f),
+                                     counted("jacobian", system.jacobian))
+    conmet.collocation_data(counted_system, np.zeros((7, 2)))
+    assert calls == [("f", (7, 2)), ("jacobian", (7, 2))]
+    calls.clear()
+    # the points, then their 2 * dim shifted copies
+    jacobian_consistency(counted_system, np.zeros((5, 2)))
+    assert calls == [("f", (5, 2)), ("jacobian", (5, 2)), ("f", (20, 2)), ("jacobian", (20, 2))]
+    calls.clear()
+    check_equilibrium_condition(counted_system, np.zeros(2))
+    assert calls == [("f", (1, 2)), ("jacobian", (1, 2))]
 
 
 def test_register_and_lookup_roundtrip():
@@ -156,7 +199,7 @@ def test_register_and_lookup_roundtrip():
     if name not in registered_systems():
         register_system(name, _constant_system(a), equilibria=((np.zeros(2), "stable"),))
     bundle = get_system(name)
-    assert np.array_equal(bundle.system.jacobian(np.zeros(2)), a)
+    assert np.array_equal(bundle.system.jacobian(np.zeros(2)[None])[0], a)
     assert bundle.exact is None and bundle.rhs is None
 
 
