@@ -140,28 +140,26 @@ def load_config(path, output_dir=None):
 
 def _setup(config):
     """Resolve the system bundle, kernel and right-hand side, and create the
-    output directory, so that a bad path fails before any work."""
+    output directory, so that a bad path or C fails before any work."""
     import numpy as np
 
+    from .collocation import check_rhs
     from .kernels import wendland_c8
     from .systems import get_system
 
     bundle = get_system(config.system)        # ValueError: exit 2
     kernel = wendland_c8(config.kernel_c)
     if config.rhs_matrix is not None:
-        rhs = np.asarray(config.rhs_matrix, dtype=float)
+        rhs = config.rhs_matrix
     elif bundle.rhs is not None:
         rhs = bundle.rhs
     else:
         rhs = np.eye(bundle.system.dim)
-    if rhs.shape != (bundle.system.dim,) * 2:
-        raise ConfigError(f"rhs_matrix has shape {rhs.shape}, system dimension "
-                          f"is {bundle.system.dim}")
     try:
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot use output directory {config.output_dir}: {err}") from err
-    return bundle, kernel, rhs
+    return bundle, kernel, check_rhs(rhs, bundle.system.dim)      # ValueError: exit 2
 
 
 def _float_lines(table):
@@ -359,7 +357,7 @@ def cmd_ellipses(config, anchors, level, count):
     """Sample metric ellipses of the solve around anchor points; write ellipses.csv."""
     import numpy as np
 
-    from .evaluate import Definiteness, definiteness_batch, ellipse_points, eval_metric_batch
+    from .evaluate import ellipse_points, eval_metric_batch
 
     if not (0.0 < level < math.inf and count >= 1):     # before any solve
         raise ConfigError("--level must be positive and finite and --count at least 1, "
@@ -371,7 +369,7 @@ def cmd_ellipses(config, anchors, level, count):
 
     t0 = time.perf_counter()
     metrics = eval_metric_batch(solution, np.array(anchors, dtype=float))
-    positive = definiteness_batch(metrics) == Definiteness.POSITIVE_DEFINITE.value
+    positive = np.linalg.eigvalsh(metrics)[:, 0] > 0.0       # the test of ellipse_points
     failed = int(np.count_nonzero(~positive))
     rows = []
     report = []

@@ -11,8 +11,8 @@ Gram plus one chunk per worker.  A block is zero when its two points lie at
 least the kernel's support radius apart, so each chunk stops at the last
 block column that operator.near_box keeps for the chunk rows' bounding box;
 the zero blocks past it are never computed.  Before it allocates the Gram,
-assembly checks that much against the memory the system reports as
-available and raises MemoryError if it does not fit.
+assembly checks every equilibrium it is given, and that much memory against
+what the system reports as available, raising MemoryError if it does not fit.
 The solve consumes the Gram, as LAPACK's xPOTRF consumes its input: the
 Cholesky factor overwrites the lower triangle, and the residual is read
 from the untouched upper one and the saved diagonal.  The Gram of a
@@ -21,14 +21,13 @@ means near-degenerate node geometry; it raises FactorizationError and is
 not retried.
 """
 
-import logging
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .operator import (block_rows, block_workers, coordinate_matrices, near_box,
                        pairwise_scalars, run_blocks, triangle_indices)
@@ -47,8 +46,6 @@ __all__ = [
     "SolveDiagnostics",
     "FactorizationError",
 ]
-
-logger = logging.getLogger(__name__)
 
 _DIVISIBILITY_TOL = 1e-12
 _TILE = 128                                   # edge of the square tiles of a triangle copy
@@ -176,27 +173,6 @@ def collocation_data(system, points):
     return CollocationSet(system, points, *system.values(points))
 
 
-def _check_equilibria(system, points, equilibria):
-    if not equilibria or len(points) <= points.shape[1]:
-        return
-    try:
-        facets = ConvexHull(points).equations        # rows (normal, offset)
-    except QhullError:
-        logger.warning("could not form the convex hull of the collocation points; "
-                       "skipping equilibrium condition check")
-        return
-    # inside, on a facet to within rounding at the coordinates' scale
-    tol = 100.0 * np.finfo(float).eps * np.max(np.abs(points))
-    for x0, sign in equilibria:
-        if np.any(facets[:, :-1] @ np.asarray(x0, dtype=float) + facets[:, -1] > tol):
-            continue
-        result = check_equilibrium_condition(system, x0, sign)
-        if not result.satisfied:
-            raise ValueError(
-                f"equilibrium {np.asarray(x0).tolist()} inside the collocation hull "
-                f"fails the {sign} eigenvalue condition: {result.eigenvalues}")
-
-
 def assemble(system, kernel, points, equilibria=()):
     """Build the collocation set and the dense symmetric Gram matrix.
 
@@ -204,17 +180,21 @@ def assemble(system, kernel, points, equilibria=()):
     lexicographic order, so the matrix is laid out in m x m blocks per point
     pair with m = dim (dim + 1) / 2.  The Gram is Fortran-ordered and
     exactly symmetric.  Raises ValueError for duplicate points (naming the
-    offending pair) and when a supplied equilibrium inside the convex hull of
-    the points violates its eigenvalue condition, and MemoryError, before
-    allocating anything large, when the Gram plus one assembly chunk per
-    worker exceeds the memory the system reports as available.
+    offending pair) and when a supplied equilibrium, wherever it lies, fails
+    check_equilibrium_condition, and MemoryError, before allocating anything
+    large, when the Gram plus one assembly chunk per worker exceeds the
+    memory the system reports as available.
     """
     cset = collocation_data(system, points)
     dup = _find_duplicates(cset.points)
     if dup is not None:
         raise ValueError(f"collocation points {dup[0]} and {dup[1]} coincide: "
                          f"{cset.points[dup[0]].tolist()}")
-    _check_equilibria(system, cset.points, equilibria)
+    for x0, sign in equilibria:
+        result = check_equilibrium_condition(system, x0, sign)
+        if not result.satisfied:
+            raise ValueError(f"equilibrium {np.asarray(x0).tolist()} fails the {sign} "
+                             f"eigenvalue condition: {result.eigenvalues}")
 
     row_ops, col, scale = coordinate_matrices(cset.jacobians)
     col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]
@@ -367,6 +347,21 @@ class RecoverySolution:
     diagnostics: SolveDiagnostics
 
 
+def check_rhs(rhs, n):
+    """C as an (n, n) float array; a ValueError unless it is finite,
+    symmetric and positive definite."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (n, n):
+        raise ValueError(f"right-hand-side matrix has shape {rhs.shape}, expected {(n, n)}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand-side matrix must be finite")
+    if np.max(np.abs(rhs - rhs.T)) > _DIVISIBILITY_TOL * max(1.0, np.max(np.abs(rhs))):
+        raise ValueError("right-hand-side matrix must be symmetric")
+    if np.min(np.linalg.eigvalsh(rhs)) <= 0.0:
+        raise ValueError("right-hand-side matrix must be positive definite")
+    return rhs
+
+
 def solve(gram, rhs, cset, kernel):
     """Solve the collocation system for the right-hand-side matrix C.
 
@@ -379,21 +374,12 @@ def solve(gram, rhs, cset, kernel):
     place and holds the Cholesky factor in its lower half afterwards, also
     after a FactorizationError, so a Gram is good for one solve.  The
     reported relative_residual is ||A gamma - b|| / ||b||, read from the
-    untouched strict upper triangle and the saved diagonal.  A non-finite C
-    is a ValueError, and a solution that overflows to non-finite values a
+    untouched strict upper triangle and the saved diagonal.  C goes through
+    check_rhs, and a solution that overflows to non-finite values is a
     FloatingPointError.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    n = cset.system.dim
-    if rhs.shape != (n, n):
-        raise ValueError(f"right-hand-side matrix has shape {rhs.shape}, expected {(n, n)}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("right-hand-side matrix must be finite")
-    if np.max(np.abs(rhs - rhs.T)) > _DIVISIBILITY_TOL * max(1.0, np.max(np.abs(rhs))):
-        raise ValueError("right-hand-side matrix must be symmetric")
-    if np.min(np.linalg.eigvalsh(rhs)) <= 0.0:
-        raise ValueError("right-hand-side matrix must be positive definite")
-
+    rhs = check_rhs(rhs, cset.system.dim)
+    n = len(rhs)
     i, j = np.transpose(triangle_indices(n))
     dim = len(cset) * len(i)
     if gram.shape != (dim, dim):

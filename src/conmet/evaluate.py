@@ -19,12 +19,12 @@ operator.near_box keeps for the cell; a block sums only over the nodes kept
 for it, since every other node contributes exactly zero.  operator.run_blocks
 runs the blocks on the worker threads that assembly uses too; each block
 writes its own rows, so the values do not depend on the worker count.
-convergence_study computes f, Df, M and L(M) at the check points once per
-study, before its first assembly, so an exact metric of the wrong shape
-fails before any Gram exists.  It evaluates the finest spacing first, right
-after its solve, so that Gram peaks before any block exists.  Every result
-is exactly symmetric by construction.  Evaluation and classification take
-arrays only: a single point x is the batch x[None].
+convergence_study checks C and computes f, Df, M and L(M) at the check
+points once, before its first assembly, so a bad C or an exact metric of the
+wrong shape fails before any Gram exists.  It evaluates the finest spacing
+first, right after its solve, so that Gram peaks before any block exists.
+Every result is exactly symmetric by construction.  Evaluation and
+classification take arrays only: a single point x is the batch x[None].
 """
 
 import enum
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .collocation import (CollocationSet, FactorizationError, GridSpec, assemble,
-                          collocation_data, make_grid, solve)
+                          check_rhs, collocation_data, make_grid, solve)
 from .operator import (apply_operator, block_rows, near_box, operator_image,
                        pairwise_scalars, run_blocks)
 
@@ -246,6 +246,7 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
         raise ValueError(f"spacings must be strictly decreasing, got {alphas}")
     # every spacing's GridSpec first, so one that does not divide the box fails before any solve
     specs = {alpha: GridSpec(bounds=bounds, spacing=alpha) for alpha in alphas}
+    rhs = check_rhs(rhs, system.dim)
     check = _check_grid(exact, system, make_grid(check_spec))
     errors = {}
     for alpha in reversed(alphas):      # finest first; see the module docstring

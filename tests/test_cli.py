@@ -226,6 +226,33 @@ def test_ellipses_good_and_flagged_anchors(tmp_path, capsys):
     assert summary["anchors"][0]["ok"] and not summary["anchors"][1]["ok"]
 
 
+def test_ellipses_flag_anchors_by_the_eigenvalue_test_of_the_sampling(tmp_path, capsys,
+                                                                      monkeypatch):
+    # S = [[a, a], [a, a]] is singular, but its LU determinant can round to
+    # a tiny positive value; the anchor is flagged, not sampled
+    import conmet.evaluate
+
+    a = 5.940812679889744
+    original = conmet.evaluate.eval_metric_batch
+
+    def stubbed(solution, points):
+        metrics = original(solution, points)
+        metrics[1] = a
+        return metrics
+
+    monkeypatch.setattr(conmet.evaluate, "eval_metric_batch", stubbed)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25})
+    assert cli.main(["ellipses", str(cfg), "--anchor", "0,0", "--anchor", "0.3,-0.2",
+                     "--count", "4"]) == 0
+    _, rows = _read_csv(tmp_path / "out" / "ellipses.csv")
+    assert len(rows) == 4 and all(r[0] == "0" for r in rows)
+    summary = json.loads((tmp_path / "out" / "ellipses_summary.json").read_text())
+    assert summary["n_failed"] == 1
+    assert summary["anchors"][1] == {"id": 1, "anchor": [0.3, -0.2], "ok": False,
+                                     "reason": "metric not positive definite here"}
+
+
 def test_ellipses_all_anchors_failing_exits_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25})
@@ -513,6 +540,32 @@ def test_non_finite_rhs_or_solution_writes_nothing(tmp_path, capsys, rhs, code, 
         assert cli.main([command, str(cfg)]) == code
         assert message in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["config", "bundle"])
+@pytest.mark.parametrize("rhs, message", [
+    ([[1.0, 0.0], [0.0, -1.0]], "must be positive definite"),
+    ([[1.0, 0.5], [0.0, 1.0]], "must be symmetric"),
+    ([[float("nan"), 0.0], [0.0, 1.0]], "must be finite"),     # json reads NaN
+], ids=["indefinite", "asymmetric", "nan"])
+def test_bad_rhs_exits_2_before_assembly(tmp_path, capsys, monkeypatch, assemble_calls,
+                                         rhs, message, source):
+    # from the config or as the registered system's own C
+    cfg = tmp_path / "cfg.json"
+    if source == "config":
+        _write_config(str(cfg), rhs_matrix=rhs, alphas=[0.5, 0.25])
+    else:
+        from conmet import linear_example, register_system, systems
+
+        monkeypatch.setattr(systems, "_REGISTRY", dict(systems._REGISTRY))
+        system, exact, _ = linear_example()
+        register_system("bad-rhs", system, exact=exact, rhs=rhs)
+        _write_config(str(cfg), system="bad-rhs", alphas=[0.5, 0.25])
+    for command in ("solve", "convergence", "fields"):
+        assert cli.main([command, str(cfg)]) == 2
+        assert f"config error: right-hand-side matrix {message}" in capsys.readouterr().err
+    assert assemble_calls == []
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])

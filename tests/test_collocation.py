@@ -414,30 +414,29 @@ def _expanding_about(x0):
                            lambda x: np.tile(np.eye(2), (len(x), 1, 1)), label="expanding")
 
 
-@pytest.mark.parametrize("x0", [[0.25, -0.25], [-1.0, -1.0], [1.0, 1.0], [1.0, 0.3],
-                                [-0.5, -1.0]],
-                         ids=["interior", "corner", "far-corner", "edge", "edge-node"])
-def test_equilibrium_in_hull_is_checked(kernel, x0):
-    # interior points, corners and edges of the grid's hull are inside
-    pts = make_grid(GridSpec(BOUNDS, 0.5))
-    with pytest.raises(ValueError, match="eigenvalue condition"):
+_FLAT = np.array([[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])   # no 2-D hull
+
+
+@pytest.mark.parametrize("x0, pts", [
+    pytest.param([0.25, -0.25], None, id="interior"),
+    pytest.param([-1.0, -1.0], None, id="corner"),
+    pytest.param([1.0, 1.0], None, id="far-corner"),
+    pytest.param([1.0, 0.3], None, id="edge"),
+    pytest.param([-0.5, -1.0], None, id="edge-node"),
+    *(pytest.param(x0, None, id=f"outside-{gap:g}-{side}") for gap in (1e-9, 1e-13)
+      for side, x0 in (("right", [1.0 + gap, 0.2]), ("below", [-0.3, -1.0 - gap]),
+                       ("diagonal", [1.0 + gap, 1.0 + gap]))),
+    pytest.param([5.0, 5.0], None, id="far-outside"),
+    pytest.param([0.0, 0.0], _FLAT, id="flat"),
+])
+def test_every_declared_equilibrium_is_checked(kernel, x0, pts):
+    # the condition depends on the system and x0 alone: inside the grid's
+    # hull, on it, outside it, and for a point set without a hull
+    if pts is None:
+        pts = make_grid(GridSpec(BOUNDS, 0.5))
+    with pytest.raises(ValueError, match="fails the stable eigenvalue condition"):
         assemble(_expanding_about(x0), kernel, pts, equilibria=((x0, "stable"),))
     assemble(_expanding_about(x0), kernel, pts, equilibria=((x0, "unstable"),))
-
-
-@pytest.mark.parametrize("gap", [1e-9, 1e-13])
-def test_equilibrium_outside_hull_is_skipped(kernel, gap):
-    pts = make_grid(GridSpec(BOUNDS, 0.5))
-    for x0 in ([1.0 + gap, 0.2], [-0.3, -1.0 - gap], [1.0 + gap, 1.0 + gap]):
-        assemble(_expanding_about(x0), kernel, pts, equilibria=((x0, "stable"),))
-
-
-def test_flat_point_set_skips_equilibrium_check(kernel, caplog):
-    pts = np.array([[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-    with caplog.at_level("WARNING", logger="conmet.collocation"):
-        assemble(_expanding_about([0.0, 0.0]), kernel, pts,
-                 equilibria=((np.zeros(2), "stable"),))
-    assert "skipping equilibrium condition check" in caplog.text
 
 
 # -- solve ---------------------------------------------------------------------

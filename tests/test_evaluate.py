@@ -428,6 +428,18 @@ def test_convergence_study_failure_at_coarse_spacing_names_it(linear, kernel, mo
     assert reached == [81, 25]
 
 
+def test_convergence_study_checks_rhs_before_any_assembly(linear, kernel, monkeypatch):
+    system, exact, _ = linear
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled despite a bad right-hand side")
+
+    monkeypatch.setattr(evaluate, "assemble", no_assembly)
+    check = GridSpec(BOUNDS, 0.25, offset=0.125)
+    with pytest.raises(ValueError, match="right-hand-side matrix must be positive definite"):
+        convergence_study(system, exact, -np.eye(2), kernel, [0.5, 0.25], BOUNDS, check)
+
+
 def test_eval_workers_capped_by_cpus_and_blocks(monkeypatch):
     # counted, not started: the helper only decides how many threads to use
     cpus = len(os.sched_getaffinity(0))
