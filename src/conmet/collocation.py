@@ -7,8 +7,8 @@ chunks of operator.block_rows(N) block rows that operator.run_blocks spreads
 over the worker threads.  Each chunk copies the lower blocks it has just
 computed onto its own block rows of the upper half while they are still in
 cache, so the returned matrix is exactly symmetric and assembly needs the
-Gram plus one chunk per worker.  A block is zero when its two points lie at
-least the kernel's support radius apart, so each chunk stops at the last
+Gram plus one workspace per worker.  A block is zero when its two points lie
+at least the kernel's support radius apart, so each chunk stops at the last
 block column that operator.near_box keeps for the chunk rows' bounding box;
 the zero blocks past it are never computed.  Before it allocates the Gram,
 assembly checks every equilibrium it is given, and that much memory against
@@ -29,8 +29,8 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from .operator import (block_rows, block_workers, coordinate_matrices, near_box,
-                       pairwise_scalars, run_blocks, triangle_indices)
+from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
+                       pairwise_scalars, run_blocks, triangle_indices, workspace_shape)
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -182,7 +182,7 @@ def assemble(system, kernel, points, equilibria=()):
     exactly symmetric.  Raises ValueError for duplicate points (naming the
     offending pair) and when a supplied equilibrium, wherever it lies, fails
     check_equilibrium_condition, and MemoryError, before allocating anything
-    large, when the Gram plus one assembly chunk per worker exceeds the
+    large, when the Gram plus one assembly workspace per worker exceeds the
     memory the system reports as available.
     """
     cset = collocation_data(system, points)
@@ -202,9 +202,8 @@ def assemble(system, kernel, points, equilibria=()):
     dim = big_n * m
     chunk = block_rows(big_n)
     chunks = [(l0, min(big_n, l0 + chunk)) for l0 in range(0, big_n, chunk)]
-    # Alive per worker: one chunk's four (rows, N) pairwise arrays, m x m
-    # such arrays of value and one temporary; pairwise_scalars peaks below ten.
-    _check_memory(dim, block_workers(len(chunks)) * max(m * m + 5, 10) * 8 * chunk * big_n)
+    slots = max(m * m + 5, PAIRWISE_SLOTS)    # 4 pairwise arrays, m^2 of value, 1 product
+    _check_memory(dim, 8 * np.prod(workspace_shape(len(chunks), slots, big_n)))
 
     # Block row l, block column k:
     #   B_lk = R_l (psi C_k + theta D) + g2 C_k + h D
@@ -215,7 +214,7 @@ def assemble(system, kernel, points, equilibria=()):
     gram = np.zeros((dim, dim), order="F")
     gram_rows = gram.T.reshape(big_n, m, dim)                # a view: writes fill the Gram
 
-    def assemble_chunk(bounds):
+    def assemble_chunk(bounds, work):
         l0, l1 = bounds
         # Block columns from k1 on lie outside the support of every chunk
         # row, so their blocks keep the zeros of np.zeros.
@@ -230,24 +229,25 @@ def assemble(system, kernel, points, equilibria=()):
         # reproduced bit for bit.
         psi, g2, theta, h = (a.T for a in pairwise_scalars(
             kernel, cset.centre, cset.points[l0:k1], cset.f_values[l0:k1],
-            rows, cset.f_values[l0:l1]))
+            rows, cset.f_values[l0:l1], work))
         cols = col_t[:, l0:k1]
         shape = (l1 - l0, m, (k1 - l0) * m)
-        value = np.empty((l1 - l0, m, k1 - l0, m))            # C order: reshapes are views
+        value = work[4:].reshape(-1)[:m * m * psi.size].reshape(l1 - l0, m, k1 - l0, m)
+        product = work[-1, :psi.size].reshape(theta.T.shape).T   # theta's layout, past value
         np.multiply(psi[:, None, :, None], cols[None], out=value)
         for a in range(m):
-            value[:, a, :, a] += theta * scale[a]
+            value[:, a, :, a] += np.multiply(theta, scale[a], out=product)
         body = gram_rows[l0:l1, :, l0 * m:k1 * m]
         np.matmul(row_ops[l0:l1], value.reshape(shape), out=body)
         np.multiply(g2[:, None, :, None], cols[None], out=value)
         for a in range(m):
-            value[:, a, :, a] += h * scale[a]
+            value[:, a, :, a] += np.multiply(h, scale[a], out=product)
         body += value.reshape(shape)
         # The chunk's block rows of the upper half: no other chunk writes
         # them, and no chunk writes past k1 below them.
         _mirror_lower(gram, l0 * m, l1 * m, k1 * m)
 
-    run_blocks(assemble_chunk, chunks)
+    run_blocks(assemble_chunk, chunks, slots, big_n)
     return cset, gram
 
 
@@ -273,9 +273,9 @@ def _available_memory_bytes():
     return min(found, default=None)
 
 
-def _check_memory(dim, chunk_bytes):
-    """Raise MemoryError if a dim x dim Gram and chunk_bytes more do not fit."""
-    needed = 8 * dim * dim + chunk_bytes
+def _check_memory(dim, workspace_bytes):
+    """Raise MemoryError if a dim x dim Gram and workspace_bytes more do not fit."""
+    needed = 8 * dim * dim + workspace_bytes
     available = _available_memory_bytes()
     if available is not None and needed > available:
         raise MemoryError(

@@ -35,8 +35,8 @@ import numpy as np
 
 from .collocation import (CollocationSet, FactorizationError, GridSpec, assemble,
                           check_rhs, collocation_data, make_grid, solve)
-from .operator import (apply_operator, block_rows, near_box, operator_image,
-                       pairwise_scalars, run_blocks)
+from .operator import (PAIRWISE_SLOTS, apply_operator, block_rows, near_box,
+                       operator_image, pairwise_scalars, run_blocks)
 
 __all__ = [
     "eval_metric_batch",
@@ -57,11 +57,12 @@ def _symmetrize(fields):
     return 0.5 * (fields + fields.transpose(0, 2, 1))
 
 
-def _combine(weights_a, flats_a, weights_b, flats_b, n):
-    """sum_k w_a[e,k] A_k + w_b[e,k] B_k through two dense GEMMs."""
-    out = weights_a @ flats_a
-    out += weights_b @ flats_b
-    return out.reshape(len(out), n, n)
+def _combine(weights_a, flats_a, weights_b, flats_b, n, work):
+    """sum_k w_a[e,k] A_k + w_b[e,k] B_k through two dense GEMMs into work's rows 0-1."""
+    out, product = (row[:len(weights_a) * n * n].reshape(-1, n * n) for row in work[:2])
+    np.add(np.matmul(weights_a, flats_a, out=out), np.matmul(weights_b, flats_b, out=product),
+           out=out)
+    return out.reshape(-1, n, n)
 
 
 def _cell_blocks(points, nodes, edge):
@@ -96,20 +97,22 @@ def _fields_batch(solution, query):
     s_out = np.empty((len(query), n, n))
     fs_out = np.empty((len(query), n, n))
 
-    def evaluate_block(block):
+    def evaluate_block(block, work):
         rows = query.points[block]
         near = near_box(cset.points, (rows.min(axis=0), rows.max(axis=0)), radius)
         psi, theta, g2, h = pairwise_scalars(
             solution.kernel, cset.centre, rows, query.f_values[block],
-            cset.points[near], cset.f_values[near])
+            cset.points[near], cset.f_values[near], work)
         p_near, beta_near = p_flat[near], beta_flat[near]
-        s_val = _symmetrize(_combine(psi, p_near, theta, beta_near, n))
+        s_val = _symmetrize(_combine(psi, p_near, theta, beta_near, n, work[4:]))
         s_out[block] = s_val
-        fs = operator_image(s_val, _combine(g2, p_near, h, beta_near, n),
+        fs = operator_image(s_val, _combine(g2, p_near, h, beta_near, n, work[4:]),
                             query.jacobians[block])
         fs_out[block] = _symmetrize(fs)
 
-    run_blocks(evaluate_block, _cell_blocks(query.points, cset.points, radius))
+    blocks = list(_cell_blocks(query.points, cset.points, radius))
+    run_blocks(evaluate_block, blocks, PAIRWISE_SLOTS,     # rows that fit _combine's sums too
+               max([len(cset)] + [n * n * len(block) for block in blocks]))
     return s_out, fs_out
 
 

@@ -16,7 +16,8 @@ then stored in the factored form
 
 which for the Wendland family has a nonnegative cofactor and therefore
 evaluates without cancellation on the whole support.  Outside the support all
-helpers are exactly zero.  RadialKernel.profile_values evaluates all three.
+helpers are exactly zero.  RadialKernel.profile_values evaluates all three
+into a work array, such as the workspace an engine worker keeps for one call.
 """
 
 import math
@@ -38,14 +39,6 @@ def _poly_div_t(coeffs):
     return list(coeffs[1:])
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def _factor_support(coeffs):
     """Split p(t) = (1 - t)**e * cofactor(t) with the maximal exponent e.
 
@@ -65,15 +58,16 @@ def _factor_support(coeffs):
     return exponent, coeffs
 
 
-def _int_power(powers, e):
-    """x**e for a small nonnegative integer e by repeated squaring; powers,
-    which starts as {1: x}, keeps every power formed for the next call."""
-    if e == 0:
-        return np.ones_like(powers[1])
-    if e not in powers:
-        half = _int_power(powers, e // 2)
-        powers[e] = half * half if e % 2 == 0 else half * half * powers[1]
-    return powers[e]
+def _int_power(x, e, out):
+    """x**e into out by repeated squaring: (x**(e // 2))**2, times x for odd e."""
+    if e < 2:
+        out[...] = x if e else 1.0
+        return out
+    half = x if e < 4 else _int_power(x, e // 2, out)
+    np.multiply(half, half, out=out)
+    if e % 2:
+        out *= x
+    return out
 
 
 class _FactoredRadial:
@@ -84,13 +78,13 @@ class _FactoredRadial:
         self.exponent = int(exponent)
         self.cofactor = tuple(float(a) for a in cofactor)
 
-    def eval_unit(self, t, powers):
-        """Horner evaluation for a 1-D array of t values inside [0, 1)."""
-        acc = np.full(t.shape, self.cofactor[-1])
+    def eval_unit(self, t, x, power, acc):
+        """Horner evaluation into acc on t in [0, 1), times x**e, x = 1 - t, formed in power."""
+        acc[...] = self.cofactor[-1]
         for a in self.cofactor[-2::-1]:
             acc *= t
             acc += a
-        acc *= _int_power(powers, self.exponent)
+        acc *= _int_power(x, self.exponent, power)
         if self.outer != 1.0:
             acc *= self.outer
         return acc
@@ -144,24 +138,26 @@ class RadialKernel:
         return (f"RadialKernel(label={self.label!r}, c={self.shape_parameter}, "
                 f"sigma={self.sigma})")
 
-    def profile_values(self, r):
-        """psi, psi1 and psi2 on one shared support mask.
+    def profile_values(self, r, work=None):
+        """(psi, psi1, psi2) shaped like r, 0-d for a scalar r, in rows 0-2 of work.
 
-        The polynomials, which share the powers of 1 - t, are evaluated only
-        on the entries inside the support.  Returns (psi, psi1, psi2) shaped
-        like r, 0-d for a scalar r.
+        work is a C-ordered float64 (6, >= r.size) array, allocated when None,
+        whose rows 3-5 are scratch; nothing in it is read, and r may be row 0.
+        The polynomials are evaluated inside the support only, gathered by one
+        mask (np.compress(out=) would allocate twice as much) and scattered by it.
         """
         r = np.asarray(r, dtype=float)
-        t = (self.shape_parameter * r).ravel()
-        inside = t < 1.0
+        work = np.empty((6, r.size)) if work is None else work
+        flats = work[:3, :r.size]
+        t = np.multiply(self.shape_parameter, r.ravel(), out=flats[0])
+        inside = np.less(t, 1.0, out=work[3].view(bool)[:r.size])
         t_in = t[inside]
-        powers = {1: 1.0 - t_in}
-        values = []
-        for helper in (self._psi, self._psi1, self._psi2):
-            flat = np.zeros(t.shape)
-            flat[inside] = helper.eval_unit(t_in, powers)
-            values.append(flat.reshape(r.shape))
-        return tuple(values)
+        x, acc = np.subtract(1.0, t_in, out=work[4, :t_in.size]), work[5, :t_in.size]
+        for flat, helper in zip(flats, (self._psi, self._psi1, self._psi2)):
+            helper.eval_unit(t_in, x, flat[:t_in.size], acc)    # t is spent: flats[0] is free
+            flat[...] = 0.0
+            flat[inside] = acc
+        return tuple(flat.reshape(r.shape) for flat in flats)
 
 
 # Profile of Wendland's C^8 function for up to two space dimensions,
@@ -176,5 +172,5 @@ def wendland_c8(c):
     Raises ValueError unless 0 < c < inf.
     """
     one_minus_t_10 = [(-1) ** m * math.comb(10, m) for m in range(11)]
-    coeffs = _poly_mul(one_minus_t_10, _WENDLAND_C8_FACTOR)
+    coeffs = np.convolve(one_minus_t_10, _WENDLAND_C8_FACTOR)      # exact in int64
     return RadialKernel(c, 5.5, coeffs, label="wendland-c8")

@@ -32,11 +32,13 @@ the one test both callers use to leave such pairs out of the engine: it keeps
 the points within the support radius of a box around a group of rows.
 
 Both also cut their work by one rule, block_rows, and run the blocks with
-run_blocks on block_workers threads; the cuts ignore the worker count and each
-block writes only its own output, so the results do not depend on it.
+run_blocks on block_workers threads, each writing into a workspace it keeps
+for that call only; the cuts ignore the worker count and each block writes
+only its own output, so the results do not depend on it.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,6 +56,7 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 _SUPPORT_MARGIN = 1e-12
 _BLOCK_BYTES = 1 << 20          # one (rows, columns) float64 array of a block
+PAIRWISE_SLOTS = 6              # rows of pairwise_scalars' work: profile_values' six
 
 
 def triangle_indices(n):
@@ -106,11 +109,13 @@ def apply_operator(values, gradients, f_values, jacobians):
     return operator_image(values, orbital, jacobians)
 
 
-def pairwise_scalars(kernel, centre, rows, row_f, cols, col_f):
+def pairwise_scalars(kernel, centre, rows, row_f, cols, col_f, work=None):
     """(psi, theta, g2, h) for every (row point, column point) pair.
 
     rows, cols are (L, d) and (K, d) point arrays with f values row_f, col_f;
     each result is an (L, K) array, exactly zero outside the kernel support.
+    They are views into rows 0-3 of work, as in RadialKernel.profile_values
+    but (PAIRWISE_SLOTS, >= L K).
     The inner products come from GEMMs, <x_k - c, f_k> - <x_l - c, f_k>, so
     no (L, K, d) difference array is formed.  With the centre c in the
     points' bounding box (callers pass CollocationSet.centre) both terms are
@@ -121,20 +126,23 @@ def pairwise_scalars(kernel, centre, rows, row_f, cols, col_f):
     """
     rows = rows - centre
     cols = cols - centre
-    r = cdist(rows, cols)
-    psi, psi1, psi2 = kernel.profile_values(r)
-    del r
-    dot_k = np.einsum("kd,kd->k", cols, col_f)[None, :] - rows @ col_f.T   # <x_k - x_l, f_k>
-    dot_l = row_f @ cols.T - np.einsum("ld,ld->l", rows, row_f)[:, None]  # <x_k - x_l, f_l>
+    work = np.empty((PAIRWISE_SLOTS, len(rows) * len(cols))) if work is None else work
+    slot = [row[:len(rows) * len(cols)].reshape(len(rows), len(cols)) for row in work]
+    # r becomes psi in place; dot_k, dot_l and f_dot reuse profile_values' scratch
+    psi, psi1, psi2 = kernel.profile_values(cdist(rows, cols, out=slot[0]), work)
+    dot_k = np.subtract(np.einsum("kd,kd->k", cols, col_f)[None, :],     # <x_k - x_l, f_k>
+                        np.matmul(rows, col_f.T, out=slot[3]), out=slot[3])
+    dot_l = np.matmul(row_f, cols.T, out=slot[4])                        # <x_k - x_l, f_l>
+    dot_l -= np.einsum("ld,ld->l", rows, row_f)[:, None]
     # in place; -(a b) == (-a) b in round-to-nearest: the docstring's values, bit for bit
     psi2 *= dot_k
     psi2 *= dot_l
     h = np.negative(psi2, out=psi2)
-    f_dot = row_f @ col_f.T                                              # <f_l, f_k>
+    f_dot = np.matmul(row_f, col_f.T, out=slot[5])                       # <f_l, f_k>
     h -= np.multiply(f_dot, psi1, out=f_dot)
     dot_k *= psi1                                                        # theta
-    dot_l *= psi1
-    return psi, dot_k, np.negative(dot_l, out=dot_l), h
+    g2 = np.multiply(dot_l, psi1, out=psi1)
+    return psi, dot_k, np.negative(g2, out=g2), h
 
 
 def near_box(points, box, radius):
@@ -163,14 +171,27 @@ def block_workers(blocks):
     return max(1, min(cpus or 1, cap, blocks))
 
 
-def run_blocks(work, blocks):
-    """Call work(block) for every block on block_workers threads, inline for one."""
+def workspace_shape(blocks, slots, columns):
+    """(workers, slots, length) of run_blocks' workspaces; a row fits blocks <= columns wide."""
+    return block_workers(blocks), slots, max(_BLOCK_BYTES // 8, columns)
+
+
+def run_blocks(work, blocks, slots, columns):
+    """Call work(block, workspace) for every block on block_workers threads,
+    inline for one; a worker allocates its workspace at its first block."""
     blocks = list(blocks)
-    workers = block_workers(len(blocks))
+    workers, *shape = workspace_shape(len(blocks), slots, columns)
+    local = threading.local()
+
+    def task(block):
+        if not hasattr(local, "workspace"):
+            local.workspace = np.empty(shape)
+        return work(block, local.workspace)
+
     if workers == 1:
-        return list(map(work, blocks))
+        return list(map(task, blocks))
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(work, blocks))          # re-raises a block's error
+        return list(pool.map(task, blocks))          # re-raises a block's error
 
 
 def coordinate_matrices(jacobians):

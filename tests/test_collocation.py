@@ -372,6 +372,33 @@ def test_assemble_fails_fast_without_memory(linear, kernel, monkeypatch):
     assert assemble(system, kernel, pts)[1].shape == (867, 867)
 
 
+def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, monkeypatch):
+    # the check asks for the Gram plus exactly one workspace, of the size the
+    # chunks receive, per worker: one byte less is refused, that amount is not
+    system, _, _ = linear
+    pts = make_grid(GridSpec(BOUNDS, 0.125))
+    monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 2 ** 14)
+    monkeypatch.setattr(conmet.operator, "block_workers", lambda blocks: min(2, blocks))
+    seen = {}
+    run_blocks = conmet.collocation.run_blocks
+
+    def recording(work, blocks, *shape):
+        def task(block, workspace):
+            seen[id(workspace)] = workspace.nbytes
+            return work(block, workspace)
+        return run_blocks(task, blocks, *shape)
+
+    monkeypatch.setattr(conmet.collocation, "run_blocks", recording)
+    gram = assemble(system, kernel, pts)[1]
+    (workspace_bytes,) = set(seen.values())
+    needed = gram.nbytes + 2 * workspace_bytes
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed - 1)
+    with pytest.raises(MemoryError):
+        assemble(system, kernel, pts)
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed)
+    assert np.array_equal(assemble(system, kernel, pts)[1], gram)
+
+
 def test_available_memory_is_positive_or_unknown():
     available = conmet.collocation._available_memory_bytes()
     assert available is None or available > 0

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -213,6 +214,57 @@ def test_fields_batch_threads_stress(solved_quarter, linear, monkeypatch):
         finally:
             sys.setswitchinterval(interval)
     assert results[0] == results[1]
+
+
+def test_callers_share_no_workspace(solved_quarter, linear, kernel, monkeypatch):
+    # two threads evaluate one solution while a third assembles, each call on
+    # two workers of small blocks: a workspace that outlived its call or was
+    # shared between calls would mix their arrays and change the bytes
+    system, _, _ = linear
+    points = make_grid(GridSpec(BOUNDS, 0.05, offset=0.025))
+    nodes = make_grid(GridSpec(BOUNDS, 0.125))
+    monkeypatch.setattr(operator, "_BLOCK_BYTES", 8 * 64)
+    monkeypatch.setattr(operator, "block_workers", lambda blocks: min(2, blocks))
+    jobs = (lambda: eval_metric_batch(solved_quarter, points),
+            lambda: eval_metric_batch(solved_quarter, points[::-1]),
+            lambda: assemble(system, kernel, nodes)[1])
+    serial = [job().tobytes() for job in jobs]
+    results = [None] * len(jobs)
+
+    def run(index):
+        results[index] = jobs[index]().tobytes()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
+
+
+def test_stale_workspace_contents_never_leak(solved_quarter, linear, monkeypatch):
+    # one worker reuses its workspace for blocks of uneven sizes, the last a
+    # query no node reaches (K = 0): each block gives the bits that it gives
+    # alone, in a call of its own on a fresh workspace
+    system, _, _ = linear
+    cset, radius = solved_quarter.collocation, solved_quarter.kernel.support_radius
+    points = np.concatenate([make_grid(GridSpec(BOUNDS, 0.1, offset=0.05)), [[9.0, 9.0]]])
+    query = conmet.collocation_data(system, points)
+    monkeypatch.setattr(operator, "_BLOCK_BYTES", 8 * 1000)
+    monkeypatch.setattr(operator, "block_workers", lambda blocks: 1)
+    blocks = list(evaluate._cell_blocks(query.points, cset.points, radius))
+    assert len({len(block) for block in blocks}) > 2 and list(blocks[-1]) == [len(points) - 1]
+    whole = evaluate._fields_batch(solved_quarter, query)
+    assert not np.any(whole[0][-1]) and not np.any(whole[1][-1])
+    for block in blocks:
+        alone = evaluate._fields_batch(solved_quarter, conmet.collocation_data(system, points[block]))
+        for ours, ref in zip(whole, alone):
+            assert ours[block].tobytes() == ref.tobytes()
 
 
 def test_eval_operator_at_collocation_points(solved_quarter, linear):

@@ -137,7 +137,7 @@ def test_profile_values_match_individual_helpers(kern):
 
 @pytest.mark.parametrize("c", [0.9, 1.0 / 3.0, 7.3])
 def test_profile_values_equal_per_helper_oracle_bit_for_bit(c):
-    # shared powers of 1 - t must not change a single bit of psi, psi1, psi2;
+    # powers of 1 - t formed in place must not change a single bit of psi, psi1, psi2;
     # radii on both sides of the support edge, some within rounding of it
     kern = wendland_c8(c)
     rng = np.random.default_rng(31)
@@ -150,6 +150,23 @@ def test_profile_values_equal_per_helper_oracle_bit_for_bit(c):
         oracle = profile_values_by_helper(kern, r.reshape(shape))
         for name, a, b in zip(("psi", "psi1", "psi2"), ours, oracle):
             assert a.shape == shape and np.array_equal(a, b), name
+
+
+def test_profile_values_read_nothing_from_their_work_array(kern):
+    # a work array full of NaN, with r given as its row 0 or apart, yields the
+    # bits of a fresh one and +0.0 outside the support
+    r = np.linspace(0.0, 2.0 * kern.support_radius, 60).reshape(12, 5)
+    outside = kern.shape_parameter * r >= 1.0
+    assert np.any(outside) and not np.all(outside)
+    fresh = kern.profile_values(r)
+    for alias in (False, True):
+        work = np.full((6, r.size + 3), np.nan)
+        if alias:
+            work[0, :r.size] = r.ravel()
+        given = work[0, :r.size].reshape(r.shape) if alias else r
+        for name, ours, ref in zip(("psi", "psi1", "psi2"), kern.profile_values(given, work), fresh):
+            assert ours.shape == r.shape and ours.tobytes() == ref.tobytes(), name
+            assert np.all(ours[outside] == 0.0) and not np.any(np.signbit(ours[outside])), name
 
 
 def test_phi_diagonal_and_symmetry(kern):
