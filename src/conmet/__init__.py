@@ -10,7 +10,6 @@ from .kernels import RadialKernel, wendland_c8
 from .systems import (
     DynamicalSystem,
     ExactMetric,
-    EquilibriumCheck,
     SystemBundle,
     check_equilibrium_condition,
     jacobian_consistency,
@@ -36,7 +35,6 @@ from .collocation import (
 from .evaluate import (
     eval_metric_batch,
     eval_operator_batch,
-    Definiteness,
     field_export,
     error_report,
     ConvergenceRow,
@@ -49,14 +47,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RadialKernel", "wendland_c8",
-    "DynamicalSystem", "ExactMetric", "EquilibriumCheck", "SystemBundle",
+    "DynamicalSystem", "ExactMetric", "SystemBundle",
     "check_equilibrium_condition", "jacobian_consistency", "linear_example",
     "register_system", "get_system", "registered_systems",
     "triangle_indices", "apply_operator",
     "GridSpec", "make_grid", "separation_distance", "fill_distance_estimate",
     "CollocationSet", "collocation_data", "assemble", "solve",
     "RecoverySolution", "SolveDiagnostics", "FactorizationError",
-    "eval_metric_batch", "eval_operator_batch", "Definiteness", "field_export",
+    "eval_metric_batch", "eval_operator_batch", "field_export",
     "error_report", "ConvergenceRow", "ConvergenceReport", "convergence_study",
     "ellipse_points",
 ]

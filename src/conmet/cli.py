@@ -322,7 +322,7 @@ def cmd_fields(config):
     import numpy as np
 
     from .collocation import make_grid
-    from .evaluate import Definiteness, definiteness_batch, field_export
+    from .evaluate import field_export
 
     bundle, kernel, rhs = _setup(config)
     solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
@@ -334,10 +334,8 @@ def cmd_fields(config):
                             "min_eig_S", "max_eig_FS"]
     table = np.column_stack([fields[key] for key in ("x", "trace_s", "det_s", "trace_fs",
                                                      "neg_det_fs", "min_eig_s", "max_eig_fs")])
-    bad_s = int(np.count_nonzero(
-        definiteness_batch(fields["s"]) != Definiteness.POSITIVE_DEFINITE.value))
-    bad_fs = int(np.count_nonzero(
-        definiteness_batch(fields["fs"]) != Definiteness.NEGATIVE_DEFINITE.value))
+    bad_s = int(np.count_nonzero(~(fields["min_eig_s"] > 0.0)))       # NaN fails
+    bad_fs = int(np.count_nonzero(~(fields["max_eig_fs"] < 0.0)))
     t1 = time.perf_counter()
     _write_csv(os.path.join(config.output_dir, "fields.csv"), header, _float_lines(table))
     _write_json(os.path.join(config.output_dir, "fields_summary.json"), {

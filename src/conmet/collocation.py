@@ -155,15 +155,15 @@ class CollocationSet:
         return 0.5 * (np.min(self.points, axis=0) + np.max(self.points, axis=0))
 
 
-def _find_duplicates(points):
+def _reject_duplicates(points):
+    """Raise ValueError naming the first pair of coincident points, if any."""
     order = np.lexsort(points.T[::-1])
     sorted_pts = points[order]
     same = np.all(sorted_pts[1:] == sorted_pts[:-1], axis=1)
     hits = np.nonzero(same)[0]
     if hits.size:
-        a, b = order[hits[0]], order[hits[0] + 1]
-        return int(min(a, b)), int(max(a, b))
-    return None
+        a, b = sorted(int(k) for k in order[hits[0]:hits[0] + 2])
+        raise ValueError(f"collocation points {a} and {b} coincide: {points[a].tolist()}")
 
 
 def collocation_data(system, points):
@@ -186,15 +186,9 @@ def assemble(system, kernel, points, equilibria=()):
     memory the system reports as available.
     """
     cset = collocation_data(system, points)
-    dup = _find_duplicates(cset.points)
-    if dup is not None:
-        raise ValueError(f"collocation points {dup[0]} and {dup[1]} coincide: "
-                         f"{cset.points[dup[0]].tolist()}")
+    _reject_duplicates(cset.points)
     for x0, sign in equilibria:
-        result = check_equilibrium_condition(system, x0, sign)
-        if not result.satisfied:
-            raise ValueError(f"equilibrium {np.asarray(x0).tolist()} fails the {sign} "
-                             f"eigenvalue condition: {result.eigenvalues}")
+        check_equilibrium_condition(system, x0, sign)
 
     row_ops, col, scale = coordinate_matrices(cset.jacobians)
     col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]

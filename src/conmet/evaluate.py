@@ -23,11 +23,11 @@ convergence_study checks C and computes f, Df, M and L(M) at the check
 points once, before its first assembly, so a bad C or an exact metric of the
 wrong shape fails before any Gram exists.  It evaluates the finest spacing
 first, right after its solve, so that Gram peaks before any block exists.
-Every result is exactly symmetric by construction.  Evaluation and
-classification take arrays only: a single point x is the batch x[None].
+Every result is exactly symmetric by construction.  Evaluation takes arrays
+only: a single point x is the batch x[None].  Definiteness is one rule, the
+sign of an extreme eigenvalue (eigvalsh), as in field_export and ellipse_points.
 """
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +41,6 @@ from .operator import (PAIRWISE_SLOTS, apply_operator, block_rows, near_box,
 __all__ = [
     "eval_metric_batch",
     "eval_operator_batch",
-    "Definiteness",
-    "definiteness_batch",
     "field_export",
     "error_report",
     "ConvergenceRow",
@@ -126,42 +124,11 @@ def eval_operator_batch(solution, points):
     return _fields_batch(solution, collocation_data(solution.collocation.system, points))[1]
 
 
-class Definiteness(str, enum.Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    NEGATIVE_DEFINITE = "negative_definite"
-    INDEFINITE = "indefinite"
-    INDETERMINATE = "indeterminate"
-
-
-def definiteness_batch(matrices):
-    """Classify each symmetric matrix of an (E, n, n) stack.
-
-    For 2 x 2 matrices the trace/determinant criterion decides, otherwise
-    the extreme eigenvalues do.  Whenever the decisive quantity is exactly
-    zero, and whenever a matrix has a non-finite entry, the result is
-    indeterminate.  Returns an (E,) array of Definiteness values.  Raises
-    ValueError unless the last two axes are square and every finite matrix
-    is symmetric within 1e-12 of its largest entry.
-    """
-    a = np.asarray(matrices, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    finite = np.all(np.isfinite(a), axis=(-2, -1))
-    a = np.where(finite[..., None, None], a, 0.0)
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
-    if np.any(np.abs(a - np.swapaxes(a, -1, -2)) > 1e-12 * scale[..., None, None]):
-        raise ValueError("matrix is not symmetric")
-    if a.shape[-1] == 2:
-        det, tr = np.linalg.det(a), np.trace(a, axis1=-2, axis2=-1)
-        pos, neg, indef = (det > 0.0) & (tr > 0.0), (det > 0.0) & (tr < 0.0), det < 0.0
-    else:
-        eigs = np.linalg.eigvalsh(a)
-        low, high = eigs[..., 0], eigs[..., -1]
-        pos, neg, indef = low > 0.0, high < 0.0, (low < 0.0) & (high > 0.0)
-    return np.select([~finite, pos, neg, indef],
-                     [Definiteness.INDETERMINATE.value, Definiteness.POSITIVE_DEFINITE.value,
-                      Definiteness.NEGATIVE_DEFINITE.value, Definiteness.INDEFINITE.value],
-                     default=Definiteness.INDETERMINATE.value)
+def _det(stack):
+    """Determinants of an (E, n, n) stack; NaN where a matrix is not finite,
+    without the LU that would warn of an invalid value there."""
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
+    return np.where(finite, np.linalg.det(np.where(finite[:, None, None], stack, 0.0)), np.nan)
 
 
 def field_export(solution, grid):
@@ -170,7 +137,8 @@ def field_export(solution, grid):
     Returns a dict of arrays whose entry e belongs to the point x[e]: "x"
     (E, n); "s" and "fs", the (E, n, n) stacks of S and L(S); and the (E,)
     arrays "trace_s", "det_s", "trace_fs", "neg_det_fs", "min_eig_s" and
-    "max_eig_fs".
+    "max_eig_fs".  S(x[e]) is positive definite where min_eig_s[e] > 0 and
+    L(S)(x[e]) negative definite where max_eig_fs[e] < 0; a NaN fails both.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     s, fs = _fields_batch(solution, collocation_data(solution.collocation.system, grid))
@@ -179,9 +147,9 @@ def field_export(solution, grid):
         "s": s,
         "fs": fs,
         "trace_s": np.trace(s, axis1=1, axis2=2),
-        "det_s": np.linalg.det(s),
+        "det_s": _det(s),
         "trace_fs": np.trace(fs, axis1=1, axis2=2),
-        "neg_det_fs": -np.linalg.det(fs),
+        "neg_det_fs": -_det(fs),
         "min_eig_s": np.linalg.eigvalsh(s)[:, 0],
         "max_eig_fs": np.linalg.eigvalsh(fs)[:, -1],
     }

@@ -1,9 +1,10 @@
 """Autonomous ODE systems x' = f(x) and exact reference metrics.
 
-Systems are supplied as batched code callbacks (right-hand side plus exact
-Jacobian); the registry maps CLI-visible names to built-in systems together
-with optional reference data (exact metric, default right-hand-side matrix,
-known equilibria).  All callables are expected to be pure and reentrant.
+Systems are batched callbacks (right-hand side and exact Jacobian), pure and
+reentrant; the registry maps CLI-visible names to systems with optional
+reference data (exact metric, default right-hand side, known equilibria).
+The checks, jacobian_consistency and check_equilibrium_condition, raise
+ValueError where they fail and otherwise return what they measured.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ import numpy as np
 __all__ = [
     "DynamicalSystem",
     "ExactMetric",
-    "EquilibriumCheck",
     "SystemBundle",
     "check_equilibrium_condition",
     "jacobian_consistency",
@@ -72,16 +72,6 @@ class ExactMetric:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class EquilibriumCheck:
-    """Outcome of the eigenvalue condition at an equilibrium point."""
-
-    satisfied: bool
-    indeterminate: bool
-    eigenvalues: tuple
-    stability_sign: str
-
-
 def jacobian_consistency(system, points):
     """Check the supplied Jacobian against central finite differences of f.
 
@@ -106,10 +96,10 @@ def jacobian_consistency(system, points):
 def check_equilibrium_condition(system, x0, stability_sign="stable"):
     """Eigenvalue condition of the Jacobian at an equilibrium x0.
 
-    For "stable" every eigenvalue of Df(x0) must have strictly negative real
-    part, for "unstable" strictly positive.  A real part within 1e-12 of zero
-    makes the result indeterminate.  Raises ValueError when x0 is not an
-    equilibrium or the sign keyword is unknown.
+    For "stable" every eigenvalue of Df(x0) must have real part below
+    -1e-12, for "unstable" above 1e-12.  Returns the eigenvalues when the
+    condition holds; raises ValueError when it fails, when x0 is not an
+    equilibrium, or when the sign keyword is unknown.
     """
     if stability_sign not in ("stable", "unstable"):
         raise ValueError(f"stability_sign must be 'stable' or 'unstable', got {stability_sign!r}")
@@ -119,9 +109,10 @@ def check_equilibrium_condition(system, x0, stability_sign="stable"):
         raise ValueError(f"point {x0.tolist()} is not an equilibrium: |f| = {np.linalg.norm(fx):.3e}")
     eigs = np.linalg.eigvals(jac)
     real = eigs.real if stability_sign == "unstable" else -eigs.real     # > 0 when satisfied
-    indeterminate = bool(np.min(np.abs(real)) <= _EIGENVALUE_TOL)
-    satisfied = not indeterminate and bool(np.all(real > 0.0))
-    return EquilibriumCheck(satisfied, indeterminate, tuple(eigs), stability_sign)
+    if np.min(real) <= _EIGENVALUE_TOL:
+        raise ValueError(f"equilibrium {x0.tolist()} fails the {stability_sign} "
+                         f"eigenvalue condition: {tuple(eigs)}")
+    return eigs
 
 
 def linear_example():
@@ -153,24 +144,19 @@ class SystemBundle:
 _REGISTRY = {}
 
 
-def register_system(name, system, exact=None, rhs=None, equilibria=(),
-                    sample_box=None):
+def register_system(name, system, exact=None, rhs=None, equilibria=()):
     """Register a system under a CLI-visible name.
 
     system and exact, which the convergence study needs, are batched (see
     DynamicalSystem and ExactMetric).  Registration checks the Jacobian
-    against finite differences of f at a handful of deterministic sample
-    points inside sample_box (default [-1, 1]^dim), which a callback result
-    of another shape, such as one point's f, fails with ValueError.
-    Duplicate names are rejected.
+    against finite differences of f at five deterministic sample points in
+    [-1, 1]^dim, which a callback result of another shape, such as one
+    point's f, fails with ValueError.  Duplicate names are rejected.
     """
     if name in _REGISTRY:
         raise ValueError(f"system name {name!r} is already registered")
-    if sample_box is None:
-        sample_box = ((-1.0, 1.0),) * system.dim
     rng = np.random.default_rng(0)
-    los, his = np.array(sample_box, dtype=float).T
-    jacobian_consistency(system, los + rng.random((5, system.dim)) * (his - los))
+    jacobian_consistency(system, 2.0 * rng.random((5, system.dim)) - 1.0)
     equilibria = tuple((np.asarray(x0, dtype=float), sign) for x0, sign in equilibria)
     bundle = SystemBundle(
         system=system,

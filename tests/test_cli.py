@@ -193,7 +193,7 @@ def test_fields_artifacts_and_interpolation_rows(tmp_path, capsys):
 
 def test_fields_summary_matches_csv_recount(tmp_path, capsys):
     # a coarse grid leaves both kinds of failure; the summary counts must
-    # equal a recount of the written columns under the trace/det criterion
+    # equal a recount of the written min_eig_S and max_eig_FS columns
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.5},
                   check_grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.125,
@@ -202,14 +202,44 @@ def test_fields_summary_matches_csv_recount(tmp_path, capsys):
     _, rows = _read_csv(tmp_path / "out" / "fields.csv")
     bad_s = bad_fs = 0
     for row in rows:
-        _, _, tr_s, det_s, tr_fs, neg_det_fs, _, _ = map(float, row)
-        bad_s += not (det_s > 0.0 and tr_s > 0.0)
-        bad_fs += not (-neg_det_fs > 0.0 and tr_fs < 0.0)
+        min_eig_s, max_eig_fs = map(float, row[6:])
+        bad_s += not min_eig_s > 0.0
+        bad_fs += not max_eig_fs < 0.0
     summary = json.loads((tmp_path / "out" / "fields_summary.json").read_text())
     assert bad_s > 0 and bad_fs > 0
     assert summary == {"n_points": len(rows), "metric_not_positive_definite": bad_s,
                        "operator_not_negative_definite": bad_fs,
                        "failures": bad_s + bad_fs}
+
+
+def test_fields_counts_singular_and_non_finite_metrics_as_failures(tmp_path, capsys,
+                                                                   monkeypatch):
+    # S = [[a, a], [a, a]] is singular, but its LU determinant rounds to
+    # +5.3e-15; an all-NaN S decides nothing.  Both rows fail, as their
+    # min_eig_S shows, and the export raises no warning
+    import conmet.evaluate
+
+    a = 5.940812679889744
+    original = conmet.evaluate._fields_batch
+
+    def stubbed(solution, query):
+        s, fs = original(solution, query)
+        s[3] = a
+        s[5] = np.nan
+        return s, fs
+
+    monkeypatch.setattr(conmet.evaluate, "_fields_batch", stubbed)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25},
+                  check_grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25,
+                              "offset": 0.0})
+    assert cli.main(["fields", str(cfg)]) == 0
+    _, rows = _read_csv(tmp_path / "out" / "fields.csv")
+    assert float(rows[3][3]) > 0.0                      # det_S
+    assert float(rows[3][6]) == 0.0 and np.isnan(float(rows[5][6]))     # min_eig_S
+    summary = json.loads((tmp_path / "out" / "fields_summary.json").read_text())
+    recount = sum(not float(row[6]) > 0.0 for row in rows)
+    assert summary["metric_not_positive_definite"] == recount == 2
 
 
 def test_ellipses_good_and_flagged_anchors(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Metric evaluation, definiteness diagnostics, errors, and the study harness."""
+"""Metric evaluation, field export, errors, and the study harness."""
 
 import os
 import sys
@@ -9,7 +9,6 @@ import pytest
 
 import conmet
 from conmet import (
-    Definiteness,
     DynamicalSystem,
     ExactMetric,
     GridSpec,
@@ -30,7 +29,6 @@ from conmet import (
 )
 from conmet import evaluate, operator
 from conmet.collocation import FactorizationError
-from conmet.evaluate import definiteness_batch
 from conmet.operator import pairwise_scalars
 from conftest import BOUNDS, straddling_pairs
 from oracles import (CollocationPointData, FunctionalIndex, gram_entry, point_data,
@@ -287,84 +285,6 @@ def test_eval_operator_orbital_fd(solved_quarter, linear):
     fd = (eval_metric_batch(solved_quarter, xs + step)
           - eval_metric_batch(solved_quarter, xs - step)) / (2.0 * t)
     assert np.allclose(orbital, fd, rtol=1e-5, atol=1e-7)
-
-
-# -- definiteness ----------------------------------------------------------------
-
-def _classes(matrices):
-    return [Definiteness(c) for c in definiteness_batch(matrices)]
-
-
-def test_definiteness_basic_cases():
-    assert _classes([np.eye(2), -np.eye(2), np.diag([1.0, -1.0])]) == [
-        Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE, Definiteness.INDEFINITE]
-    # a zero determinant decides nothing
-    assert _classes([np.diag([1.0, 0.0])]) == [Definiteness.INDETERMINATE]
-
-
-def test_definiteness_methods_cross_check():
-    # the trace/det criterion (n = 2) and the eigenvalue criterion (n = 3)
-    # agree with the signs of eigvalsh
-    rng = np.random.default_rng(54)
-    for n in (2, 3):
-        for _ in range(50):
-            a = rng.normal(size=(n, n))
-            a = a + a.T
-            eigs = np.linalg.eigvalsh(a)
-            if np.min(np.abs(eigs)) < 1e-3:
-                continue
-            if eigs[0] > 0.0:
-                expected = Definiteness.POSITIVE_DEFINITE
-            elif eigs[-1] < 0.0:
-                expected = Definiteness.NEGATIVE_DEFINITE
-            else:
-                expected = Definiteness.INDEFINITE
-            assert _classes([a]) == [expected]
-
-
-def test_definiteness_higher_dimension():
-    stack = [np.diag([1.0, 2.0, 3.0]), -np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -2.0, 3.0])]
-    assert _classes(stack) == [Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE,
-                               Definiteness.INDEFINITE]
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_definiteness_non_finite_is_indeterminate(n):
-    for bad in (np.nan, np.inf, -np.inf):
-        spd = np.eye(n)
-        spd[0, 0] = bad
-        neg = -np.eye(n)
-        neg[-1, -1] = bad
-        asymmetric = np.eye(n)
-        asymmetric[0, -1] = bad
-        assert _classes([np.full((n, n), bad), spd, neg, asymmetric]) == (
-            [Definiteness.INDETERMINATE] * 4)
-
-
-def test_definiteness_batch_matches_scalar():
-    rng = np.random.default_rng(56)
-    for n in (2, 3):
-        stack = rng.normal(size=(40, n, n))
-        stack = stack + stack.transpose(0, 2, 1)
-        stack[3] = np.nan
-        stack[7] = np.zeros((n, n))
-        codes = definiteness_batch(stack)
-        assert codes.shape == (40,)
-        assert [Definiteness(c) for c in codes] == [_classes([a])[0] for a in stack]
-
-
-def test_definiteness_rejects_asymmetric():
-    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), [[1.0, 1.0], [0.0, 1.0]]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        definiteness_batch(stack)
-    # a deviation within 1e-12 of the largest entry is round-off, not asymmetry
-    stack[2] = [[1e3, 1.0], [1.0 + 1e-10, 1e3]]
-    assert _classes(stack) == [Definiteness.POSITIVE_DEFINITE, Definiteness.INDETERMINATE,
-                               Definiteness.POSITIVE_DEFINITE]
-    with pytest.raises(ValueError, match="square"):
-        definiteness_batch(np.ones((4, 2, 3)))
-    with pytest.raises(ValueError, match="square"):
-        definiteness_batch(np.ones(3))
 
 
 # -- error metrics and the study harness -----------------------------------------
@@ -629,4 +549,4 @@ def test_three_dimensional_recovery():
     assert np.max(np.abs(images + rhs)) <= 1e-8
     values = eval_metric_batch(solution, pts)
     assert np.array_equal(values, values.transpose(0, 2, 1))
-    assert _classes(values[13:14]) == [Definiteness.POSITIVE_DEFINITE]
+    assert np.linalg.eigvalsh(values[13])[0] > 0.0

@@ -75,9 +75,7 @@ def test_jacobian_consistency_rejects_wrong_jacobian():
 
 def test_check_equilibrium_linear_example():
     system, _, _ = linear_example()
-    result = check_equilibrium_condition(system, np.zeros(2), "stable")
-    assert result.satisfied and not result.indeterminate
-    eigs = sorted(np.real(result.eigenvalues))
+    eigs = sorted(np.real(check_equilibrium_condition(system, np.zeros(2), "stable")))
     assert eigs[0] == pytest.approx(EIG_FAST, rel=1e-12)
     assert eigs[1] == pytest.approx(EIG_SLOW, rel=1e-12)
 
@@ -93,14 +91,19 @@ def _constant_system(matrix):
 
 def test_check_equilibrium_identity_jacobian_not_stable():
     system = _constant_system(np.eye(2))
-    result = check_equilibrium_condition(system, np.zeros(2), "stable")
-    assert not result.satisfied
-    assert check_equilibrium_condition(system, np.zeros(2), "unstable").satisfied
+    with pytest.raises(ValueError, match=r"^equilibrium \[0\.0, 0\.0\] fails the stable "
+                                         r"eigenvalue condition: \("):
+        check_equilibrium_condition(system, np.zeros(2), "stable")
+    assert np.array_equal(check_equilibrium_condition(system, np.zeros(2), "unstable"),
+                          [1.0, 1.0])
 
 
 def test_check_equilibrium_minus_identity_stable():
     system = _constant_system(-np.eye(2))
-    assert check_equilibrium_condition(system, np.zeros(2), "stable").satisfied
+    assert np.array_equal(check_equilibrium_condition(system, np.zeros(2), "stable"),
+                          [-1.0, -1.0])
+    with pytest.raises(ValueError, match="fails the unstable eigenvalue condition"):
+        check_equilibrium_condition(system, np.zeros(2), "unstable")
 
 
 def test_check_equilibrium_rejects_non_equilibrium():
@@ -110,10 +113,12 @@ def test_check_equilibrium_rejects_non_equilibrium():
 
 
 def test_check_equilibrium_indeterminate_flagged():
-    # purely imaginary eigenvalues: real parts within tolerance of zero
-    system = _constant_system([[0.0, 1.0], [-1.0, 0.0]])
-    result = check_equilibrium_condition(system, np.zeros(2), "stable")
-    assert result.indeterminate and not result.satisfied
+    # real parts within 1e-12 of zero fail either sign: purely imaginary
+    # eigenvalues, and a real pair inside the tolerance
+    for matrix in ([[0.0, 1.0], [-1.0, 0.0]], np.diag([-1.0, -1e-13]), np.diag([1.0, 1e-13])):
+        for sign in ("stable", "unstable"):
+            with pytest.raises(ValueError, match="eigenvalue condition"):
+                check_equilibrium_condition(_constant_system(matrix), np.zeros(2), sign)
 
 
 def test_check_equilibrium_rejects_unknown_sign():
