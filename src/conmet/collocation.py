@@ -2,25 +2,29 @@
 
 The Gram matrix couples every pair of functionals (point k, component pair
 i <= j).  It is symmetric positive definite, stored dense, and it is the one
-large array of a solve: assembly computes only its lower block triangle, in
-chunks of operator.block_rows(N) block rows that operator.run_blocks spreads
-over the worker threads.  Each chunk copies the lower blocks it has just
-computed onto its own block rows of the upper half while they are still in
-cache, so the returned matrix is exactly symmetric and assembly needs the
-Gram plus one workspace per worker.  A block is zero when its two points lie
-at least the kernel's support radius apart, so each chunk stops at the last
-block column that operator.near_box keeps for the chunk rows' bounding box;
-the zero blocks past it are never computed.  Before it allocates the Gram,
-assembly checks every equilibrium it is given, and that much memory against
-what the system reports as available, raising MemoryError if it does not fit.
-The solve consumes the Gram, as LAPACK's xPOTRF consumes its input: the
-Cholesky factor overwrites the lower triangle, and the residual is read
-from the untouched upper one and the saved diagonal.  The Gram of a
-positive definite kernel is SPD in exact arithmetic, so a failed factor
-means near-degenerate node geometry; it raises FactorizationError and is
-not retried.
+large array of a solve.  Like LAPACK's xPOTRF with uplo = 'L', conmet
+defines it by its lower triangle: assembly computes only the lower block
+triangle, in chunks of operator.block_rows(N) block rows that
+operator.run_blocks spreads over the worker threads, and leaves the strict
+upper triangle as it found it, zero, except inside each chunk's diagonal
+square.  The Gram lives in an anonymous mapping on 4 KiB pages, so the pages
+that no chunk writes are never backed by memory, and assembly needs the
+lower triangle, one page per column and one workspace per worker.  A block
+is zero when its two points lie at least the kernel's support radius apart,
+so each chunk stops at the last block column that operator.near_box keeps
+for the chunk rows' bounding box; the zero blocks past it are never
+computed.  Before it maps the Gram, assembly checks every equilibrium it is
+given, and that much memory against what the system reports as available,
+raising MemoryError if it does not fit.  The solve consumes the Gram, as
+xPOTRF consumes its input: the Cholesky factor overwrites the lower
+triangle, and nothing reads the Gram afterwards.  The Gram of a positive
+definite kernel is SPD in exact arithmetic, so a failed factor means
+near-degenerate node geometry; it raises FactorizationError and is not
+retried.
 """
 
+import contextlib
+import mmap
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -48,7 +52,6 @@ __all__ = [
 ]
 
 _DIVISIBILITY_TOL = 1e-12
-_TILE = 128                                   # edge of the square tiles of a triangle copy
 _MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",                     # cgroup v2
                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")   # cgroup v1
 
@@ -178,12 +181,14 @@ def assemble(system, kernel, points, equilibria=()):
 
     The functional ordering is point-major with the (i, j) pairs, i <= j, in
     lexicographic order, so the matrix is laid out in m x m blocks per point
-    pair with m = dim (dim + 1) / 2.  The Gram is Fortran-ordered and
-    exactly symmetric.  Raises ValueError for duplicate points (naming the
+    pair with m = dim (dim + 1) / 2.  The Gram is Fortran-ordered and given
+    by its lower triangle; its strict upper triangle is zero outside the
+    chunks' diagonal squares, and np.tril(gram) + np.tril(gram, -1).T is the
+    whole matrix.  Raises ValueError for duplicate points (naming the
     offending pair) and when a supplied equilibrium, wherever it lies, fails
-    check_equilibrium_condition, and MemoryError, before allocating anything
-    large, when the Gram plus one assembly workspace per worker exceeds the
-    memory the system reports as available.
+    check_equilibrium_condition, and MemoryError, before mapping anything
+    large, when the lower triangle plus one assembly workspace per worker
+    exceeds the memory the system reports as available or cannot be mapped.
     """
     cset = collocation_data(system, points)
     _reject_duplicates(cset.points)
@@ -198,6 +203,7 @@ def assemble(system, kernel, points, equilibria=()):
     chunks = [(l0, min(big_n, l0 + chunk)) for l0 in range(0, big_n, chunk)]
     slots = max(m * m + 5, PAIRWISE_SLOTS)    # 4 pairwise arrays, m^2 of value, 1 product
     _check_memory(dim, 8 * np.prod(workspace_shape(len(chunks), slots, big_n)))
+    centre = cset.centre
 
     # Block row l, block column k:
     #   B_lk = R_l (psi C_k + theta D) + g2 C_k + h D
@@ -205,13 +211,13 @@ def assemble(system, kernel, points, equilibria=()):
     # one batched GEMM per chunk of block rows.  Block row l is stored as
     # block column l of the Fortran-ordered Gram, whose lower half it is, so
     # the chunks write disjoint columns.
-    gram = np.zeros((dim, dim), order="F")
+    gram = _zeroed_gram(dim)
     gram_rows = gram.T.reshape(big_n, m, dim)                # a view: writes fill the Gram
 
     def assemble_chunk(bounds, work):
         l0, l1 = bounds
         # Block columns from k1 on lie outside the support of every chunk
-        # row, so their blocks keep the zeros of np.zeros.
+        # row, so their blocks keep the mapping's zeros.
         rows = cset.points[l0:l1]
         near = near_box(cset.points[l0:], (rows.min(axis=0), rows.max(axis=0)),
                         kernel.support_radius)
@@ -222,7 +228,7 @@ def assemble(system, kernel, points, equilibria=()):
         # order of earlier releases, so their Grams and beta.csv are
         # reproduced bit for bit.
         psi, g2, theta, h = (a.T for a in pairwise_scalars(
-            kernel, cset.centre, cset.points[l0:k1], cset.f_values[l0:k1],
+            kernel, centre, cset.points[l0:k1], cset.f_values[l0:k1],
             rows, cset.f_values[l0:l1], work))
         cols = col_t[:, l0:k1]
         shape = (l1 - l0, m, (k1 - l0) * m)
@@ -237,9 +243,6 @@ def assemble(system, kernel, points, equilibria=()):
         for a in range(m):
             value[:, a, :, a] += np.multiply(h, scale[a], out=product)
         body += value.reshape(shape)
-        # The chunk's block rows of the upper half: no other chunk writes
-        # them, and no chunk writes past k1 below them.
-        _mirror_lower(gram, l0 * m, l1 * m, k1 * m)
 
     run_blocks(assemble_chunk, chunks, slots, big_n)
     return cset, gram
@@ -268,8 +271,9 @@ def _available_memory_bytes():
 
 
 def _check_memory(dim, workspace_bytes):
-    """Raise MemoryError if a dim x dim Gram and workspace_bytes more do not fit."""
-    needed = 8 * dim * dim + workspace_bytes
+    """Raise MemoryError if the lower triangle of a dim x dim Gram, the page
+    each column starts on, and workspace_bytes more do not fit."""
+    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + workspace_bytes
     available = _available_memory_bytes()
     if available is not None and needed > available:
         raise MemoryError(
@@ -277,19 +281,20 @@ def _check_memory(dim, workspace_bytes):
             f"{needed / 1e6:.0f} MB, but only {available / 1e6:.0f} MB are available")
 
 
-def _mirror_lower(a, start, end, stop):
-    """Set a[i, j] = a[j, i] for start <= i < end and i < j < stop.
+def _zeroed_gram(dim):
+    """A zero (dim, dim) Fortran-ordered array in a private anonymous mapping.
 
-    Works in square tiles, so the copy stays in cache and its temporaries
-    stay one tile large.
+    The mapping stays on 4 KiB pages where the platform can say so, so a
+    page is backed by memory only once it is written: a 2 MiB huge page
+    would span many columns and bring in the upper triangle with the lower.
     """
-    for j0 in range(start, end, _TILE):
-        j1 = min(end, j0 + _TILE)
-        tile = a[j0:j1, j0:j1]
-        np.copyto(tile, tile.T, where=np.tri(j1 - j0, k=-1, dtype=bool).T)
-        for i0 in range(j1, stop, _TILE):
-            i1 = min(stop, i0 + _TILE)
-            a[j0:j1, i0:i1] = a[i0:i1, j0:j1].T
+    try:
+        pages = mmap.mmap(-1, 8 * dim * dim, flags=mmap.MAP_PRIVATE)
+    except OSError as err:
+        raise MemoryError(f"cannot map the {dim}-unknown Gram matrix: {err}") from err
+    with contextlib.suppress(AttributeError, OSError):      # no such advice here
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray((dim, dim), order="F", buffer=pages)
 
 
 class FactorizationError(RuntimeError):
@@ -304,7 +309,7 @@ class FactorizationError(RuntimeError):
 def _cholesky(gram):
     """Factor gram's lower triangle, overwriting it if gram is Fortran-ordered.
 
-    cho_factor copies other input; neither way touches the strict upper half.
+    cho_factor copies other input; neither way reads the strict upper half.
     """
     try:
         return scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True,
@@ -320,9 +325,9 @@ def _cholesky(gram):
 @dataclass(frozen=True)
 class SolveDiagnostics:
     dimension: int
-    relative_residual: float
-    factorization: str                     # always "cholesky" and False: solve has
-    regularized: bool                      # one path; both stay solution.json keys
+    relative_residual: Optional[float] = None   # not computed; perfbench still passes it
+    factorization: str = "cholesky"        # always "cholesky" and False: solve has
+    regularized: bool = False              # one path; both stay solution.json keys
     min_pivot: Optional[float] = None      # smallest diagonal entry of the factor
 
 
@@ -364,13 +369,11 @@ def solve(gram, rhs, cset, kernel):
     index.
 
     gram (writeable float64) is consumed, as LAPACK's xPOTRF consumes its
-    input: a Fortran-ordered gram, as assemble returns it, is factored in
-    place and holds the Cholesky factor in its lower half afterwards, also
-    after a FactorizationError, so a Gram is good for one solve.  The
-    reported relative_residual is ||A gamma - b|| / ||b||, read from the
-    untouched strict upper triangle and the saved diagonal.  C goes through
-    check_rhs, and a solution that overflows to non-finite values is a
-    FloatingPointError.
+    input: only its lower triangle is read, and a Fortran-ordered gram, as
+    assemble returns it, is factored in place and holds the Cholesky factor
+    in its lower half afterwards, also after a FactorizationError, so a Gram
+    is good for one solve.  C goes through check_rhs, and a solution that
+    overflows to non-finite values is a FloatingPointError.
     """
     rhs = check_rhs(rhs, cset.system.dim)
     n = len(rhs)
@@ -382,26 +385,14 @@ def solve(gram, rhs, cset, kernel):
         raise ValueError("Gram matrix must be a writeable float64 array")
     b = -np.tile(rhs[i, j], len(cset))
 
-    diagonal = gram.diagonal().copy()
     factor = _cholesky(gram)
     gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
     if not np.all(np.isfinite(gamma)):
         raise FloatingPointError("the solution of the collocation system is not finite "
                                  f"(largest |C| entry {np.max(np.abs(rhs)):.3g})")
     min_pivot = float(np.min(factor[0].diagonal()))
-    # A gamma: the upper half, with the saved diagonal in place of gram's
-    product = (scipy.linalg.blas.dsymv(1.0, gram, gamma, lower=0)
-               + (diagonal - gram.diagonal()) * gamma)
-    residual = float(np.linalg.norm(product - b) / np.linalg.norm(b))
 
     beta = np.zeros((len(cset), n, n))
     beta[:, i, j] = beta[:, j, i] = gamma.reshape(len(cset), -1) * np.where(i == j, 1.0, 0.5)
 
-    diagnostics = SolveDiagnostics(
-        dimension=dim,
-        relative_residual=residual,
-        factorization="cholesky",
-        regularized=False,
-        min_pivot=min_pivot,
-    )
-    return RecoverySolution(cset, kernel, beta, rhs, diagnostics)
+    return RecoverySolution(cset, kernel, beta, rhs, SolveDiagnostics(dim, min_pivot=min_pivot))

@@ -19,13 +19,14 @@ operator.near_box keeps for the cell; a block sums only over the nodes kept
 for it, since every other node contributes exactly zero.  operator.run_blocks
 runs the blocks on the worker threads that assembly uses too; each block
 writes its own rows, so the values do not depend on the worker count.
-convergence_study checks C and computes f, Df, M and L(M) at the check
-points once, before its first assembly, so a bad C or an exact metric of the
-wrong shape fails before any Gram exists.  It evaluates the finest spacing
-first, right after its solve, so that Gram peaks before any block exists.
-Every result is exactly symmetric by construction.  Evaluation takes arrays
-only: a single point x is the batch x[None].  Definiteness is one rule, the
-sign of an extreme eigenvalue (eigvalsh), as in field_export and ellipse_points.
+convergence_study checks C and the declared equilibria, and computes f, Df,
+M and L(M) at the check points, once, before its first assembly, so a bad C,
+a bad equilibrium or an exact metric of the wrong shape fails before any
+Gram exists.  It evaluates the finest spacing first, right after its solve,
+so that Gram peaks before any block exists.  Every result is exactly
+symmetric by construction.  Evaluation takes arrays only: a single point x
+is the batch x[None].  Definiteness is one rule, the sign of an extreme
+eigenvalue (eigvalsh), as in field_export and ellipse_points.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .collocation import (CollocationSet, FactorizationError, GridSpec, assemble
                           check_rhs, collocation_data, make_grid, solve)
 from .operator import (PAIRWISE_SLOTS, apply_operator, block_rows, near_box,
                        operator_image, pairwise_scalars, run_blocks)
+from .systems import check_equilibrium_condition
 
 __all__ = [
     "eval_metric_batch",
@@ -92,6 +94,7 @@ def _fields_batch(solution, query):
     p_flat = operator_image(solution.beta, 0.0,
                             cset.jacobians.transpose(0, 2, 1)).reshape(-1, n * n)
     beta_flat = solution.beta.reshape(-1, n * n)
+    centre = cset.centre
     s_out = np.empty((len(query), n, n))
     fs_out = np.empty((len(query), n, n))
 
@@ -99,7 +102,7 @@ def _fields_batch(solution, query):
         rows = query.points[block]
         near = near_box(cset.points, (rows.min(axis=0), rows.max(axis=0)), radius)
         psi, theta, g2, h = pairwise_scalars(
-            solution.kernel, cset.centre, rows, query.f_values[block],
+            solution.kernel, centre, rows, query.f_values[block],
             cset.points[near], cset.f_values[near], work)
         p_near, beta_near = p_flat[near], beta_flat[near]
         s_val = _symmetrize(_combine(psi, p_near, theta, beta_near, n, work[4:]))
@@ -218,10 +221,12 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
     # every spacing's GridSpec first, so one that does not divide the box fails before any solve
     specs = {alpha: GridSpec(bounds=bounds, spacing=alpha) for alpha in alphas}
     rhs = check_rhs(rhs, system.dim)
+    for x0, sign in equilibria:
+        check_equilibrium_condition(system, x0, sign)
     check = _check_grid(exact, system, make_grid(check_spec))
     errors = {}
     for alpha in reversed(alphas):      # finest first; see the module docstring
-        cset, gram = assemble(system, kernel, make_grid(specs[alpha]), equilibria=equilibria)
+        cset, gram = assemble(system, kernel, make_grid(specs[alpha]))
         try:
             solution = solve(gram, rhs, cset, kernel)
         except FactorizationError as err:

@@ -111,7 +111,7 @@ def check_equilibrium_condition(system, x0, stability_sign="stable"):
     real = eigs.real if stability_sign == "unstable" else -eigs.real     # > 0 when satisfied
     if np.min(real) <= _EIGENVALUE_TOL:
         raise ValueError(f"equilibrium {x0.tolist()} fails the {stability_sign} "
-                         f"eigenvalue condition: {tuple(eigs)}")
+                         f"eigenvalue condition: {eigs.tolist()}")
     return eigs
 
 

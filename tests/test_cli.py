@@ -40,10 +40,11 @@ def test_solve_artifacts_smallest_grid(tmp_path, capsys):
     meta = json.loads((tmp_path / "out" / "solution.json").read_text())
     assert meta["n_points"] == 9
     assert meta["n_unknowns"] == 27
-    assert meta["relative_residual"] < 1e-10
+    assert meta["interp_residual"] < 1e-10
+    assert "relative_residual" not in meta
     assert meta["separation_distance"] == pytest.approx(1.0)
     timing = json.loads((tmp_path / "out" / "timing.json").read_text())
-    assert timing["assemble_seconds"] > 0.0
+    assert timing["assemble_seconds"] > 0.0 and timing["residual_seconds"] > 0.0
     header, rows = _read_csv(tmp_path / "out" / "beta.csv")
     assert header == ["k", "x0", "x1", "beta_00", "beta_01", "beta_11"]
     assert len(rows) == 9
@@ -399,6 +400,21 @@ def test_insufficient_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert cli.main(["solve", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "insufficient memory" in err and "only 1 MB" in err
+    assert not (tmp_path / "out" / "solution.json").exists()
+
+
+def test_failed_mapping_exits_3(tmp_path, capsys, monkeypatch):
+    import mmap
+
+    def refuse(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    assert cli.main(["solve", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "insufficient memory: cannot map the 27-unknown Gram matrix" in err
     assert not (tmp_path / "out" / "solution.json").exists()
 
 

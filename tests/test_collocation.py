@@ -1,6 +1,9 @@
 """Grids, geometric quantities, Gram assembly, and the SPD solve."""
 
 import itertools
+import mmap
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -234,34 +237,47 @@ def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
             monkeypatch.setattr(conmet.operator, "block_workers",
                                 lambda blocks, w=workers: min(w, blocks))
             _, gram = assemble(system, kernel, nodes)
-            blocks = gram.reshape(big_n, 3, big_n, 3)
+            blocks = _whole(gram).reshape(big_n, 3, big_n, 3)
             assert np.allclose(blocks, oracle, rtol=1e-12, atol=1e-12)
             assert np.array_equal(np.any(blocks != 0.0, axis=(1, 3)), psi != 0.0)
             by_workers.append(gram.tobytes())
         assert by_workers[0] == by_workers[1]
 
 
-def test_assemble_mirrors_each_chunk_like_a_whole_matrix_copy(linear, kernel, monkeypatch):
-    # each chunk copies its lower blocks onto its upper block rows; the result
-    # must be the lower triangle, computed with no mirror at all, copied onto
-    # the upper one afterwards, for every chunk size and worker count
+def _whole(gram):
+    """The symmetric matrix that the lower triangle of gram defines."""
+    return np.tril(gram) + np.tril(gram, -1).T
+
+
+def test_assemble_writes_only_the_lower_triangle(linear, kernel, monkeypatch):
+    # a chunk writes its block rows as block columns of the lower triangle,
+    # which covers the upper half of its diagonal square; every other strict
+    # upper entry keeps the mapping's zero, for every chunk size and worker
+    # count.  On the grid the lower triangle does not depend on the chunk
+    # size, so each budget defines the one-chunk Gram bit for bit
     system, _, _ = linear
-    for nodes in (_wide_nodes(kernel, np.random.default_rng(72)),
-                  make_grid(GridSpec(BOUNDS, 0.125))):
+    for nodes, one_lower in ((_wide_nodes(kernel, np.random.default_rng(72)), False),
+                             (make_grid(GridSpec(BOUNDS, 0.125)), True)):
         big_n = len(nodes)
-        for rows in (1, 2, 7, big_n):
+        lowers = set()
+        for rows in (big_n, 1, 2, 7):
             monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 8 * rows * big_n)
+            chunk = np.arange(3 * big_n) // (3 * rows)
+            outside = np.triu(chunk[:, None] != chunk[None, :])
+            by_workers = set()
             for workers in (1, 2):
                 monkeypatch.setattr(conmet.operator, "block_workers",
                                     lambda blocks, w=workers: min(w, blocks))
                 _, gram = assemble(system, kernel, nodes)
-                with monkeypatch.context() as patch:
-                    patch.setattr(conmet.collocation, "_mirror_lower", lambda *args: None)
-                    _, lower = assemble(system, kernel, nodes)
-                whole = np.where(np.tri(len(lower), dtype=bool), lower, lower.T)
                 assert gram.flags.f_contiguous
-                assert np.array_equal(gram, gram.T)
-                assert _bits(gram) == _bits(np.asfortranarray(whole))
+                assert not np.any(gram[outside])
+                # the square's upper half is computed, not copied: round-off apart
+                assert np.allclose(gram[~outside], _whole(gram)[~outside], rtol=0,
+                                   atol=1e-13 * np.max(np.abs(gram)))
+                by_workers.add(_bits(np.tril(gram)))
+            assert len(by_workers) == 1
+            lowers |= by_workers
+        assert len(lowers) == 1 or not one_lower
 
 
 def test_assemble_two_point_fd_oracle(linear, kernel):
@@ -339,11 +355,14 @@ def test_assemble_random_sets_spd_and_symmetric(linear, kernel):
 
 
 def test_assemble_gram_exactly_symmetric(linear, kernel):
-    # the upper triangle is a copy of the computed lower one
+    # the lower triangle defines an exactly symmetric Gram; one chunk covers
+    # this grid, so its upper triangle is computed too, equal up to round-off
     system, _, _ = linear
     _, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.125)))
+    whole = _whole(gram)
     assert gram.flags.f_contiguous
-    assert np.array_equal(gram, gram.T)
+    assert np.array_equal(whole, whole.T)
+    assert np.allclose(gram, whole, rtol=0, atol=1e-13 * np.max(np.abs(gram)))
 
 
 def test_assemble_translation_invariant_far_from_origin(kernel):
@@ -373,8 +392,9 @@ def test_assemble_fails_fast_without_memory(linear, kernel, monkeypatch):
 
 
 def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, monkeypatch):
-    # the check asks for the Gram plus exactly one workspace, of the size the
-    # chunks receive, per worker: one byte less is refused, that amount is not
+    # the check asks for the Gram's lower triangle, the page each of its
+    # columns starts on, and exactly one workspace, of the size the chunks
+    # receive, per worker: one byte less is refused, that amount is not
     system, _, _ = linear
     pts = make_grid(GridSpec(BOUNDS, 0.125))
     monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 2 ** 14)
@@ -391,12 +411,56 @@ def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, m
     monkeypatch.setattr(conmet.collocation, "run_blocks", recording)
     gram = assemble(system, kernel, pts)[1]
     (workspace_bytes,) = set(seen.values())
-    needed = gram.nbytes + 2 * workspace_bytes
+    dim = len(gram)
+    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + 2 * workspace_bytes
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed - 1)
     with pytest.raises(MemoryError):
         assemble(system, kernel, pts)
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed)
     assert np.array_equal(assemble(system, kernel, pts)[1], gram)
+
+
+def test_failed_mapping_is_a_memory_error(linear, kernel, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    with pytest.raises(MemoryError, match="cannot map the 867-unknown Gram matrix"):
+        assemble(linear[0], kernel, make_grid(GridSpec(BOUNDS, 0.125)))
+
+
+_RSS_GROWTH = """
+import conmet
+
+def rss():
+    with open("/proc/self/status") as handle:
+        return next(int(line.split()[1]) * 1024 for line in handle if line.startswith("VmRSS:"))
+
+system, _, _ = conmet.linear_example()
+points = conmet.make_grid(conmet.GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 0.2))
+kernel = conmet.wendland_c8(0.9)
+before = rss()
+_, gram = conmet.assemble(system, kernel, points)
+print((rss() - before) / gram.nbytes)
+"""
+
+
+def test_assemble_leaves_the_unwritten_pages_unmapped():
+    # on [-4, 4]^2 at h = 0.2 the chunks write about a quarter of the Gram's
+    # pages: the lower triangle up to each chunk's last block column in the
+    # support; a Gram on huge pages, or one written whole, costs all of them
+    try:
+        with open("/proc/self/status") as handle:
+            if not any(line.startswith("VmRSS:") for line in handle):
+                pytest.skip("no VmRSS in /proc/self/status")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    src = os.path.dirname(os.path.dirname(conmet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", _RSS_GROWTH], env=env,
+                            capture_output=True, text=True, check=True)
+    assert float(result.stdout) < 0.5
 
 
 def test_available_memory_is_positive_or_unknown():
@@ -406,7 +470,9 @@ def test_available_memory_is_positive_or_unknown():
 
 def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
     # assembly works in chunks of the budget, one per worker, and the solve
-    # factors in place, so the Gram is the only dim x dim array alive at any time
+    # factors in place, so the Gram is the only dim x dim array alive at any
+    # time; it lives in a mapping that tracemalloc does not see, so the peak
+    # traced is what assembly and solve allocate beside it
     system, _, rhs = linear
     budget = 2 ** 20
     monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", budget // 32)   # 14 of 289 rows
@@ -420,7 +486,7 @@ def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
     finally:
         tracemalloc.stop()
     assert gram.nbytes > 5 * budget
-    assert peak <= gram.nbytes + 2 * budget
+    assert peak <= 2 * budget
 
 
 def test_assemble_checks_equilibrium_condition(kernel):
@@ -474,7 +540,8 @@ def test_solve_single_equilibrium_point_lyapunov_case(linear, kernel):
     system, exact, rhs = linear
     cset, gram = assemble(system, kernel, np.zeros((1, 2)))
     solution = solve(gram, rhs, cset, kernel)
-    assert solution.diagnostics.relative_residual <= 1e-12
+    residual = conmet.eval_operator_batch(solution, cset.points) + rhs
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
     expected_beta = np.array([[-0.05, -0.03], [-0.03, -0.02]])   # gamma = (-1/20, -3/50, -1/50)
     assert np.allclose(solution.beta[0], expected_beta, rtol=0, atol=1e-13)
     origin = np.zeros((1, 2))
@@ -549,19 +616,10 @@ def _bits(array):
     return np.asarray(array).view(np.uint64).tobytes(order="A")
 
 
-def _recomputed_residual(kept, solution, rhs):
-    """||A gamma - b|| / ||b|| with the assembled A, gamma read back from beta."""
-    i, j = np.transpose(triangle_indices(len(rhs)))
-    gamma = (solution.beta[:, i, j] / np.where(i == j, 1.0, 0.5)).ravel()
-    b = -np.tile(rhs[i, j], len(solution.beta))
-    return np.linalg.norm(kept @ gamma - b) / np.linalg.norm(b)
-
-
 def test_solve_consumes_gram(linear, kernel):
-    # the factor overwrites the lower triangle in place; the strict upper
-    # triangle stays as assembled, and the residual read from it and the
-    # saved diagonal is the one of the assembled matrix, for either memory
-    # order
+    # the factor overwrites the lower triangle in place and leaves the strict
+    # upper one as assembled; solve reads nothing else, so a strict upper
+    # triangle of NaN gives the same beta bit for bit, for either memory order
     system, _, rhs = linear
     cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.25)))
     kept = gram.copy(order="F")
@@ -570,14 +628,16 @@ def test_solve_consumes_gram(linear, kernel):
         solve(kept, rhs, cset, kernel)
     solution = solve(gram, rhs, cset, kernel)
     assert _bits(np.triu(gram, 1)) == _bits(np.triu(kept, 1))
-    factor = np.linalg.cholesky(kept)
+    factor = np.linalg.cholesky(_whole(kept))
     assert np.max(np.abs(np.tril(gram) - factor)) <= 1e-12 * np.max(np.abs(factor))
     assert solution.diagnostics.min_pivot == pytest.approx(
         np.min(np.diag(factor)), rel=1e-12)
+    assert solution.diagnostics.relative_residual is None
+    blind = np.where(np.tri(len(kept), dtype=bool), kept, np.nan)
     for order in "FC":
-        solution = solve(np.array(kept, order=order), rhs, cset, kernel)
-        assert solution.diagnostics.relative_residual == pytest.approx(
-            _recomputed_residual(kept, solution, rhs), rel=1e-5, abs=1e-13)
+        other = solve(np.array(blind, order=order), rhs, cset, kernel)
+        assert _bits(other.beta) == _bits(solution.beta)
+        assert other.diagnostics == solution.diagnostics
 
     cset, gram = assemble(system, kernel, [[0.0, 0.0], [0.2, 0.1]])
     eps = 1e-10 * np.trace(gram) / len(gram)

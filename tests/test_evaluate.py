@@ -412,6 +412,45 @@ def test_convergence_study_checks_rhs_before_any_assembly(linear, kernel, monkey
         convergence_study(system, exact, -np.eye(2), kernel, [0.5, 0.25], BOUNDS, check)
 
 
+def test_convergence_study_checks_each_equilibrium_once(linear, kernel, monkeypatch):
+    # one f and one Df call for the declared equilibrium, before the first
+    # assembly, which gets none: besides the check grid's call, each spacing
+    # calls f and Df once, for its nodes
+    system, exact, rhs = linear
+    calls = {"f": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    counted_system = DynamicalSystem(2, counted("f", system.f),
+                                     counted("jacobian", system.jacobian))
+    assembled = []
+    original = evaluate.assemble
+
+    def recorded(system, kernel, points, equilibria=()):
+        assembled.append(equilibria)
+        return original(system, kernel, points, equilibria)
+
+    monkeypatch.setattr(evaluate, "assemble", recorded)
+    check = GridSpec(BOUNDS, 0.25, offset=0.125)
+    alphas = [0.5, 0.25, 0.125]
+    convergence_study(counted_system, exact, rhs, kernel, alphas, BOUNDS, check,
+                      equilibria=((np.zeros(2), "stable"),))
+    assert calls == {"f": 2 + len(alphas), "jacobian": 2 + len(alphas)}
+    assert assembled == [()] * len(alphas)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled despite a bad equilibrium")
+
+    monkeypatch.setattr(evaluate, "assemble", no_assembly)
+    with pytest.raises(ValueError, match="fails the unstable eigenvalue condition"):
+        convergence_study(system, exact, rhs, kernel, alphas, BOUNDS, check,
+                          equilibria=((np.zeros(2), "unstable"),))
+
+
 def test_eval_workers_capped_by_cpus_and_blocks(monkeypatch):
     # counted, not started: the helper only decides how many threads to use
     cpus = len(os.sched_getaffinity(0))

@@ -92,7 +92,7 @@ def _constant_system(matrix):
 def test_check_equilibrium_identity_jacobian_not_stable():
     system = _constant_system(np.eye(2))
     with pytest.raises(ValueError, match=r"^equilibrium \[0\.0, 0\.0\] fails the stable "
-                                         r"eigenvalue condition: \("):
+                                         r"eigenvalue condition: \[1\.0, 1\.0\]$"):
         check_equilibrium_condition(system, np.zeros(2), "stable")
     assert np.array_equal(check_equilibrium_condition(system, np.zeros(2), "unstable"),
                           [1.0, 1.0])
