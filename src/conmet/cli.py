@@ -229,7 +229,7 @@ def cmd_solve(config):
     points = make_grid(config.grid)
     solution, timing = _solve_on_grid(bundle, kernel, rhs, points)
     t0 = time.perf_counter()            # max |L(S)(x_k) + C| / max |C| over the nodes
-    residual = float(np.max(np.abs(eval_operator_batch(solution, points) + rhs))
+    residual = float(np.max(np.abs(eval_operator_batch(solution, solution.collocation) + rhs))
                      / np.max(np.abs(rhs)))
     timing["residual_seconds"] = time.perf_counter() - t0
 

@@ -11,16 +11,31 @@ square.  The Gram lives in an anonymous mapping on 4 KiB pages, so the pages
 that no chunk writes are never backed by memory, and assembly needs the
 lower triangle, one page per column and one workspace per worker.  A block
 is zero when its two points lie at least the kernel's support radius apart,
-so each chunk stops at the last block column that operator.near_box keeps
-for the chunk rows' bounding box; the zero blocks past it are never
+so each chunk stops at the last block column k1 that operator.near_box
+keeps for the chunk rows' bounding box; the zero blocks past it are never
 computed.  Before it maps the Gram, assembly checks every equilibrium it is
 given, and that much memory against what the system reports as available,
 raising MemoryError if it does not fit.  The solve consumes the Gram, as
 xPOTRF consumes its input: the Cholesky factor overwrites the lower
-triangle, and nothing reads the Gram afterwards.  The Gram of a positive
-definite kernel is SPD in exact arithmetic, so a failed factor means
-near-degenerate node geometry; it raises FactorizationError and is not
-retried.
+triangle, and nothing reads the Gram afterwards.
+
+The chunks' k1 also bound the factor.  Column j of the Gram is zero from
+row ends[j] on, with ends the chunks' k1 in unknowns made nondecreasing:
+a column envelope, inside which the Cholesky factor fills in and outside
+of which it stays zero (George & Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981).  When the envelope's flops,
+sum_j (ends[j] - j)^2, are at most a quarter of the dense dim^3 / 3, the
+solve factors panel by panel inside it: cho_factor on each 256-column
+diagonal block, dtrsm on the rows below it down to the envelope, and dgemm
+updates of the trailing envelope in 256-column tiles, all through scipy's
+BLAS and LAPACK, whose thread pool is not numpy's.  The zeros past the
+envelope are then neither computed nor touched, and their pages stay
+unmapped; the memory check counts the two panel-wide arrays the loop
+holds.  Any other Gram, such as a one-chunk one whose envelope is the whole
+triangle, is one cho_factor call on the lower triangle.  The Gram of a
+positive definite kernel is SPD in exact arithmetic, so a failed factor
+means near-degenerate node geometry; it raises FactorizationError, which
+carries the global 1-based pivot, and is not retried.
 """
 
 import contextlib
@@ -31,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 from scipy.spatial import cKDTree
 
 from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
@@ -52,6 +68,7 @@ __all__ = [
 ]
 
 _DIVISIBILITY_TOL = 1e-12
+_PANEL = 256                    # columns per panel of the envelope Cholesky factor
 _MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",                     # cgroup v2
                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")   # cgroup v1
 
@@ -188,7 +205,8 @@ def assemble(system, kernel, points, equilibria=()):
     offending pair) and when a supplied equilibrium, wherever it lies, fails
     check_equilibrium_condition, and MemoryError, before mapping anything
     large, when the lower triangle plus one assembly workspace per worker
-    exceeds the memory the system reports as available or cannot be mapped.
+    and, if solve will factor in panels, its two panel-wide arrays exceed
+    the memory the system reports as available, or cannot be mapped.
     """
     cset = collocation_data(system, points)
     _reject_duplicates(cset.points)
@@ -199,10 +217,10 @@ def assemble(system, kernel, points, equilibria=()):
     col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]
     big_n, m = len(cset), len(scale)
     dim = big_n * m
-    chunk = block_rows(big_n)
-    chunks = [(l0, min(big_n, l0 + chunk)) for l0 in range(0, big_n, chunk)]
+    chunks = _chunk_reach(cset.points, kernel.support_radius)
     slots = max(m * m + 5, PAIRWISE_SLOTS)    # 4 pairwise arrays, m^2 of value, 1 product
-    _check_memory(dim, 8 * np.prod(workspace_shape(len(chunks), slots, big_n)))
+    panel_bytes = 2 * 8 * _PANEL * dim if _takes_panels(_column_ends(chunks, m)) else 0
+    _check_memory(dim, 8 * np.prod(workspace_shape(len(chunks), slots, big_n)) + panel_bytes)
     centre = cset.centre
 
     # Block row l, block column k:
@@ -215,13 +233,10 @@ def assemble(system, kernel, points, equilibria=()):
     gram_rows = gram.T.reshape(big_n, m, dim)                # a view: writes fill the Gram
 
     def assemble_chunk(bounds, work):
-        l0, l1 = bounds
         # Block columns from k1 on lie outside the support of every chunk
         # row, so their blocks keep the mapping's zeros.
+        l0, l1, k1 = bounds
         rows = cset.points[l0:l1]
-        near = near_box(cset.points[l0:], (rows.min(axis=0), rows.max(axis=0)),
-                        kernel.support_radius)
-        k1 = l0 + 1 + np.flatnonzero(near)[-1]
         # The engine is called with the roles swapped (rows k >= l0, columns
         # l in the chunk), which swaps theta and g2 and transposes all four.
         # Then h rounds psi2 <x_k - x_l, f_l> before the f_k product, the
@@ -248,6 +263,31 @@ def assemble(system, kernel, points, equilibria=()):
     return cset, gram
 
 
+def _chunk_reach(points, radius):
+    """Assembly's chunks of block rows as triples (l0, l1, k1): operator.near_box
+    drops every node from k1 on for the box around nodes l0 .. l1 - 1."""
+    step = block_rows(len(points))
+    chunks = []
+    for l0 in range(0, len(points), step):
+        rows = points[l0:l0 + step]
+        near = near_box(points[l0:], (rows.min(axis=0), rows.max(axis=0)), radius)
+        chunks.append((l0, l0 + len(rows), l0 + 1 + int(np.flatnonzero(near)[-1])))
+    return chunks
+
+
+def _column_ends(chunks, m):
+    """ends[j], the Gram row that column j's nonzeros stop short of, made
+    nondecreasing so that the Cholesky factor's fill stays below it too."""
+    l0, l1, k1 = np.transpose(chunks)
+    return np.maximum.accumulate(np.repeat(m * k1, m * (l1 - l0)))
+
+
+def _takes_panels(ends):
+    """Whether the envelope's flops are at most a quarter of the dense factor's."""
+    dim = len(ends)
+    return np.sum((ends - np.arange(dim)) ** 2.0) <= dim ** 3 / 12.0
+
+
 def _available_memory_bytes():
     """Bytes the system reports as available to this process, or None.
 
@@ -270,14 +310,14 @@ def _available_memory_bytes():
     return min(found, default=None)
 
 
-def _check_memory(dim, workspace_bytes):
+def _check_memory(dim, work_bytes):
     """Raise MemoryError if the lower triangle of a dim x dim Gram, the page
-    each column starts on, and workspace_bytes more do not fit."""
-    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + workspace_bytes
+    each column starts on, and work_bytes more do not fit."""
+    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + work_bytes
     available = _available_memory_bytes()
     if available is not None and needed > available:
         raise MemoryError(
-            f"the {dim}-unknown Gram matrix and its assembly need about "
+            f"the {dim}-unknown Gram matrix, its assembly and its factor need about "
             f"{needed / 1e6:.0f} MB, but only {available / 1e6:.0f} MB are available")
 
 
@@ -306,20 +346,54 @@ class FactorizationError(RuntimeError):
         self.pivot = pivot
 
 
-def _cholesky(gram):
-    """Factor gram's lower triangle, overwriting it if gram is Fortran-ordered.
-
-    cho_factor copies other input; neither way reads the strict upper half.
-    """
+def _factor_block(block, offset):
+    """Lower Cholesky factor of block by cho_factor, in place if block is
+    Fortran-contiguous; a failure is a FactorizationError whose 1-based
+    pivot counts from offset."""
     try:
-        return scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True,
-                                       check_finite=False)
+        return scipy.linalg.cho_factor(block, lower=True, overwrite_a=True,
+                                       check_finite=False)[0]
     except scipy.linalg.LinAlgError as err:
         match = re.search(r"(\d+)", str(err))
-        pivot = int(match.group(1)) if match else None
+        pivot = offset + int(match.group(1)) if match else None
         raise FactorizationError(
-            f"Gram matrix is numerically not positive definite ({err})",
+            f"Gram matrix is numerically not positive definite (pivot {pivot})",
             pivot=pivot) from err
+
+
+def _cholesky(gram, ends):
+    """Factor gram's lower triangle and return the factor as cho_solve takes
+    it, overwriting gram unless a single cho_factor call copies it (input
+    that is not Fortran-ordered).
+
+    Column j is taken as zero from row ends[j] on (_column_ends).  Panels,
+    when _takes_panels(ends), neither read nor write past that envelope,
+    and neither path touches the strict upper triangle.
+    """
+    if not _takes_panels(ends):
+        return _factor_block(gram, 0), True
+    lower = np.tri(_PANEL, dtype=bool)
+    for j0 in range(0, len(gram), _PANEL):
+        j1 = min(len(gram), j0 + _PANEL)
+        e = int(ends[j1 - 1])               # the panel's rows end before row e
+        # L11 L11^T = A11, L21 = A21 L11^-T, then A22 -= L21 L21^T in tiles
+        diag = _factor_block(gram[j0:j1, j0:j1], j0)
+        np.copyto(gram[j0:j1, j0:j1], diag, where=lower[:j1 - j0, :j1 - j0])
+        if e == j1:
+            continue
+        # C order: the transpose of any row range of it is a Fortran-ordered
+        # BLAS operand, used without a copy
+        below = np.array(gram[j1:e, j0:j1], order="C")
+        below = scipy.linalg.blas.dtrsm(1.0, diag, below.T, lower=1, overwrite_b=1).T
+        gram[j1:e, j0:j1] = below
+        for c0 in range(j1, e, _PANEL):
+            c1 = min(e, c0 + _PANEL)
+            update = scipy.linalg.blas.dgemm(1.0, below[c0 - j1:].T,
+                                             below[c0 - j1:c1 - j1].T, trans_a=1)
+            square = gram[c0:c1, c0:c1]
+            np.subtract(square, update[:c1 - c0], out=square, where=lower[:c1 - c0, :c1 - c0])
+            gram[c1:e, c0:c1] -= update[c1 - c0:]
+    return gram, True
 
 
 @dataclass(frozen=True)
@@ -372,8 +446,10 @@ def solve(gram, rhs, cset, kernel):
     input: only its lower triangle is read, and a Fortran-ordered gram, as
     assemble returns it, is factored in place and holds the Cholesky factor
     in its lower half afterwards, also after a FactorizationError, so a Gram
-    is good for one solve.  C goes through check_rhs, and a solution that
-    overflows to non-finite values is a FloatingPointError.
+    is good for one solve.  Its entries outside the column envelope of
+    cset's points under kernel (see the module docstring) are taken as the
+    zeros that assemble leaves there.  C goes through check_rhs, and a
+    solution that overflows to non-finite values is a FloatingPointError.
     """
     rhs = check_rhs(rhs, cset.system.dim)
     n = len(rhs)
@@ -385,7 +461,8 @@ def solve(gram, rhs, cset, kernel):
         raise ValueError("Gram matrix must be a writeable float64 array")
     b = -np.tile(rhs[i, j], len(cset))
 
-    factor = _cholesky(gram)
+    factor = _cholesky(gram, _column_ends(_chunk_reach(cset.points, kernel.support_radius),
+                                          len(i)))
     gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
     if not np.all(np.isfinite(gamma)):
         raise FloatingPointError("the solution of the collocation system is not finite "

@@ -117,14 +117,24 @@ def _fields_batch(solution, query):
     return s_out, fs_out
 
 
+def _query(solution, points):
+    """points as a CollocationSet: as given if it is one, else with f and Df evaluated there."""
+    if isinstance(points, CollocationSet):
+        return points
+    return collocation_data(solution.collocation.system, points)
+
+
 def eval_metric_batch(solution, points):
-    """Recovered metric S at each row of points; (E, n, n) array."""
-    return _fields_batch(solution, collocation_data(solution.collocation.system, points))[0]
+    """Recovered metric S at each row of points, or at the points of a
+    CollocationSet with its cached f and Df; (E, n, n) array."""
+    return _fields_batch(solution, _query(solution, points))[0]
 
 
 def eval_operator_batch(solution, points):
-    """Operator image L(S) at each row of points; (E, n, n) array."""
-    return _fields_batch(solution, collocation_data(solution.collocation.system, points))[1]
+    """Operator image L(S) at each row of points, or at the points of a
+    CollocationSet with its cached f and Df, such as solution.collocation;
+    (E, n, n) array."""
+    return _fields_batch(solution, _query(solution, points))[1]
 
 
 def _det(stack):

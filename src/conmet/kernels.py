@@ -79,7 +79,7 @@ class _FactoredRadial:
         self.cofactor = tuple(float(a) for a in cofactor)
 
     def eval_unit(self, t, x, power, acc):
-        """Horner evaluation into acc on t in [0, 1), times x**e, x = 1 - t, formed in power."""
+        """Horner evaluation into acc on t in [0, 1], times x**e, x = 1 - t, formed in power."""
         acc[...] = self.cofactor[-1]
         for a in self.cofactor[-2::-1]:
             acc *= t
@@ -104,7 +104,8 @@ class RadialKernel:
         Integer coefficients (ascending powers) of the profile polynomial in
         t = c*r, valid on [0, 1].  The polynomial must have vanishing t**1
         and t**3 terms so that psi1 and psi2 remain polynomial; this holds
-        for any radial profile that is at least C^4.
+        for any radial profile that is at least C^4.  It and both quotients
+        must vanish at t = 1, where profile_values clips t.
     label : str
         Free-text name.
 
@@ -129,6 +130,8 @@ class RadialKernel:
         self._psi = _FactoredRadial(1.0, *_factor_support(p))
         self._psi1 = _FactoredRadial(c ** 2, *_factor_support(u))
         self._psi2 = _FactoredRadial(c ** 4, *_factor_support(w))
+        if min(self._psi.exponent, self._psi1.exponent, self._psi2.exponent) < 1:
+            raise ValueError("the profile and its two radial quotients must vanish at t = 1")
 
     @property
     def support_radius(self):
@@ -143,21 +146,18 @@ class RadialKernel:
 
         work is a C-ordered float64 (6, >= r.size) array, allocated when None,
         whose rows 3-5 are scratch; nothing in it is read, and r may be row 0.
-        The polynomials are evaluated inside the support only, gathered by one
-        mask (np.compress(out=) would allocate twice as much) and scattered by it.
+        t = c r is clipped to 1, where every helper's (1 - t)^e factor is 0,
+        so no mask is formed; adding +0.0 turns psi1's -0.0 there into +0.0.
+        A NaN radius gives NaN.
         """
         r = np.asarray(r, dtype=float)
         work = np.empty((6, r.size)) if work is None else work
-        flats = work[:3, :r.size]
-        t = np.multiply(self.shape_parameter, r.ravel(), out=flats[0])
-        inside = np.less(t, 1.0, out=work[3].view(bool)[:r.size])
-        t_in = t[inside]
-        x, acc = np.subtract(1.0, t_in, out=work[4, :t_in.size]), work[5, :t_in.size]
-        for flat, helper in zip(flats, (self._psi, self._psi1, self._psi2)):
-            helper.eval_unit(t_in, x, flat[:t_in.size], acc)    # t is spent: flats[0] is free
-            flat[...] = 0.0
-            flat[inside] = acc
-        return tuple(flat.reshape(r.shape) for flat in flats)
+        t, x, acc = work[3:6, :r.size]
+        np.minimum(np.multiply(self.shape_parameter, r.ravel(), out=t), 1.0, out=t)
+        np.subtract(1.0, t, out=x)
+        for flat, helper in zip(work[:3, :r.size], (self._psi, self._psi1, self._psi2)):
+            np.add(helper.eval_unit(t, x, flat, acc), 0.0, out=flat)
+        return tuple(flat.reshape(r.shape) for flat in work[:3, :r.size])
 
 
 # Profile of Wendland's C^8 function for up to two space dimensions,

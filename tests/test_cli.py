@@ -434,6 +434,43 @@ def test_solution_reports_min_pivot(tmp_path, capsys):
     assert 0.0 < meta["min_pivot"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_solve_calls_each_system_callback_once(tmp_path, capsys, monkeypatch):
+    # the node residual reuses the f and Df values that assembly cached, and
+    # equals bit for bit the one evaluated from the bare nodes
+    import dataclasses
+
+    import conmet
+    from conmet import systems
+
+    monkeypatch.setattr(systems, "_REGISTRY", dict(systems._REGISTRY))
+    system, exact, rhs = conmet.linear_example()
+    calls = {"f": 0, "jacobian": 0}
+
+    def counted(name):
+        callback = getattr(system, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return callback(x)
+        return wrapper
+
+    conmet.register_system("counted", dataclasses.replace(
+        system, f=counted("f"), jacobian=counted("jacobian")), exact=exact, rhs=rhs)
+    calls.update(f=0, jacobian=0)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), system="counted",
+                  grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.5})
+    assert cli.main(["solve", str(cfg)]) == 0
+    assert calls == {"f": 1, "jacobian": 1}
+    meta = json.loads((tmp_path / "out" / "solution.json").read_text())
+    points = conmet.make_grid(conmet.GridSpec(((-1.0, 1.0), (-1.0, 1.0)), 0.5))
+    kernel = conmet.wendland_c8(0.9)
+    cset, gram = conmet.assemble(system, kernel, points)
+    solution = conmet.solve(gram, rhs, cset, kernel)
+    residual = np.max(np.abs(conmet.eval_operator_batch(solution, points) + rhs))
+    assert meta["interp_residual"] == float(residual / np.max(np.abs(rhs)))
+
+
 def test_output_dir_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))

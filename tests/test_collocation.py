@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import conmet
 from conmet import (
@@ -34,6 +35,9 @@ from oracles import (
     point_data,
     riesz_representer,
 )
+
+
+_WIDE = ((-4.0, 4.0), (-4.0, 4.0))
 
 
 # -- grids --------------------------------------------------------------------
@@ -395,8 +399,22 @@ def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, m
     # the check asks for the Gram's lower triangle, the page each of its
     # columns starts on, and exactly one workspace, of the size the chunks
     # receive, per worker: one byte less is refused, that amount is not
-    system, _, _ = linear
-    pts = make_grid(GridSpec(BOUNDS, 0.125))
+    # (this grid's envelope takes one factor call, which needs nothing more)
+    _assert_memory_check_asks(linear[0], kernel, make_grid(GridSpec(BOUNDS, 0.125)), monkeypatch,
+                              panels=False)
+
+
+def test_memory_check_counts_the_panel_temporaries(linear, kernel, monkeypatch):
+    # with 42 assembly chunks the envelope of [-4, 4]^2 at h = 0.5 holds
+    # 0.065 of the dense flops, so the factor takes panels, and the check asks
+    # for two panels' worth of float64 per unknown more
+    _assert_memory_check_asks(linear[0], kernel, make_grid(GridSpec(_WIDE, 0.5)), monkeypatch,
+                              panels=True)
+
+
+def _assert_memory_check_asks(system, kernel, pts, monkeypatch, panels):
+    """The amount the memory check needs on 2 workers with 16 KiB blocks:
+    one byte less is refused, that amount is not."""
     monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 2 ** 14)
     monkeypatch.setattr(conmet.operator, "block_workers", lambda blocks: min(2, blocks))
     seen = {}
@@ -412,7 +430,8 @@ def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, m
     gram = assemble(system, kernel, pts)[1]
     (workspace_bytes,) = set(seen.values())
     dim = len(gram)
-    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + 2 * workspace_bytes
+    needed = (8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + 2 * workspace_bytes
+              + panels * 2 * 8 * conmet.collocation._PANEL * dim)
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed - 1)
     with pytest.raises(MemoryError):
         assemble(system, kernel, pts)
@@ -436,11 +455,13 @@ def rss():
     with open("/proc/self/status") as handle:
         return next(int(line.split()[1]) * 1024 for line in handle if line.startswith("VmRSS:"))
 
-system, _, _ = conmet.linear_example()
+system, _, rhs = conmet.linear_example()
 points = conmet.make_grid(conmet.GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 0.2))
 kernel = conmet.wendland_c8(0.9)
 before = rss()
-_, gram = conmet.assemble(system, kernel, points)
+cset, gram = conmet.assemble(system, kernel, points)
+print((rss() - before) / gram.nbytes)
+conmet.solve(gram, rhs, cset, kernel)
 print((rss() - before) / gram.nbytes)
 """
 
@@ -448,7 +469,9 @@ print((rss() - before) / gram.nbytes)
 def test_assemble_leaves_the_unwritten_pages_unmapped():
     # on [-4, 4]^2 at h = 0.2 the chunks write about a quarter of the Gram's
     # pages: the lower triangle up to each chunk's last block column in the
-    # support; a Gram on huge pages, or one written whole, costs all of them
+    # support; a Gram on huge pages, or one written whole, costs all of them.
+    # The panel factor stays inside that envelope, where one dense dpotrf
+    # call would write the whole lower triangle (0.71 of the Gram's bytes)
     try:
         with open("/proc/self/status") as handle:
             if not any(line.startswith("VmRSS:") for line in handle):
@@ -460,7 +483,9 @@ def test_assemble_leaves_the_unwritten_pages_unmapped():
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     result = subprocess.run([sys.executable, "-c", _RSS_GROWTH], env=env,
                             capture_output=True, text=True, check=True)
-    assert float(result.stdout) < 0.5
+    assembled, solved = map(float, result.stdout.split())
+    assert assembled < 0.5
+    assert solved < 0.45
 
 
 def test_available_memory_is_positive_or_unknown():
@@ -487,6 +512,22 @@ def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
         tracemalloc.stop()
     assert gram.nbytes > 5 * budget
     assert peak <= 2 * budget
+
+
+def test_panel_factor_holds_two_panels_beside_the_gram(linear, kernel):
+    # on [-4, 4]^2 at h = 0.25 the factor runs panel by panel; beside the
+    # Gram it holds at most the two panel-wide arrays the memory check counts
+    system, _, rhs = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(_WIDE, 0.25)))
+    bound = 2 * 8 * conmet.collocation._PANEL * len(gram)
+    tracemalloc.start()
+    try:
+        solve(gram, rhs, cset, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gram.nbytes > 5 * bound
+    assert peak <= bound
 
 
 def test_assemble_checks_equilibrium_condition(kernel):
@@ -605,7 +646,7 @@ def test_solve_factorization_error_carries_pivot(linear, kernel, monkeypatch):
     cholesky = conmet.collocation._cholesky
     calls = []
     monkeypatch.setattr(conmet.collocation, "_cholesky",
-                        lambda a: calls.append(len(a)) or cholesky(a))
+                        lambda a, ends: calls.append(len(a)) or cholesky(a, ends))
     with pytest.raises(FactorizationError) as err:
         solve(spoiled, rhs, cset, kernel)
     assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
@@ -646,6 +687,65 @@ def test_solve_consumes_gram(linear, kernel):
     with pytest.raises(FactorizationError) as err:
         solve(spoiled.copy(order="F"), rhs, cset, kernel)
     assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
+
+
+@pytest.mark.parametrize("bounds, spacing, panels", [
+    pytest.param(_WIDE, 0.25, True, id="panels"),          # envelope: 0.098 of the flops
+    pytest.param(BOUNDS, 0.125, False, id="one-call"),     # one chunk: the whole triangle
+])
+def test_solve_factor_matches_dense_cholesky(linear, kernel, monkeypatch, bounds, spacing,
+                                             panels):
+    # either path leaves the Cholesky factor of the whole matrix in the lower
+    # triangle and the strict upper one as assembled
+    system, _, rhs = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(bounds, spacing)))
+    kept = gram.copy(order="F")
+    shapes = []
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda a, **kwargs: shapes.append(a.shape) or cho_factor(a, **kwargs))
+    solution = solve(gram, rhs, cset, kernel)
+    if panels:
+        assert len(shapes) > 1 and max(shapes) == (conmet.collocation._PANEL,) * 2
+    else:
+        assert shapes == [gram.shape]
+    assert np.array_equal(np.triu(gram, 1), np.triu(kept, 1))
+    factor = np.linalg.cholesky(_whole(kept))
+    del kept
+    assert np.max(np.abs(np.tril(gram) - factor)) <= 1e-12 * np.max(np.abs(factor))
+    assert solution.diagnostics.min_pivot == pytest.approx(np.min(np.diag(factor)), rel=1e-12)
+
+
+def test_panel_factor_reads_only_the_lower_triangle(linear, kernel, monkeypatch):
+    # as test_solve_consumes_gram, on a Gram that takes panels (42 chunks of
+    # [-4, 4]^2 at h = 0.5): a strict upper triangle of NaN gives the same
+    # beta bit for bit, for either memory order
+    system, _, rhs = linear
+    monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 2 ** 14)
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(_WIDE, 0.5)))
+    blind = np.where(np.tri(len(gram), dtype=bool), gram, np.nan)
+    solution = solve(gram, rhs, cset, kernel)
+    for order in "FC":
+        other = solve(np.array(blind, order=order), rhs, cset, kernel)
+        assert _bits(other.beta) == _bits(solution.beta)
+        assert other.diagnostics == solution.diagnostics
+
+
+@pytest.mark.parametrize("bounds, spacing", [
+    pytest.param(_WIDE, 0.25, id="panels"),
+    pytest.param(BOUNDS, 0.125, id="one-call"),
+])
+def test_solve_reports_the_global_pivot(linear, kernel, bounds, spacing):
+    # a negative diagonal entry in the fourth panel: every leading minor
+    # before it is intact, so the factor fails exactly there
+    system, _, rhs = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(bounds, spacing)))
+    spoiled = 3 * conmet.collocation._PANEL + 17
+    gram[spoiled, spoiled] = -1.0
+    with pytest.raises(FactorizationError) as err:
+        solve(gram, rhs, cset, kernel)
+    assert err.value.pivot == spoiled + 1
+    assert f"pivot {spoiled + 1}" in str(err.value)
 
 
 def test_solve_permutation_invariance(linear, kernel):

@@ -304,6 +304,14 @@ def test_interface_admits_other_profile_orders():
     assert kern.profile_values(r)[2] == pytest.approx((d2 - d1 / r) / r ** 2, rel=1e-5)
 
 
+def test_profile_values_clip_t_at_the_support_edge(kern):
+    # t = c r is clipped to 1, where every helper's (1 - t)^e factor is 0: a
+    # profile whose psi1 does not vanish there is refused, and NaN stays NaN
+    with pytest.raises(ValueError, match="vanish at t = 1"):
+        RadialKernel(1.0, 1.0, (1, 0, -1))      # psi1 = -2 c^2 everywhere
+    assert all(np.isnan(value) for value in kern.profile_values(np.nan))
+
+
 def test_rejects_profiles_too_rough_for_derivative_quotients():
     with pytest.raises(ValueError, match="divisible"):
         RadialKernel(1.0, 1.5, (1, -2, 1))       # psi'(0) != 0
