@@ -9,10 +9,21 @@ ellipses reuse the beta.csv that solve wrote from the same inputs.
 
 Heavy imports happen inside the command handlers.  --threads sets
 OMP_NUM_THREADS, the cap on the assembly and evaluation worker threads.
+Wall-clock values go to timing.json; convergence writes one entry per spacing
+there, finest first (alpha, nodes, assemble_, solve_ and error_seconds), and
+prints each to stderr as it finishes.  main registers gc.freeze with atexit,
+once per process, so that shutdown skips the cyclic collector's walk over the
+objects that the numpy and scipy imports leave.  This is safe: conmet closes
+every file and thread pool it opens with `with`, refcount deallocation and
+atexit handlers registered before main still run, and only cyclic garbage
+that is alive at exit is left to the operating system.
 """
 
 import argparse
+import atexit
 import csv
+import functools
+import gc
 import hashlib
 import json
 import math
@@ -304,16 +315,23 @@ def cmd_convergence(config):
     if bundle.exact is None:
         raise ConfigError(f"system {config.system!r} has no exact metric; "
                           "the convergence study needs one")
+    timing = []
+
+    def progress(entry):
+        timing.append(entry)
+        print(*(f"{key}={value:.6g}" for key, value in entry.items()), file=sys.stderr)
+
     report = convergence_study(
         bundle.system, bundle.exact, rhs, kernel, config.alphas,
         config.grid.bounds, config.check_grid,
-        equilibria=bundle.equilibria)
+        equilibria=bundle.equilibria, progress=progress)
 
     lines = [",".join("" if v is None else "%.17g" % v for v in astuple(row))
              for row in report.rows]
     lines.append("reference,,%.17g,,%.17g" % ((report.reference_ratio,) * 2))
     _write_csv(os.path.join(config.output_dir, "convergence.csv"),
                ["alpha", "e_s", "ratio_s", "e", "ratio"], lines)
+    _write_json(os.path.join(config.output_dir, "timing.json"), {"spacings": timing})
     for row in report.rows:
         print(f"alpha={row.alpha:<10g} e_s={row.e_s:<12.4e} e={row.e:.4e}")
     print(f"reference ratio {report.reference_ratio:.4f} -> {config.output_dir}")
@@ -441,9 +459,15 @@ def _limit_threads(threads):
     os.environ["OMP_NUM_THREADS"] = str(threads)      # read by operator.block_workers
 
 
+@functools.cache
+def _freeze_at_exit():
+    atexit.register(gc.freeze)      # atexit is LIFO: the handlers registered earlier run after it
+
+
 def main(argv=None):
     from .collocation import FactorizationError
 
+    _freeze_at_exit()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

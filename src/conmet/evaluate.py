@@ -29,6 +29,7 @@ is the batch x[None].  Definiteness is one rule, the sign of an extreme
 eigenvalue (eigvalsh), as in field_export and ellipse_points.
 """
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -221,8 +222,10 @@ class ConvergenceReport:
 
 
 def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
-                      equilibria=()):
-    """Solve on the grid family X_alpha and tabulate errors and ratios."""
+                      equilibria=(), *, progress=None):
+    """Solve on the grid family X_alpha and tabulate errors and ratios.  As each
+    spacing finishes, progress, if given, is called with a dict of its alpha,
+    nodes, assemble_seconds, solve_seconds and error_seconds."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("the convergence study needs at least one spacing")
@@ -236,13 +239,19 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
     check = _check_grid(exact, system, make_grid(check_spec))
     errors = {}
     for alpha in reversed(alphas):      # finest first; see the module docstring
+        t0 = time.perf_counter()
         cset, gram = assemble(system, kernel, make_grid(specs[alpha]))
+        t1 = time.perf_counter()
         try:
             solution = solve(gram, rhs, cset, kernel)
         except FactorizationError as err:
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
         del gram        # the error evaluation does not need it
+        t2 = time.perf_counter()
         errors[alpha] = error_report(solution, exact, check)
+        if progress is not None:
+            progress({"alpha": alpha, "nodes": len(cset), "assemble_seconds": t1 - t0,
+                      "solve_seconds": t2 - t1, "error_seconds": time.perf_counter() - t2})
     first = errors[alphas[0]]
     rows = [ConvergenceRow(alphas[0], first[1], None, first[0], None)]
     for coarse, fine in zip(alphas, alphas[1:]):

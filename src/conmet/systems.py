@@ -181,12 +181,4 @@ def registered_systems():
     return sorted(_REGISTRY)
 
 
-def _register_builtins():
-    system, exact, rhs = linear_example()
-    register_system(
-        "linear-example", system, exact=exact, rhs=rhs,
-        equilibria=((np.zeros(2), "stable"),),
-    )
-
-
-_register_builtins()
+register_system("linear-example", *linear_example(), equilibria=((np.zeros(2), "stable"),))

@@ -1,6 +1,7 @@
 """CLI contract: config handling, artifacts, exit codes, determinism."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -168,6 +169,40 @@ def test_convergence_single_alpha_csv(tmp_path, capsys):
     assert rows[0][0] == "0.5" and rows[0][2] == "" and rows[0][4] == ""
     assert rows[1][0] == "reference"
     assert float(rows[1][2]) == pytest.approx(2.0 ** 3.5)
+
+
+def test_convergence_reports_each_spacing_as_it_finishes(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), alphas=[1.0, 0.5])
+    assert cli.main(["convergence", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    spacings = json.loads((tmp_path / "out" / "timing.json").read_text())["spacings"]
+    assert [(entry["alpha"], entry["nodes"]) for entry in spacings] == [(0.5, 25), (1.0, 9)]
+    for entry in spacings:
+        assert all(entry[key] > 0.0
+                   for key in ("assemble_seconds", "solve_seconds", "error_seconds"))
+    assert [line.split()[:2] for line in err.splitlines()] == [
+        ["alpha=0.5", "nodes=25"], ["alpha=1", "nodes=9"]]
+    # stdout is the table as before: one line per row, then the reference ratio
+    assert [line.split()[0] for line in out.splitlines()] == ["alpha=1", "alpha=0.5",
+                                                              "reference"]
+
+    # a spacing's line is on stderr before the next spacing fails
+    import conmet.collocation
+    import conmet.evaluate
+
+    solve = conmet.evaluate.solve
+
+    def second_fails(gram, rhs, cset, kernel):
+        if len(cset) == 9:
+            raise conmet.collocation.FactorizationError("synthetic failure", pivot=7)
+        return solve(gram, rhs, cset, kernel)
+
+    monkeypatch.setattr(conmet.evaluate, "solve", second_fails)
+    assert cli.main(["convergence", str(cfg), "--output-dir", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("alpha=0.5 nodes=25 ") and "pivot 7" in err[1]
+    assert not (tmp_path / "b" / "timing.json").exists()
 
 
 def test_fields_artifacts_and_interpolation_rows(tmp_path, capsys):
@@ -708,3 +743,60 @@ def test_removed_regularize_flag_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --regularize" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    enabled = gc.isenabled()
+    for command in ("solve", "fields", "convergence"):
+        assert cli.main([command, str(cfg)]) == 0
+        assert gc.isenabled() == enabled and gc.get_freeze_count() == 0
+
+
+def test_main_registers_the_exit_hook_once(tmp_path, capsys, monkeypatch):
+    import atexit
+
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *args: registered.append(args))
+    cli._freeze_at_exit.cache_clear()        # as in a fresh process
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    assert cli.main(["solve", str(cfg)]) == 0
+    assert cli.main(["solve", str(cfg)]) == 0
+    assert registered == [(gc.freeze,)]
+
+
+def _exit_freeze_count(code, *args):
+    """Run code in a fresh interpreter with a first atexit handler, which
+    runs last (atexit is LIFO); return the gc.get_freeze_count() it sees."""
+    first = "import atexit, gc\natexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    result = subprocess.run([sys.executable, "-c", first + code, *args],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout.split("frozen")[-1])
+
+
+def test_cli_process_freezes_the_collector_only_at_exit(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    assert _exit_freeze_count(
+        "import conmet.cli, sys\n"
+        "assert conmet.cli.main(['solve', sys.argv[1]]) == 0\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0\n", str(cfg)) > 0
+
+
+def test_import_freezes_nothing_at_exit():
+    assert _exit_freeze_count("import conmet, conmet.cli\n") == 0
+
+
+def test_cli_process_writes_the_bytes_of_an_in_process_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25})
+    assert cli.main(["solve", str(cfg), "--output-dir", str(tmp_path / "a")]) == 0
+    result = subprocess.run([sys.executable, "-m", "conmet.cli", "solve", str(cfg),
+                             "--output-dir", str(tmp_path / "b")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    for name in ("beta.csv", "solution.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
