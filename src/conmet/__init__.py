@@ -10,21 +10,14 @@ from .kernels import RadialKernel, wendland_c8
 from .systems import (
     DynamicalSystem,
     ExactMetric,
-    SystemBundle,
     check_equilibrium_condition,
-    jacobian_consistency,
     linear_example,
     register_system,
     get_system,
-    registered_systems,
 )
-from .operator import triangle_indices, apply_operator
 from .collocation import (
     GridSpec,
     make_grid,
-    separation_distance,
-    fill_distance_estimate,
-    CollocationSet,
     collocation_data,
     assemble,
     solve,
@@ -37,8 +30,6 @@ from .evaluate import (
     eval_operator_batch,
     field_export,
     error_report,
-    ConvergenceRow,
-    ConvergenceReport,
     convergence_study,
     ellipse_points,
 )
@@ -47,14 +38,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RadialKernel", "wendland_c8",
-    "DynamicalSystem", "ExactMetric", "SystemBundle",
-    "check_equilibrium_condition", "jacobian_consistency", "linear_example",
-    "register_system", "get_system", "registered_systems",
-    "triangle_indices", "apply_operator",
-    "GridSpec", "make_grid", "separation_distance", "fill_distance_estimate",
-    "CollocationSet", "collocation_data", "assemble", "solve",
+    "DynamicalSystem", "ExactMetric", "check_equilibrium_condition", "linear_example",
+    "register_system", "get_system",
+    "GridSpec", "make_grid", "collocation_data", "assemble", "solve",
     "RecoverySolution", "SolveDiagnostics", "FactorizationError",
     "eval_metric_batch", "eval_operator_batch", "field_export",
-    "error_report", "ConvergenceRow", "ConvergenceReport", "convergence_study",
-    "ellipse_points",
+    "error_report", "convergence_study", "ellipse_points",
 ]

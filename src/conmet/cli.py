@@ -7,16 +7,17 @@ directory.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure or a problem too large for the available memory.  fields and
 ellipses reuse the beta.csv that solve wrote from the same inputs.
 
-Heavy imports happen inside the command handlers.  --threads sets
-OMP_NUM_THREADS, the cap on the assembly and evaluation worker threads.
-Wall-clock values go to timing.json; convergence writes one entry per spacing
-there, finest first (alpha, nodes, assemble_, solve_ and error_seconds), and
-prints each to stderr as it finishes.  main registers gc.freeze with atexit,
-once per process, so that shutdown skips the cyclic collector's walk over the
-objects that the numpy and scipy imports leave.  This is safe: conmet closes
-every file and thread pool it opens with `with`, refcount deallocation and
-atexit handlers registered before main still run, and only cyclic garbage
-that is alive at exit is left to the operating system.
+The module imports numpy and its conmet names at the top: importing it runs
+conmet/__init__, which loads numpy, scipy and every conmet module anyway.
+--threads sets OMP_NUM_THREADS, the cap on the assembly and evaluation
+worker threads.  Wall-clock values go to timing.json; convergence writes one
+entry per spacing there, finest first (alpha, nodes, assemble_, solve_ and
+error_seconds), and prints each to stderr as it finishes.  main registers
+gc.freeze with atexit, once per process, so that shutdown skips the cyclic
+collector's walk over the objects that the numpy and scipy imports leave.
+This is safe: conmet closes every file and thread pool it opens with `with`,
+refcount deallocation and atexit handlers registered before main still run,
+and only cyclic garbage that is alive at exit is left to the operating system.
 """
 
 import argparse
@@ -31,6 +32,17 @@ import os
 import sys
 import time
 from dataclasses import astuple, dataclass
+
+import numpy as np
+
+from . import __version__
+from .collocation import (FactorizationError, GridSpec, RecoverySolution, SolveDiagnostics,
+                          assemble, check_rhs, collocation_data, fill_distance_estimate,
+                          make_grid, separation_distance, solve)
+from .evaluate import (convergence_study, ellipse_points, eval_metric_batch, eval_operator_batch,
+                       field_export)
+from .kernels import wendland_c8
+from .systems import get_system
 
 __all__ = ["RunConfig", "ConfigError", "NumericalError", "main",
            "cmd_solve", "cmd_convergence", "cmd_fields", "cmd_ellipses"]
@@ -54,7 +66,6 @@ _KERNEL_KEYS = {"c"}
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration with all defaults resolved."""
-
     system: str
     kernel_c: float
     rhs_matrix: object          # None -> identity for the system dimension
@@ -80,8 +91,6 @@ def _number(value, name):
 def _parse_grid(raw, name, default_bounds, default_spacing, default_offset=None):
     """Parse one grid object; default_offset None means half the spacing
     (the staggered check-grid convention)."""
-    from .collocation import GridSpec
-
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be an object")
     _reject_unknown(raw, _GRID_KEYS, name)
@@ -152,12 +161,6 @@ def load_config(path, output_dir=None):
 def _setup(config):
     """Resolve the system bundle, kernel and right-hand side, and create the
     output directory, so that a bad path or C fails before any work."""
-    import numpy as np
-
-    from .collocation import check_rhs
-    from .kernels import wendland_c8
-    from .systems import get_system
-
     bundle = get_system(config.system)        # ValueError: exit 2
     kernel = wendland_c8(config.kernel_c)
     if config.rhs_matrix is not None:
@@ -193,8 +196,6 @@ def _write_json(path, payload):
 
 def _solve_on_grid(bundle, kernel, rhs, points):
     """Assemble and solve; return the solution and its timing.json entries."""
-    from .collocation import assemble, solve
-
     t0 = time.perf_counter()
     cset, gram = assemble(bundle.system, kernel, points, equilibria=bundle.equilibria)
     t1 = time.perf_counter()
@@ -205,19 +206,13 @@ def _solve_on_grid(bundle, kernel, rhs, points):
 
 def _beta_columns(dim):
     """The beta.csv header and the (i, j) component pairs of its beta columns."""
-    import numpy as np
-
-    from .operator import triangle_indices
-
-    i, j = np.transpose(triangle_indices(dim))
+    i, j = np.triu_indices(dim)
     return (["k"] + [f"x{a}" for a in range(dim)]
             + [f"beta_{p}{q}" for p, q in zip(i, j)]), i, j
 
 
 def _solve_key(config, rhs):
     """Digest of the inputs that determine beta.csv."""
-    from . import __version__
-
     inputs = {"system": config.system, "c": config.kernel_c, "rhs": rhs.tolist(),
               "grid": astuple(config.grid),          # bounds, spacing, offset
               "version": __version__}
@@ -231,11 +226,6 @@ def _file_sha256(path):
 
 def cmd_solve(config):
     """Solve once on the configured grid; write solution.json and beta.csv."""
-    import numpy as np
-
-    from .collocation import fill_distance_estimate, make_grid, separation_distance
-    from .evaluate import eval_operator_batch
-
     bundle, kernel, rhs = _setup(config)
     points = make_grid(config.grid)
     solution, timing = _solve_on_grid(bundle, kernel, rhs, points)
@@ -277,10 +267,6 @@ def _stored_or_solved(config, bundle, kernel, rhs):
     """The solution for config and its timing.json entries: read back from
     the output directory when cmd_solve wrote it there from the same inputs
     (solve_key, beta_sha256, finite values at the grid's nodes), else solved."""
-    import numpy as np
-
-    from .collocation import RecoverySolution, SolveDiagnostics, collocation_data, make_grid
-
     points = make_grid(config.grid)
     n = bundle.system.dim
     header, i, j = _beta_columns(n)
@@ -309,8 +295,6 @@ def _stored_or_solved(config, bundle, kernel, rhs):
 
 def cmd_convergence(config):
     """Run the error study over the configured spacings; write convergence.csv."""
-    from .evaluate import convergence_study
-
     bundle, kernel, rhs = _setup(config)
     if bundle.exact is None:
         raise ConfigError(f"system {config.system!r} has no exact metric; "
@@ -340,11 +324,6 @@ def cmd_convergence(config):
 
 def cmd_fields(config):
     """Sample S and L(S) of the solve on the evaluation grid; write CSV + summary."""
-    import numpy as np
-
-    from .collocation import make_grid
-    from .evaluate import field_export
-
     bundle, kernel, rhs = _setup(config)
     solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
     t0 = time.perf_counter()
@@ -374,10 +353,6 @@ def cmd_fields(config):
 
 def cmd_ellipses(config, anchors, level, count):
     """Sample metric ellipses of the solve around anchor points; write ellipses.csv."""
-    import numpy as np
-
-    from .evaluate import ellipse_points, eval_metric_batch
-
     if not (0.0 < level < math.inf and count >= 1):     # before any solve
         raise ConfigError("--level must be positive and finite and --count at least 1, "
                           f"got {level} and {count}")
@@ -387,18 +362,16 @@ def cmd_ellipses(config, anchors, level, count):
     solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
 
     t0 = time.perf_counter()
-    metrics = eval_metric_batch(solution, np.array(anchors, dtype=float))
-    positive = np.linalg.eigvalsh(metrics)[:, 0] > 0.0       # the test of ellipse_points
+    points = np.array(anchors, dtype=float)
+    positive, samples = ellipse_points(points, eval_metric_batch(solution, points), level, count)
     failed = int(np.count_nonzero(~positive))
-    rows = []
-    report = []
-    for anchor_id, (anchor, s_x, ok) in enumerate(zip(anchors, metrics, positive)):
-        report.append({"id": anchor_id, "anchor": list(anchor), "ok": bool(ok)})
-        if not ok:
-            report[-1]["reason"] = "metric not positive definite here"
-            continue
-        rows.extend("%d,%.17g,%.17g" % (anchor_id, *v)
-                    for v in ellipse_points(anchor, s_x, level, count))
+    report = [{"id": anchor_id, "anchor": list(anchor), "ok": ok}
+              for anchor_id, (anchor, ok) in enumerate(zip(anchors, positive.tolist()))]
+    for entry in report:
+        if not entry["ok"]:
+            entry["reason"] = "metric not positive definite here"
+    rows = list(_float_lines(np.column_stack([np.repeat(np.flatnonzero(positive), count),
+                                              samples.reshape(-1, 2)])))
     t1 = time.perf_counter()
     _write_csv(os.path.join(config.output_dir, "ellipses.csv"),
                ["anchor_id", "x", "y"], rows)
@@ -465,8 +438,6 @@ def _freeze_at_exit():
 
 
 def main(argv=None):
-    from .collocation import FactorizationError
-
     _freeze_at_exit()
     parser = _build_parser()
     args = parser.parse_args(argv)

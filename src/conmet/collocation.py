@@ -50,7 +50,7 @@ import scipy.linalg.blas
 from scipy.spatial import cKDTree
 
 from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
-                       pairwise_scalars, run_blocks, triangle_indices, workspace_shape)
+                       pairwise_scalars, run_blocks, workspace_shape)
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -453,7 +453,7 @@ def solve(gram, rhs, cset, kernel):
     """
     rhs = check_rhs(rhs, cset.system.dim)
     n = len(rhs)
-    i, j = np.transpose(triangle_indices(n))
+    i, j = np.triu_indices(n)
     dim = len(cset) * len(i)
     if gram.shape != (dim, dim):
         raise ValueError(f"Gram matrix has shape {gram.shape}, expected {(dim, dim)}")

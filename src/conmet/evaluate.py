@@ -26,7 +26,8 @@ Gram exists.  It evaluates the finest spacing first, right after its solve,
 so that Gram peaks before any block exists.  Every result is exactly
 symmetric by construction.  Evaluation takes arrays only: a single point x
 is the batch x[None].  Definiteness is one rule, the sign of an extreme
-eigenvalue (eigvalsh), as in field_export and ellipse_points.
+eigenvalue: field_export takes it from eigvalsh, and ellipse_points from the
+batched eigh whose eigenvectors also give its samples.
 """
 
 import time
@@ -142,7 +143,9 @@ def _det(stack):
     """Determinants of an (E, n, n) stack; NaN where a matrix is not finite,
     without the LU that would warn of an invalid value there."""
     finite = np.all(np.isfinite(stack), axis=(1, 2))
-    return np.where(finite, np.linalg.det(np.where(finite[:, None, None], stack, 0.0)), np.nan)
+    with np.errstate(over="ignore"):         # a determinant beyond the float range is +-inf
+        det = np.linalg.det(np.where(finite[:, None, None], stack, 0.0))
+    return np.where(finite, det, np.nan)
 
 
 def field_export(solution, grid):
@@ -261,28 +264,34 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
     return ConvergenceReport(rows=tuple(rows), reference_ratio=reference)
 
 
-def ellipse_points(x, s_x, level, count):
-    """Points v on the metric ellipse (v - x)^T S(x) (v - x) = level.
+def ellipse_points(anchors, metrics, level, count):
+    """Samples of the metric ellipses (v - x)^T S(x) (v - x) = level.
 
-    Parametrised through the eigendecomposition of the positive definite
-    2 x 2 matrix s_x; raises ValueError otherwise or for non-finite x or
-    level, FloatingPointError when a sample overflows.
+    anchors is an (A, 2) array and metrics the (A, 2, 2) stack of the
+    symmetric S(x) there, of which eigh reads the lower triangles.  One
+    batched eigh gives positive, the (A,) mask of the anchors where S(x) is
+    positive definite (its smallest eigenvalue is > 0), and the (P, count, 2)
+    samples of the P anchors in the mask, in order, parametrised through the
+    eigendecomposition.  Raises ValueError for other shapes, non-finite
+    anchors or level, or count < 1, and FloatingPointError when a sample
+    overflows.
     """
-    x = np.asarray(x, dtype=float)
-    s_x = np.asarray(s_x, dtype=float)
-    if s_x.shape != (2, 2):
-        raise ValueError(f"ellipse sampling is two-dimensional, got shape {s_x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"anchor must be finite, got {x.tolist()}")
+    anchors = np.asarray(anchors, dtype=float)
+    metrics = np.asarray(metrics, dtype=float)
+    if anchors.ndim != 2 or anchors.shape[1] != 2 or metrics.shape != (len(anchors), 2, 2):
+        raise ValueError("ellipse sampling takes (A, 2) anchors and (A, 2, 2) metrics, "
+                         f"got shapes {anchors.shape} and {metrics.shape}")
+    if not np.all(np.isfinite(anchors)):
+        raise ValueError(f"anchors must be finite, got {anchors.tolist()}")
     if not 0.0 < level < np.inf:
         raise ValueError(f"level must be positive and finite, got {level}")
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (s_x + s_x.T))
-    if eigenvalues[0] <= 0.0:
-        raise ValueError(f"matrix is not positive definite (eigenvalues {eigenvalues.tolist()})")
+    eigenvalues, eigenvectors = np.linalg.eigh(metrics)
+    positive = eigenvalues[:, 0] > 0.0
     angles = 2.0 * np.pi * np.arange(count) / count
     with np.errstate(over="raise"):      # FloatingPointError; then x + v cannot overflow
-        radial = np.sqrt(level / eigenvalues)
-    local = np.stack([radial[0] * np.cos(angles), radial[1] * np.sin(angles)])
-    return x + (eigenvectors @ local).T
+        radial = np.sqrt(level / eigenvalues[positive])
+    local = np.stack([radial[:, :1] * np.cos(angles), radial[:, 1:] * np.sin(angles)], axis=1)
+    return positive, anchors[positive, None] + np.matmul(eigenvectors[positive],
+                                                         local).transpose(0, 2, 1)

@@ -45,7 +45,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
-    "triangle_indices",
     "operator_image",
     "apply_operator",
     "pairwise_scalars",
@@ -57,11 +56,6 @@ _SYMMETRY_TOL = 1e-12
 _SUPPORT_MARGIN = 1e-12
 _BLOCK_BYTES = 1 << 20          # one (rows, columns) float64 array of a block
 PAIRWISE_SLOTS = 6              # rows of pairwise_scalars' work: profile_values' six
-
-
-def triangle_indices(n):
-    """Upper-triangular component pairs (i, j), i <= j, in lexicographic order."""
-    return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
 def operator_image(values, orbital, jacobians):
@@ -197,7 +191,8 @@ def run_blocks(work, blocks, slots, columns):
 def coordinate_matrices(jacobians):
     """Per-point matrices of the zero-order operator parts in triangle coordinates.
 
-    Symmetric matrices are identified with their entries at triangle_indices(n).
+    Symmetric matrices are identified with their entries at np.triu_indices(n),
+    the pairs (i, j), i <= j, in lexicographic order.
     For each Jacobian J_k (jacobians is (N, n, n)) returns
 
     - row[k], (m, m): maps the coordinates of W to those of J_k^T W + W J_k;
@@ -208,7 +203,7 @@ def coordinate_matrices(jacobians):
     """
     jacobians = np.asarray(jacobians, dtype=float)
     n = jacobians.shape[-1]
-    i, j = np.transpose(triangle_indices(n))
+    i, j = np.triu_indices(n)
     m = len(i)
     basis = np.zeros((m, n, n))              # E_ij + E_ji, or E_ii
     basis[np.arange(m), i, j] = 1.0

@@ -21,7 +21,6 @@ __all__ = [
     "linear_example",
     "register_system",
     "get_system",
-    "registered_systems",
 ]
 
 _EQUILIBRIUM_TOL = 1e-10
@@ -175,10 +174,6 @@ def get_system(name):
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise ValueError(f"unknown system {name!r}; registered systems: {known}") from None
-
-
-def registered_systems():
-    return sorted(_REGISTRY)
 
 
 register_system("linear-example", *linear_example(), equilibria=((np.zeros(2), "stable"),))

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from conmet import triangle_indices
-
 
 @dataclass(frozen=True)
 class CollocationPointData:
@@ -31,6 +29,12 @@ class FunctionalIndex:
             raise ValueError(f"component indices must satisfy 0 <= i <= j, got ({self.i}, {self.j})")
         if self.k < 0:
             raise ValueError(f"point index must be nonnegative, got {self.k}")
+
+
+def triangle_indices(n):
+    """Upper-triangular component pairs (i, j), i <= j, in lexicographic order:
+    the order of the functionals at a point, of the Gram and of beta.csv."""
+    return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
 def point_data(cset, k):

@@ -23,7 +23,6 @@ from conmet import (
     eval_operator_batch,
     make_grid,
     solve,
-    triangle_indices,
 )
 from conftest import BOUNDS
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     point_data,
     representer_column,
     riesz_representer,
+    triangle_indices,
 )
 
 ALPHAS = (1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32)

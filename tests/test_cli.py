@@ -131,12 +131,13 @@ def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, 
                                                  message):
     # str(None) is "None", str(5) is "5", float(True) is 1.0 and
     # float("0.5") is 0.5: each is rejected
-    import conmet.collocation
+    import conmet.evaluate
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled despite a config error")
 
-    monkeypatch.setattr(conmet.collocation, "assemble", no_assembly)
+    for module in (cli, conmet.evaluate):       # solve and fields, convergence
+        monkeypatch.setattr(module, "assemble", no_assembly)
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg), **override)
@@ -296,17 +297,15 @@ def test_ellipses_flag_anchors_by_the_eigenvalue_test_of_the_sampling(tmp_path, 
                                                                       monkeypatch):
     # S = [[a, a], [a, a]] is singular, but its LU determinant can round to
     # a tiny positive value; the anchor is flagged, not sampled
-    import conmet.evaluate
-
     a = 5.940812679889744
-    original = conmet.evaluate.eval_metric_batch
+    original = cli.eval_metric_batch
 
     def stubbed(solution, points):
         metrics = original(solution, points)
         metrics[1] = a
         return metrics
 
-    monkeypatch.setattr(conmet.evaluate, "eval_metric_batch", stubbed)
+    monkeypatch.setattr(cli, "eval_metric_batch", stubbed)
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg), grid={"bounds": [[-1, 1], [-1, 1]], "spacing": 0.25})
     assert cli.main(["ellipses", str(cfg), "--anchor", "0,0", "--anchor", "0.3,-0.2",
@@ -414,7 +413,7 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     def broken_solve(*args, **kwargs):
         raise conmet.collocation.FactorizationError("synthetic failure", pivot=7)
 
-    for module in (conmet.collocation, conmet.evaluate):     # solve, convergence
+    for module in (cli, conmet.evaluate):     # solve, convergence
         monkeypatch.setattr(module, "solve", broken_solve)
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))
@@ -546,19 +545,18 @@ _CONSUMERS = {
 
 @pytest.fixture
 def assemble_calls(monkeypatch):
-    """A list that grows by one entry per collocation.assemble call, also
-    from the convergence study."""
-    import conmet.collocation
+    """A list that grows by one entry per assemble call, from the CLI's
+    commands and from the convergence study."""
     import conmet.evaluate
 
     calls = []
-    original = conmet.collocation.assemble
+    original = cli.assemble
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(conmet.collocation, "assemble", counted)
+    monkeypatch.setattr(cli, "assemble", counted)
     monkeypatch.setattr(conmet.evaluate, "assemble", counted)
     return calls
 
@@ -658,6 +656,21 @@ def test_non_finite_rhs_or_solution_writes_nothing(tmp_path, capsys, rhs, code, 
         assert cli.main([command, str(cfg)]) == code
         assert message in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_fields_writes_overflowing_determinants_as_inf(tmp_path, capsys):
+    # C = 1e200 I: S and L(S) are finite near 1e200, their determinants lie
+    # beyond the float range and are written as +-inf, without the overflow
+    # warning that the suite would turn into an error
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), rhs_matrix=[[1e200, 0.0], [0.0, 1e200]],
+                  grid={"bounds": _BOUNDS, "spacing": 0.5})
+    assert cli.main(["fields", str(cfg)]) == 0
+    _, rows = _read_csv(tmp_path / "out" / "fields.csv")
+    table = np.array(rows, dtype=float)
+    assert len(table) == 64 and np.all(np.isfinite(table[:, [2, 4, 6, 7]]))
+    assert np.all(np.isinf(table[:, 3])) and np.all(np.isinf(table[:, 5]))
+    assert np.all(table[table[:, 6] > 0.0, 3] == np.inf)       # S positive definite there
 
 
 @pytest.mark.parametrize("source", ["config", "bundle"])

@@ -18,14 +18,12 @@ from conmet import (
     GridSpec,
     assemble,
     eval_metric_batch,
-    fill_distance_estimate,
     linear_example,
     make_grid,
-    separation_distance,
     solve,
-    triangle_indices,
     wendland_c8,
 )
+from conmet.collocation import fill_distance_estimate, separation_distance
 from conmet.operator import pairwise_scalars
 from conftest import BOUNDS, straddling_pairs
 from oracles import (
@@ -34,6 +32,7 @@ from oracles import (
     gram_entry,
     point_data,
     riesz_representer,
+    triangle_indices,
 )
 
 

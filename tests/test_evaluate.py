@@ -24,7 +24,6 @@ from conmet import (
     linear_example,
     make_grid,
     solve,
-    triangle_indices,
     wendland_c8,
 )
 from conmet import evaluate, operator
@@ -32,7 +31,7 @@ from conmet.collocation import FactorizationError
 from conmet.operator import pairwise_scalars
 from conftest import BOUNDS, straddling_pairs
 from oracles import (CollocationPointData, FunctionalIndex, gram_entry, point_data,
-                     riesz_representer)
+                     riesz_representer, triangle_indices)
 
 
 def _zero_solution(linear, kernel, n_points=4):
@@ -523,14 +522,30 @@ def test_field_export_contraction_region(solved_eighth, linear):
 
 # -- ellipses ----------------------------------------------------------------------
 
+def _one_ellipse(anchor, s_x, level, count):
+    """The samples of one anchor's ellipse, from a one-row batch."""
+    positive, samples = ellipse_points(np.asarray(anchor, dtype=float)[None],
+                                       np.asarray(s_x, dtype=float)[None], level, count)
+    assert positive.tolist() == [True] and samples.shape == (1, count, 2)
+    return samples[0]
+
+
+def _ellipse_by_formula(x, s_x, level, count):
+    """x + V diag(sqrt(level / lambda)) (cos t, sin t) for S = V diag(lambda) V^T."""
+    eigenvalues, eigenvectors = np.linalg.eigh(s_x)
+    angles = 2.0 * np.pi * np.arange(count) / count
+    radial = np.sqrt(level / eigenvalues)
+    local = np.stack([radial[0] * np.cos(angles), radial[1] * np.sin(angles)])
+    return x + (eigenvectors @ local).T
+
+
 def test_ellipse_unit_circle():
-    pts = ellipse_points(np.zeros(2), np.eye(2), 1.0, 16)
-    assert pts.shape == (16, 2)
+    pts = _one_ellipse(np.zeros(2), np.eye(2), 1.0, 16)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_ellipse_diagonal_semi_axes():
-    pts = ellipse_points(np.zeros(2), np.diag([4.0, 1.0]), 1.0, 8)
+    pts = _one_ellipse(np.zeros(2), np.diag([4.0, 1.0]), 1.0, 8)
     assert np.max(np.abs(pts[:, 0])) == pytest.approx(0.5, rel=1e-12)
     assert np.max(np.abs(pts[:, 1])) == pytest.approx(1.0, rel=1e-12)
 
@@ -542,25 +557,49 @@ def test_ellipse_residual_random_spd():
         s = a @ a.T + 0.1 * np.eye(2)
         center = rng.uniform(-1, 1, 2)
         level = 0.3 + rng.random()
-        pts = ellipse_points(center, s, level, 32)
+        pts = _one_ellipse(center, s, level, 32)
         for v in pts:
             res = (v - center) @ s @ (v - center)
             assert res == pytest.approx(level, rel=1e-10)
 
 
+def test_ellipse_batch_masks_and_samples_like_one_anchor_at_a_time(solved_quarter):
+    # positive definite, indefinite and negative definite metrics, and the
+    # zero metric of an anchor outside every node's support
+    rng = np.random.default_rng(56)
+    a = rng.normal(size=(6, 2, 2))
+    spd = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    anchors = np.array([[0.0, 0.0], [0.3, -0.2], [9.0, 9.0]])
+    metrics = np.concatenate([eval_metric_batch(solved_quarter, anchors), spd[:3],
+                              [np.diag([1.0, -0.5]), -spd[3], np.zeros((2, 2))], spd[3:]])
+    anchors = np.concatenate([anchors, rng.uniform(-1, 1, (len(metrics) - 3, 2))])
+    positive, samples = ellipse_points(anchors, metrics, 0.7, 12)
+    assert np.array_equal(positive, np.linalg.eigvalsh(metrics)[:, 0] > 0.0)
+    assert positive.tolist() == [True, True, False, True, True, True,
+                                 False, False, False, True, True, True]
+    assert samples.shape == (np.count_nonzero(positive), 12, 2)
+    for got, x, s_x in zip(samples, anchors[positive], metrics[positive]):
+        assert np.array_equal(got, _ellipse_by_formula(x, s_x, 0.7, 12))
+    none, empty = ellipse_points(anchors[2:3], metrics[2:3], 0.7, 12)
+    assert none.tolist() == [False] and empty.shape == (0, 12, 2)
+
+
 def test_ellipse_rejects_bad_input():
-    with pytest.raises(ValueError, match="positive definite"):
-        ellipse_points(np.zeros(2), np.diag([1.0, -0.5]), 1.0, 8)
     with pytest.raises(ValueError, match="level"):
-        ellipse_points(np.zeros(2), np.eye(2), 0.0, 8)
-    with pytest.raises(ValueError, match="two-dimensional"):
-        ellipse_points(np.zeros(3), np.eye(3), 1.0, 8)
+        ellipse_points(np.zeros((1, 2)), np.eye(2)[None], 0.0, 8)
+    with pytest.raises(ValueError, match="at least one sample"):
+        ellipse_points(np.zeros((1, 2)), np.eye(2)[None], 1.0, 0)
+    for anchors, metrics in ((np.zeros((1, 3)), np.eye(3)[None]),      # three-dimensional
+                             (np.zeros(2), np.eye(2)),                 # not a batch
+                             (np.zeros((2, 2)), np.eye(2)[None])):     # one metric short
+        with pytest.raises(ValueError, match=r"\(A, 2\) anchors and \(A, 2, 2\) metrics"):
+            ellipse_points(anchors, metrics, 1.0, 8)
     for level in (np.nan, np.inf):
         with pytest.raises(ValueError, match="level must be positive and finite"):
-            ellipse_points(np.zeros(2), np.eye(2), level, 8)
+            ellipse_points(np.zeros((1, 2)), np.eye(2)[None], level, 8)
     for anchor in ((np.inf, 0.0), (0.0, np.nan)):
-        with pytest.raises(ValueError, match="anchor must be finite"):
-            ellipse_points(np.array(anchor), np.eye(2), 1.0, 8)
+        with pytest.raises(ValueError, match="anchors must be finite"):
+            ellipse_points(np.array([anchor]), np.eye(2)[None], 1.0, 8)
 
 
 @pytest.mark.parametrize("level, s_x", [(1e308, np.diag([0.25, 1.0])),
@@ -568,7 +607,7 @@ def test_ellipse_rejects_bad_input():
                          ids=["large-level", "tiny-eigenvalue"])
 def test_ellipse_overflowing_samples_raise(level, s_x):
     with pytest.raises(FloatingPointError, match="overflow"):
-        ellipse_points(np.zeros(2), s_x, level, 8)
+        ellipse_points(np.zeros((2, 2)), np.stack([np.eye(2), s_x]), level, 8)
 
 
 # -- a three-dimensional system end to end ------------------------------------------

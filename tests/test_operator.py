@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import conmet
-from conmet import apply_operator, linear_example, triangle_indices, wendland_c8
-from conmet.operator import coordinate_matrices, pairwise_scalars
+from conmet import linear_example, wendland_c8
+from conmet.operator import apply_operator, coordinate_matrices, pairwise_scalars
 from oracles import (
     CollocationPointData,
     FunctionalIndex,
@@ -25,6 +25,7 @@ from oracles import (
     representer_column,
     riesz_representer,
     row_operator_matrix,
+    triangle_indices,
 )
 
 FD_STEP = 1e-6
@@ -179,8 +180,12 @@ def test_functional_index_validation():
 
 
 def test_triangle_indices_order():
+    # the oracles' functional order is the order of np.triu_indices, which
+    # the Gram, solve's beta and the beta.csv columns use
     assert triangle_indices(2) == ((0, 0), (0, 1), (1, 1))
     assert triangle_indices(3) == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    for n in range(1, 5):
+        assert tuple(zip(*(idx.tolist() for idx in np.triu_indices(n)))) == triangle_indices(n)
 
 
 # -- representer column -------------------------------------------------------

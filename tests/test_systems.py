@@ -6,14 +6,14 @@ import pytest
 import conmet
 from conmet import (
     DynamicalSystem,
-    apply_operator,
     check_equilibrium_condition,
     get_system,
-    jacobian_consistency,
     linear_example,
     register_system,
-    registered_systems,
+    systems,
 )
+from conmet.operator import apply_operator
+from conmet.systems import jacobian_consistency
 
 # roots of lambda^2 + 3 lambda + 1, the characteristic polynomial of
 # [[-1, 1], [1, -2]]
@@ -128,7 +128,7 @@ def test_check_equilibrium_rejects_unknown_sign():
 
 
 def test_registry_builtin_present():
-    assert "linear-example" in registered_systems()
+    assert "linear-example" in systems._REGISTRY
     bundle = get_system("linear-example")
     assert bundle.exact is not None
     assert np.array_equal(bundle.rhs, np.eye(2))
@@ -152,7 +152,7 @@ def test_registry_rejects_duplicates_and_bad_jacobians():
     )
     with pytest.raises(ValueError, match="deviates"):
         register_system("broken-system", wrong)
-    assert "broken-system" not in registered_systems()
+    assert "broken-system" not in systems._REGISTRY
 
 
 def _per_point_linear_example():
@@ -168,7 +168,7 @@ def test_per_point_callbacks_are_rejected_with_their_shapes():
     with pytest.raises(ValueError, match=r"f of shape \(2, 2\) and Df of shape \(2, 2\) "
                                          r"at 5 points, expected \(5, 2\) and \(5, 2, 2\)"):
         register_system("per-point", per_point)
-    assert "per-point" not in registered_systems()
+    assert "per-point" not in systems._REGISTRY
     with pytest.raises(ValueError, match=r"expected \(3, 2\) and \(3, 2, 2\)"):
         conmet.collocation_data(per_point, np.zeros((3, 2)))
     with pytest.raises(ValueError, match=r"points have shape \(3, 3\), system dimension is 2"):
@@ -201,7 +201,7 @@ def test_callbacks_are_called_once_per_point_set():
 def test_register_and_lookup_roundtrip():
     a = np.array([[-2.0, 0.0], [0.0, -3.0]])
     name = "test-diagonal-system"
-    if name not in registered_systems():
+    if name not in systems._REGISTRY:
         register_system(name, _constant_system(a), equilibria=((np.zeros(2), "stable"),))
     bundle = get_system(name)
     assert np.array_equal(bundle.system.jacobian(np.zeros(2)[None])[0], a)
