@@ -199,7 +199,7 @@ def _solve_on_grid(bundle, kernel, rhs, points):
     t0 = time.perf_counter()
     cset, gram = assemble(bundle.system, kernel, points, equilibria=bundle.equilibria)
     t1 = time.perf_counter()
-    solution = solve(gram, rhs, cset, kernel)
+    solution = solve(gram, rhs, cset)
     return solution, {"beta_source": "solved", "assemble_seconds": t1 - t0,
                       "solve_seconds": time.perf_counter() - t1}
 

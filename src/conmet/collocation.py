@@ -14,10 +14,10 @@ is zero when its two points lie at least the kernel's support radius apart,
 so each chunk stops at the last block column k1 that operator.near_box
 keeps for the chunk rows' bounding box; the zero blocks past it are never
 computed.  Before it maps the Gram, assembly checks every equilibrium it is
-given, and that much memory against what the system reports as available,
-raising MemoryError if it does not fit.  The solve consumes the Gram, as
-xPOTRF consumes its input: the Cholesky factor overwrites the lower
-triangle, and nothing reads the Gram afterwards.
+given, and that much memory against the headroom the system reports,
+raising MemoryError if it does not fit.  The solve takes the node set, which
+carries the kernel that assembly used, and consumes the Gram, as xPOTRF
+consumes its input: the Cholesky factor overwrites the lower triangle.
 
 The chunks' k1 also bound the factor.  Column j of the Gram is zero from
 row ends[j] on, with ends the chunks' k1 in unknowns made nondecreasing:
@@ -41,7 +41,7 @@ carries the global 1-based pivot, and is not retried.
 import contextlib
 import mmap
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -69,8 +69,12 @@ __all__ = [
 
 _DIVISIBILITY_TOL = 1e-12
 _PANEL = 256                    # columns per panel of the envelope Cholesky factor
-_MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",                     # cgroup v2
-                       "/sys/fs/cgroup/memory/memory.limit_in_bytes")   # cgroup v1
+_MEMINFO = "/proc/meminfo"
+_CGROUP_FILES = (           # limit, usage, stat and its inactive file cache key
+    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current",
+     "/sys/fs/cgroup/memory.stat", "inactive_file"),                            # cgroup v2
+    ("/sys/fs/cgroup/memory/memory.limit_in_bytes", "/sys/fs/cgroup/memory/memory.usage_in_bytes",
+     "/sys/fs/cgroup/memory/memory.stat", "total_inactive_file"))               # cgroup v1
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,7 @@ class CollocationSet:
     points: np.ndarray        # (N, dim)
     f_values: np.ndarray      # (N, dim)
     jacobians: np.ndarray     # (N, dim, dim)
+    kernel: object = None     # that of assemble's Gram; None from collocation_data
 
     def __len__(self):
         return len(self.points)
@@ -194,7 +199,7 @@ def collocation_data(system, points):
 
 
 def assemble(system, kernel, points, equilibria=()):
-    """Build the collocation set and the dense symmetric Gram matrix.
+    """Build the collocation set, carrying kernel, and the dense symmetric Gram.
 
     The functional ordering is point-major with the (i, j) pairs, i <= j, in
     lexicographic order, so the matrix is laid out in m x m blocks per point
@@ -208,7 +213,7 @@ def assemble(system, kernel, points, equilibria=()):
     and, if solve will factor in panels, its two panel-wide arrays exceed
     the memory the system reports as available, or cannot be mapped.
     """
-    cset = collocation_data(system, points)
+    cset = replace(collocation_data(system, points), kernel=kernel)
     _reject_duplicates(cset.points)
     for x0, sign in equilibria:
         check_equilibrium_condition(system, x0, sign)
@@ -288,25 +293,32 @@ def _takes_panels(ends):
     return np.sum((ends - np.arange(dim)) ** 2.0) <= dim ** 3 / 12.0
 
 
+def _read_int(path, key=None):
+    """The integer in the file at path, or the one after key on the line that
+    starts with it; None if there is none ("max" is cgroup v2's no limit)."""
+    try:
+        with open(path) as handle:
+            if key is None:
+                return int(handle.read())
+            return next(int(line.split()[1]) for line in handle if line.split()[0] == key)
+    except (OSError, ValueError, IndexError, StopIteration):
+        return None
+
+
 def _available_memory_bytes():
     """Bytes the system reports as available to this process, or None.
 
-    The smallest of MemAvailable in /proc/meminfo and the cgroup memory
-    limit, over those that are readable.
+    The smallest of MemAvailable in /proc/meminfo and, for each readable
+    cgroup memory limit, the headroom under it: the limit less the group's
+    usage without its inactive file cache, which the kernel reclaims first.
     """
-    found = []
-    try:
-        with open("/proc/meminfo") as handle:
-            found += [int(line.split()[1]) * 1024 for line in handle
-                      if line.startswith("MemAvailable:")]
-    except (OSError, ValueError, IndexError):
-        pass
-    for path in _MEMORY_LIMIT_FILES:
-        try:
-            with open(path) as handle:
-                found.append(int(handle.read()))       # "max" (no limit) is skipped
-        except (OSError, ValueError):
-            pass
+    available = _read_int(_MEMINFO, "MemAvailable:")
+    found = [] if available is None else [1024 * available]
+    for limit, usage, stat, inactive in _CGROUP_FILES:
+        cap = _read_int(limit)
+        if cap is not None:
+            used = (_read_int(usage) or 0) - (_read_int(stat, inactive) or 0)
+            found.append(cap - max(used, 0))
     return min(found, default=None)
 
 
@@ -362,16 +374,15 @@ def _factor_block(block, offset):
 
 
 def _cholesky(gram, ends):
-    """Factor gram's lower triangle and return the factor as cho_solve takes
-    it, overwriting gram unless a single cho_factor call copies it (input
-    that is not Fortran-ordered).
+    """Overwrite the lower triangle of the Fortran-ordered gram with its factor.
 
     Column j is taken as zero from row ends[j] on (_column_ends).  Panels,
     when _takes_panels(ends), neither read nor write past that envelope,
     and neither path touches the strict upper triangle.
     """
     if not _takes_panels(ends):
-        return _factor_block(gram, 0), True
+        _factor_block(gram, 0)
+        return
     lower = np.tri(_PANEL, dtype=bool)
     for j0 in range(0, len(gram), _PANEL):
         j1 = min(len(gram), j0 + _PANEL)
@@ -393,7 +404,6 @@ def _cholesky(gram, ends):
             square = gram[c0:c1, c0:c1]
             np.subtract(square, update[:c1 - c0], out=square, where=lower[:c1 - c0, :c1 - c0])
             gram[c1:e, c0:c1] -= update[c1 - c0:]
-    return gram, True
 
 
 @dataclass(frozen=True)
@@ -435,39 +445,41 @@ def check_rhs(rhs, n):
     return rhs
 
 
-def solve(gram, rhs, cset, kernel):
+def solve(gram, rhs, cset):
     """Solve the collocation system for the right-hand-side matrix C.
 
-    The stacked right-hand side repeats -C_ij over the functional ordering.
-    A failed Cholesky factor raises a FactorizationError carrying the pivot
-    index.
+    gram and cset are what assemble returned, and the solution's kernel is
+    cset.kernel.  The stacked right-hand side repeats -C_ij over the
+    functional ordering; a failed Cholesky factor is a FactorizationError.
 
-    gram (writeable float64) is consumed, as LAPACK's xPOTRF consumes its
-    input: only its lower triangle is read, and a Fortran-ordered gram, as
-    assemble returns it, is factored in place and holds the Cholesky factor
-    in its lower half afterwards, also after a FactorizationError, so a Gram
-    is good for one solve.  Its entries outside the column envelope of
-    cset's points under kernel (see the module docstring) are taken as the
-    zeros that assemble leaves there.  C goes through check_rhs, and a
-    solution that overflows to non-finite values is a FloatingPointError.
+    gram (writeable, Fortran-ordered float64) is consumed as xPOTRF consumes
+    its input: only its lower triangle is read, and it holds the Cholesky
+    factor afterwards, also after a FactorizationError.  Its entries outside
+    the column envelope of cset's points under cset.kernel (module docstring)
+    are taken as the zeros that assemble leaves there.  A set without a
+    kernel, any other gram or a C that fails check_rhs is a ValueError before
+    the Gram is read; a non-finite solution is a FloatingPointError.
     """
+    kernel = cset.kernel
+    if kernel is None:
+        raise ValueError("the collocation set carries no kernel; pass the set from assemble")
     rhs = check_rhs(rhs, cset.system.dim)
     n = len(rhs)
     i, j = np.triu_indices(n)
     dim = len(cset) * len(i)
     if gram.shape != (dim, dim):
         raise ValueError(f"Gram matrix has shape {gram.shape}, expected {(dim, dim)}")
-    if gram.dtype != np.float64 or not gram.flags.writeable:
-        raise ValueError("Gram matrix must be a writeable float64 array")
+    if gram.dtype != np.float64 or not (gram.flags.writeable and gram.flags.f_contiguous):
+        raise ValueError("Gram matrix must be a writeable, Fortran-ordered float64 array, "
+                         'as assemble returns it; copy one with gram.copy(order="F")')
     b = -np.tile(rhs[i, j], len(cset))
 
-    factor = _cholesky(gram, _column_ends(_chunk_reach(cset.points, kernel.support_radius),
-                                          len(i)))
-    gamma = scipy.linalg.cho_solve(factor, b, check_finite=False)
+    _cholesky(gram, _column_ends(_chunk_reach(cset.points, kernel.support_radius), len(i)))
+    gamma = scipy.linalg.cho_solve((gram, True), b, check_finite=False)
     if not np.all(np.isfinite(gamma)):
         raise FloatingPointError("the solution of the collocation system is not finite "
                                  f"(largest |C| entry {np.max(np.abs(rhs)):.3g})")
-    min_pivot = float(np.min(factor[0].diagonal()))
+    min_pivot = float(np.min(gram.diagonal()))
 
     beta = np.zeros((len(cset), n, n))
     beta[:, i, j] = beta[:, j, i] = gamma.reshape(len(cset), -1) * np.where(i == j, 1.0, 0.5)

@@ -172,7 +172,7 @@ def field_export(solution, grid):
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class _CheckGrid(CollocationSet):
     m: np.ndarray           # the exact metric M at the points
     fm: np.ndarray          # and L(M)
@@ -184,7 +184,7 @@ def _check_grid(exact, system, check_points):
         raise ValueError("empty check grid")
     m = np.asarray(exact.value(q.points), dtype=float)
     fm = apply_operator(m, exact.gradient(q.points), q.f_values, q.jacobians)
-    return _CheckGrid(system, q.points, q.f_values, q.jacobians, m, fm)
+    return _CheckGrid(system, q.points, q.f_values, q.jacobians, m=m, fm=fm)
 
 
 def error_report(solution, exact, check_points):
@@ -246,7 +246,7 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
         cset, gram = assemble(system, kernel, make_grid(specs[alpha]))
         t1 = time.perf_counter()
         try:
-            solution = solve(gram, rhs, cset, kernel)
+            solution = solve(gram, rhs, cset)
         except FactorizationError as err:
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
         del gram        # the error evaluation does not need it

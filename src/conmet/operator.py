@@ -32,9 +32,9 @@ the one test both callers use to leave such pairs out of the engine: it keeps
 the points within the support radius of a box around a group of rows.
 
 Both also cut their work by one rule, block_rows, and run the blocks with
-run_blocks on block_workers threads, each writing into a workspace it keeps
-for that call only; the cuts ignore the worker count and each block writes
-only its own output, so the results do not depend on it.
+run_blocks on a pool of block_workers threads, each writing into a workspace
+it keeps for that call only; the cuts ignore the worker count and each block
+writes only its own output, so the results do not depend on it.
 """
 
 import os
@@ -171,8 +171,8 @@ def workspace_shape(blocks, slots, columns):
 
 
 def run_blocks(work, blocks, slots, columns):
-    """Call work(block, workspace) for every block on block_workers threads,
-    inline for one; a worker allocates its workspace at its first block."""
+    """Call work(block, workspace) for every block on a pool of block_workers
+    threads; a worker allocates its workspace at its first block."""
     blocks = list(blocks)
     workers, *shape = workspace_shape(len(blocks), slots, columns)
     local = threading.local()
@@ -182,8 +182,6 @@ def run_blocks(work, blocks, slots, columns):
             local.workspace = np.empty(shape)
         return work(block, local.workspace)
 
-    if workers == 1:
-        return list(map(task, blocks))
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(task, blocks))          # re-raises a block's error
 

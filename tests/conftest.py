@@ -21,7 +21,7 @@ def kernel():
 def _solve_on(system, kernel, spacing, rhs):
     points = conmet.make_grid(conmet.GridSpec(BOUNDS, spacing))
     cset, gram = conmet.assemble(system, kernel, points)
-    return conmet.solve(gram, rhs, cset, kernel)
+    return conmet.solve(gram, rhs, cset)
 
 
 @pytest.fixture(scope="session")

@@ -98,7 +98,7 @@ def test_criterion_3_interpolation_exactness(linear, kernel, solved_eighth):
     images = eval_operator_batch(solved_eighth, solved_eighth.collocation.points)
     worst = max(worst, np.max(np.abs(images + rhs)))
     cset, gram = assemble(system, kernel, np.zeros((1, 2)))
-    single = solve(gram, rhs, cset, kernel)
+    single = solve(gram, rhs, cset)
     images = eval_operator_batch(single, single.collocation.points)
     worst = max(worst, np.max(np.abs(images + rhs)))
     bound = 1e-8 * np.max(np.abs(rhs))
@@ -231,8 +231,8 @@ def test_criterion_5_structural_invariants(linear, kernel, solved_quarter):
     perm = rng.permutation(len(pts))
     cset_a, gram_a = assemble(system, kernel, pts)
     cset_b, gram_b = assemble(system, kernel, pts[perm])
-    sol_a = solve(gram_a, rhs, cset_a, kernel)
-    sol_b = solve(gram_b, rhs, cset_b, kernel)
+    sol_a = solve(gram_a, rhs, cset_a)
+    sol_b = solve(gram_b, rhs, cset_b)
     for x in rng.uniform(-1, 1, (20, 2)):
         if not np.allclose(eval_metric_batch(sol_a, x[None])[0],
                            eval_metric_batch(sol_b, x[None])[0],

@@ -194,10 +194,10 @@ def test_convergence_reports_each_spacing_as_it_finishes(tmp_path, capsys, monke
 
     solve = conmet.evaluate.solve
 
-    def second_fails(gram, rhs, cset, kernel):
+    def second_fails(gram, rhs, cset):
         if len(cset) == 9:
             raise conmet.collocation.FactorizationError("synthetic failure", pivot=7)
-        return solve(gram, rhs, cset, kernel)
+        return solve(gram, rhs, cset)
 
     monkeypatch.setattr(conmet.evaluate, "solve", second_fails)
     assert cli.main(["convergence", str(cfg), "--output-dir", str(tmp_path / "b")]) == 3
@@ -500,7 +500,7 @@ def test_solve_calls_each_system_callback_once(tmp_path, capsys, monkeypatch):
     points = conmet.make_grid(conmet.GridSpec(((-1.0, 1.0), (-1.0, 1.0)), 0.5))
     kernel = conmet.wendland_c8(0.9)
     cset, gram = conmet.assemble(system, kernel, points)
-    solution = conmet.solve(gram, rhs, cset, kernel)
+    solution = conmet.solve(gram, rhs, cset)
     residual = np.max(np.abs(conmet.eval_operator_batch(solution, points) + rhs))
     assert meta["interp_residual"] == float(residual / np.max(np.abs(rhs)))
 

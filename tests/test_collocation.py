@@ -17,6 +17,7 @@ from conmet import (
     FactorizationError,
     GridSpec,
     assemble,
+    collocation_data,
     eval_metric_batch,
     linear_example,
     make_grid,
@@ -460,7 +461,7 @@ kernel = conmet.wendland_c8(0.9)
 before = rss()
 cset, gram = conmet.assemble(system, kernel, points)
 print((rss() - before) / gram.nbytes)
-conmet.solve(gram, rhs, cset, kernel)
+conmet.solve(gram, rhs, cset)
 print((rss() - before) / gram.nbytes)
 """
 
@@ -492,6 +493,34 @@ def test_available_memory_is_positive_or_unknown():
     assert available is None or available > 0
 
 
+@pytest.mark.parametrize("version", [0, 1], ids=["cgroup-v2", "cgroup-v1"])
+def test_memory_check_takes_the_headroom_under_the_cgroup_limit(tmp_path, monkeypatch,
+                                                                version):
+    # limit 1 GiB, usage 900 MiB of which 100 MiB is inactive file cache: the
+    # headroom is 224 MiB, so a 300 MB need is refused although the limit and
+    # MemAvailable (64 GiB) would take it
+    mib = 2 ** 20
+    key = conmet.collocation._CGROUP_FILES[version][3]
+    limit, usage, stat, meminfo = (tmp_path / name for name in ("limit", "usage", "stat",
+                                                                "meminfo"))
+    limit.write_text(f"{1024 * mib}\n")
+    usage.write_text(f"{900 * mib}\n")
+    # the other version's key too, with another value: only this version's counts
+    stat.write_text(f"active_file 7\ninactive_file {100 * mib if version == 0 else 3}\n"
+                    f"total_inactive_file {100 * mib if version == 1 else 3}\n")
+    meminfo.write_text(f"MemTotal: {2 ** 27} kB\nMemAvailable: {2 ** 26} kB\n")
+    monkeypatch.setattr(conmet.collocation, "_MEMINFO", str(meminfo))
+    monkeypatch.setattr(conmet.collocation, "_CGROUP_FILES",
+                        ((str(limit), str(usage), str(stat), key),))
+    assert conmet.collocation._available_memory_bytes() == 224 * mib
+    with pytest.raises(MemoryError, match="only 235 MB are available"):
+        conmet.collocation._check_memory(1, 300 * 10 ** 6)
+    usage.write_text(f"{400 * mib}\n")
+    conmet.collocation._check_memory(1, 300 * 10 ** 6)
+    limit.write_text("max\n")                  # cgroup v2's no limit
+    assert conmet.collocation._available_memory_bytes() == 2 ** 36
+
+
 def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
     # assembly works in chunks of the budget, one per worker, and the solve
     # factors in place, so the Gram is the only dim x dim array alive at any
@@ -505,7 +534,7 @@ def test_assemble_and_solve_hold_one_gram(linear, kernel, monkeypatch):
     tracemalloc.start()
     try:
         cset, gram = assemble(system, kernel, pts)
-        solve(gram, rhs, cset, kernel)
+        solve(gram, rhs, cset)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -521,7 +550,7 @@ def test_panel_factor_holds_two_panels_beside_the_gram(linear, kernel):
     bound = 2 * 8 * conmet.collocation._PANEL * len(gram)
     tracemalloc.start()
     try:
-        solve(gram, rhs, cset, kernel)
+        solve(gram, rhs, cset)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -579,7 +608,7 @@ def test_solve_single_equilibrium_point_lyapunov_case(linear, kernel):
     # the Lyapunov equation; solved by hand via two nested Lyapunov solves
     system, exact, rhs = linear
     cset, gram = assemble(system, kernel, np.zeros((1, 2)))
-    solution = solve(gram, rhs, cset, kernel)
+    solution = solve(gram, rhs, cset)
     residual = conmet.eval_operator_batch(solution, cset.points) + rhs
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
     expected_beta = np.array([[-0.05, -0.03], [-0.03, -0.02]])   # gamma = (-1/20, -3/50, -1/50)
@@ -602,8 +631,8 @@ def test_solve_rhs_scaling_linearity(linear, kernel):
     system, _, rhs = linear
     pts = make_grid(GridSpec(BOUNDS, 0.5))
     cset, gram = assemble(system, kernel, pts)
-    base = solve(gram.copy(order="F"), rhs, cset, kernel)
-    scaled = solve(gram, 4.0 * rhs, cset, kernel)
+    base = solve(gram.copy(order="F"), rhs, cset)
+    scaled = solve(gram, 4.0 * rhs, cset)
     assert np.allclose(scaled.beta, 4.0 * base.beta, rtol=1e-14, atol=0)
     x = np.array([[0.21, -0.43]])
     assert np.allclose(eval_metric_batch(scaled, x), 4.0 * eval_metric_batch(base, x),
@@ -614,12 +643,12 @@ def test_solve_validates_rhs(linear, kernel):
     system, _, _ = linear
     cset, gram = assemble(system, kernel, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="symmetric"):
-        solve(gram, np.array([[1.0, 0.2], [0.0, 1.0]]), cset, kernel)
+        solve(gram, np.array([[1.0, 0.2], [0.0, 1.0]]), cset)
     with pytest.raises(ValueError, match="positive definite"):
-        solve(gram, np.array([[1.0, 0.0], [0.0, -1.0]]), cset, kernel)
+        solve(gram, np.array([[1.0, 0.0], [0.0, -1.0]]), cset)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="must be finite"):
-            solve(gram, np.array([[bad, 0.0], [0.0, 1.0]]), cset, kernel)
+            solve(gram, np.array([[bad, 0.0], [0.0, 1.0]]), cset)
 
 
 def test_solve_overflow_raises(linear, kernel):
@@ -627,7 +656,7 @@ def test_solve_overflow_raises(linear, kernel):
     system, _, _ = linear
     cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.5)))
     with pytest.raises(FloatingPointError, match="not finite"):
-        solve(gram, np.diag([1e308, 1e308]), cset, kernel)
+        solve(gram, np.diag([1e308, 1e308]), cset)
 
 
 def test_solve_beta_exactly_symmetric(solved_quarter):
@@ -641,13 +670,13 @@ def test_solve_factorization_error_carries_pivot(linear, kernel, monkeypatch):
     cset, gram = assemble(system, kernel, [[0.0, 0.0], [0.2, 0.1]])
     eps = 1e-10 * np.trace(gram) / len(gram)
     low = np.min(np.linalg.eigvalsh(gram))
-    spoiled = gram - (low + 0.5 * eps) * np.eye(len(gram))
+    spoiled = np.asfortranarray(gram - (low + 0.5 * eps) * np.eye(len(gram)))
     cholesky = conmet.collocation._cholesky
     calls = []
     monkeypatch.setattr(conmet.collocation, "_cholesky",
                         lambda a, ends: calls.append(len(a)) or cholesky(a, ends))
     with pytest.raises(FactorizationError) as err:
-        solve(spoiled, rhs, cset, kernel)
+        solve(spoiled, rhs, cset)
     assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
     assert calls == [len(gram)]
 
@@ -659,14 +688,15 @@ def _bits(array):
 def test_solve_consumes_gram(linear, kernel):
     # the factor overwrites the lower triangle in place and leaves the strict
     # upper one as assembled; solve reads nothing else, so a strict upper
-    # triangle of NaN gives the same beta bit for bit, for either memory order
+    # triangle of NaN gives the same beta bit for bit; a C-ordered copy,
+    # which would not be factored in place, is refused and left as it was
     system, _, rhs = linear
     cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.25)))
     kept = gram.copy(order="F")
     kept.flags.writeable = False          # LAPACK would write through the flag
     with pytest.raises(ValueError, match="writeable"):
-        solve(kept, rhs, cset, kernel)
-    solution = solve(gram, rhs, cset, kernel)
+        solve(kept, rhs, cset)
+    solution = solve(gram, rhs, cset)
     assert _bits(np.triu(gram, 1)) == _bits(np.triu(kept, 1))
     factor = np.linalg.cholesky(_whole(kept))
     assert np.max(np.abs(np.tril(gram) - factor)) <= 1e-12 * np.max(np.abs(factor))
@@ -674,17 +704,14 @@ def test_solve_consumes_gram(linear, kernel):
         np.min(np.diag(factor)), rel=1e-12)
     assert solution.diagnostics.relative_residual is None
     blind = np.where(np.tri(len(kept), dtype=bool), kept, np.nan)
-    for order in "FC":
-        other = solve(np.array(blind, order=order), rhs, cset, kernel)
-        assert _bits(other.beta) == _bits(solution.beta)
-        assert other.diagnostics == solution.diagnostics
+    _assert_blind_solve_matches(blind, rhs, cset, solution)
 
     cset, gram = assemble(system, kernel, [[0.0, 0.0], [0.2, 0.1]])
     eps = 1e-10 * np.trace(gram) / len(gram)
     low = np.min(np.linalg.eigvalsh(gram))
     spoiled = np.asfortranarray(gram - (low + 0.5 * eps) * np.eye(len(gram)))
     with pytest.raises(FactorizationError) as err:
-        solve(spoiled.copy(order="F"), rhs, cset, kernel)
+        solve(spoiled.copy(order="F"), rhs, cset)
     assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
 
 
@@ -703,7 +730,7 @@ def test_solve_factor_matches_dense_cholesky(linear, kernel, monkeypatch, bounds
     cho_factor = scipy.linalg.cho_factor
     monkeypatch.setattr(scipy.linalg, "cho_factor",
                         lambda a, **kwargs: shapes.append(a.shape) or cho_factor(a, **kwargs))
-    solution = solve(gram, rhs, cset, kernel)
+    solution = solve(gram, rhs, cset)
     if panels:
         assert len(shapes) > 1 and max(shapes) == (conmet.collocation._PANEL,) * 2
     else:
@@ -718,16 +745,25 @@ def test_solve_factor_matches_dense_cholesky(linear, kernel, monkeypatch, bounds
 def test_panel_factor_reads_only_the_lower_triangle(linear, kernel, monkeypatch):
     # as test_solve_consumes_gram, on a Gram that takes panels (42 chunks of
     # [-4, 4]^2 at h = 0.5): a strict upper triangle of NaN gives the same
-    # beta bit for bit, for either memory order
+    # beta bit for bit, and a C-ordered copy is refused
     system, _, rhs = linear
     monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 2 ** 14)
     cset, gram = assemble(system, kernel, make_grid(GridSpec(_WIDE, 0.5)))
     blind = np.where(np.tri(len(gram), dtype=bool), gram, np.nan)
-    solution = solve(gram, rhs, cset, kernel)
-    for order in "FC":
-        other = solve(np.array(blind, order=order), rhs, cset, kernel)
-        assert _bits(other.beta) == _bits(solution.beta)
-        assert other.diagnostics == solution.diagnostics
+    solution = solve(gram, rhs, cset)
+    _assert_blind_solve_matches(blind, rhs, cset, solution)
+
+
+def _assert_blind_solve_matches(blind, rhs, cset, solution):
+    """The Fortran-ordered blind Gram solves to solution bit for bit; a
+    C-ordered copy of it is a ValueError and keeps its bits."""
+    copy = np.array(blind, order="C")
+    with pytest.raises(ValueError, match=r'Fortran-ordered.*gram\.copy\(order="F"\)'):
+        solve(copy, rhs, cset)
+    assert _bits(copy) == _bits(blind)
+    other = solve(np.array(blind, order="F"), rhs, cset)
+    assert _bits(other.beta) == _bits(solution.beta)
+    assert other.diagnostics == solution.diagnostics
 
 
 @pytest.mark.parametrize("bounds, spacing", [
@@ -742,7 +778,7 @@ def test_solve_reports_the_global_pivot(linear, kernel, bounds, spacing):
     spoiled = 3 * conmet.collocation._PANEL + 17
     gram[spoiled, spoiled] = -1.0
     with pytest.raises(FactorizationError) as err:
-        solve(gram, rhs, cset, kernel)
+        solve(gram, rhs, cset)
     assert err.value.pivot == spoiled + 1
     assert f"pivot {spoiled + 1}" in str(err.value)
 
@@ -754,15 +790,55 @@ def test_solve_permutation_invariance(linear, kernel):
     perm = rng.permutation(len(pts))
     cset_a, gram_a = assemble(system, kernel, pts)
     cset_b, gram_b = assemble(system, kernel, pts[perm])
-    sol_a = solve(gram_a, rhs, cset_a, kernel)
-    sol_b = solve(gram_b, rhs, cset_b, kernel)
+    sol_a = solve(gram_a, rhs, cset_a)
+    sol_b = solve(gram_b, rhs, cset_b)
     xs = rng.uniform(-1, 1, (20, 2))
     assert np.allclose(eval_metric_batch(sol_a, xs), eval_metric_batch(sol_b, xs),
                        rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("c, panels", [
+    pytest.param(0.6, False, id="one-call"),
+    pytest.param(1.2, True, id="panels"),
+])
+def test_solve_takes_the_kernel_from_the_node_set(linear, monkeypatch, c, panels):
+    # on [-3, 3]^2 at h = 0.2 the factor's envelope comes from the kernel that
+    # assemble stored with the nodes, so the solve interpolates C at every node
+    system, _, _ = linear
+    k = wendland_c8(c)
+    cset, gram = assemble(system, k, make_grid(GridSpec(((-3.0, 3.0), (-3.0, 3.0)), 0.2)))
+    assert cset.kernel is k
+    shapes = []
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda a, **kwargs: shapes.append(a.shape) or cho_factor(a, **kwargs))
+    solution = solve(gram, np.eye(2), cset)
+    assert (len(shapes) > 1) == panels
+    assert solution.kernel is k and solution.collocation is cset
+    residual = conmet.eval_operator_batch(solution, cset) + np.eye(2)
+    assert np.max(np.abs(residual)) <= 1e-8
+
+
+def test_solve_takes_only_what_assemble_returns(linear, kernel):
+    # a node set without a kernel, and a C-ordered, read-only or float32
+    # Gram, are each a ValueError before anything is written
+    system, _, rhs = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.5)))
+    kept = gram.copy(order="F")
+    with pytest.raises(ValueError, match="carries no kernel"):
+        solve(gram, rhs, collocation_data(system, cset.points))
+    read_only = gram.copy(order="F")
+    read_only.flags.writeable = False
+    for bad in (np.array(gram, order="C"), read_only, np.asfortranarray(gram, np.float32)):
+        copy = bad.copy(order="A")
+        with pytest.raises(ValueError, match="writeable, Fortran-ordered float64"):
+            solve(bad, rhs, cset)
+        assert bad.tobytes(order="A") == copy.tobytes(order="A")
+    assert _bits(gram) == _bits(kept)
 
 
 def test_solve_shape_mismatch_rejected(linear, kernel):
     system, _, rhs = linear
     cset, _ = assemble(system, kernel, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="Gram matrix"):
-        solve(np.eye(5), rhs, cset, kernel)
+        solve(np.eye(5), rhs, cset)

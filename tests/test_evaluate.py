@@ -161,7 +161,7 @@ def test_fields_batch_matches_all_node_sum(linear, kernel, monkeypatch):
     nodes = np.concatenate([corners, bulk, lone])
     nodes = nodes[rng.permutation(len(nodes))]
     cset, gram = assemble(system, kernel, nodes)
-    solution = solve(gram, rhs, cset, kernel)
+    solution = solve(gram, rhs, cset)
 
     empty = np.array([[-0.6, -3.0], [-0.6, 0.0], [-0.6, 3.0]])    # cells no node reaches
     batch = np.concatenate([rng.uniform(-4.0, 4.0, (40, 2)), empty, lone_queries])
@@ -332,7 +332,7 @@ def test_convergence_study_rows_equal_error_reports_in_given_order(linear, kerne
     prev = None
     for alpha, row in zip(alphas, report.rows):
         cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
-        e, e_s = error_report(solve(gram, rhs, cset, kernel), exact, make_grid(check))
+        e, e_s = error_report(solve(gram, rhs, cset), exact, make_grid(check))
         assert (row.alpha, row.e, row.e_s) == (alpha, e, e_s)
         assert (row.ratio, row.ratio_s) == ((None, None) if prev is None
                                             else (prev[0] / e, prev[1] / e_s))
@@ -377,7 +377,7 @@ def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeyp
     # the same rows as a study that evaluates each spacing from scratch
     for alpha, row in zip(alphas, report.rows):
         cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
-        solution = solve(gram, rhs, cset, kernel)
+        solution = solve(gram, rhs, cset)
         assert (row.e, row.e_s) == original(solution, exact, make_grid(check))
 
 
@@ -385,11 +385,11 @@ def test_convergence_study_failure_at_coarse_spacing_names_it(linear, kernel, mo
     system, exact, rhs = linear
     reached = []
 
-    def failing_solve(gram, rhs, cset, kernel):
+    def failing_solve(gram, rhs, cset):
         reached.append(len(cset))
         if len(cset) == 25:                     # the alpha = 0.5 grid
             raise FactorizationError("not positive definite", pivot=7)
-        return solve(gram, rhs, cset, kernel)
+        return solve(gram, rhs, cset)
 
     monkeypatch.setattr(evaluate, "solve", failing_solve)
     check = GridSpec(BOUNDS, 0.25, offset=0.125)
@@ -622,7 +622,7 @@ def test_three_dimensional_recovery():
     cset, gram = assemble(system, kernel, pts)
     assert gram.shape == (27 * 6, 27 * 6)
     rhs = np.eye(3)
-    solution = solve(gram, rhs, cset, kernel)
+    solution = solve(gram, rhs, cset)
     images = eval_operator_batch(solution, pts)
     assert np.max(np.abs(images + rhs)) <= 1e-8
     values = eval_metric_batch(solution, pts)
