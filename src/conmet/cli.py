@@ -3,9 +3,10 @@
 Configuration comes from a JSON file; every key has a documented default and
 unknown keys are rejected.  Outputs are CSV (full-precision floats, header
 row) and JSON for scalar metadata, written into the configured output
-directory.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure or a problem too large for the available memory.  fields and
-ellipses reuse the beta.csv that solve wrote from the same inputs.
+directory.  Exit codes: 0 success, 2 configuration error or a path that
+cannot be read or written (an OSError; a write can fail after the work is
+done), 3 numerical failure or a problem too large for the available memory.
+fields and ellipses reuse the beta.csv that solve wrote from the same inputs.
 
 The module imports numpy and its conmet names at the top: importing it runs
 conmet/__init__, which loads numpy, scipy and every conmet module anyway.
@@ -111,8 +112,6 @@ def _parse_grid(raw, name, default_bounds, default_spacing, default_offset=None)
 
 def load_config(path, output_dir=None):
     """Read and validate a JSON config file; --output-dir overrides the file's."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -152,27 +151,21 @@ def load_config(path, output_dir=None):
         )
     except TypeError as err:
         raise ConfigError(f"config value of the wrong type: {err}") from err
-    if not 0.0 < config.kernel_c < math.inf:
-        raise ConfigError("kernel shape parameter must be positive and finite, "
-                          f"got {config.kernel_c}")
     return config
 
 
 def _setup(config):
     """Resolve the system bundle, kernel and right-hand side, and create the
-    output directory, so that a bad path or C fails before any work."""
+    output directory, so that a bad path, c or C fails before any work."""
     bundle = get_system(config.system)        # ValueError: exit 2
-    kernel = wendland_c8(config.kernel_c)
+    kernel = wendland_c8(config.kernel_c)     # ValueError: exit 2
     if config.rhs_matrix is not None:
         rhs = config.rhs_matrix
     elif bundle.rhs is not None:
         rhs = bundle.rhs
     else:
         rhs = np.eye(bundle.system.dim)
-    try:
-        os.makedirs(config.output_dir, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot use output directory {config.output_dir}: {err}") from err
+    os.makedirs(config.output_dir, exist_ok=True)        # OSError: exit 2
     return bundle, kernel, check_rhs(rhs, bundle.system.dim)      # ValueError: exit 2
 
 
@@ -454,7 +447,7 @@ def main(argv=None):
         if not anchors:
             raise ConfigError("ellipses needs at least one --anchor 'x,y'")
         return cmd_ellipses(config, anchors, args.level, args.count)
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2

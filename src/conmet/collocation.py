@@ -110,6 +110,8 @@ class GridSpec:
             if span < 0.0:
                 raise ValueError(f"offset {self.offset} exceeds half the edge [{lo}, {hi}]")
             steps = span / self.spacing
+            if not steps < 2.0 ** 53:       # beyond, every float is whole; round(inf) raises
+                raise ValueError(f"spacing {self.spacing} is too small for the edge [{lo}, {hi}]")
             if abs(steps - round(steps)) > _DIVISIBILITY_TOL * max(1.0, steps):
                 raise ValueError(
                     f"spacing {self.spacing} does not divide the edge [{lo}, {hi}] "

@@ -96,8 +96,8 @@ class RadialKernel:
     Parameters
     ----------
     shape_parameter : float
-        Positive, finite inverse support radius c; the kernel vanishes for
-        r >= 1/c.
+        Positive inverse support radius c; the kernel vanishes for r >= 1/c.
+        It must be small enough that psi1 and psi2 stay finite.
     sigma : float
         Sobolev smoothness order of the reproduced space.
     psi_coefficients : sequence of int
@@ -114,19 +114,23 @@ class RadialKernel:
     """
 
     def __init__(self, shape_parameter, sigma, psi_coefficients, label=""):
+        self.psi_coefficients = tuple(int(a) for a in psi_coefficients)
+        p = list(self.psi_coefficients)
+        u = _poly_div_t(_poly_diff(p))       # psi'(r)/r      = c^2 * u(c r)
+        w = _poly_div_t(_poly_diff(u))       # psi1'(r)/r     = c^4 * w(c r)
+        # |u| and |w| are at most the sums of their |coefficients| on [0, 1]
+        c_max = min((np.finfo(float).max / max(1, sum(map(abs, q)))) ** (1 / k)
+                    for k, q in ((2, u), (4, w)))
         c = float(shape_parameter)
-        if not 0.0 < c < math.inf:
-            raise ValueError(f"shape parameter must be positive and finite, got {shape_parameter}")
+        if not 0.0 < c < c_max:
+            raise ValueError(f"shape parameter must be positive and finite, and below {c_max:.4g} "
+                             f"for psi1 and psi2 to stay finite, got {shape_parameter}")
         if not sigma > 0.0:
             raise ValueError(f"smoothness order must be positive, got {sigma}")
         self.shape_parameter = c
         self.sigma = float(sigma)
         self.label = label
-        self.psi_coefficients = tuple(int(a) for a in psi_coefficients)
 
-        p = list(self.psi_coefficients)
-        u = _poly_div_t(_poly_diff(p))       # psi'(r)/r      = c^2 * u(c r)
-        w = _poly_div_t(_poly_diff(u))       # psi1'(r)/r     = c^4 * w(c r)
         self._psi = _FactoredRadial(1.0, *_factor_support(p))
         self._psi1 = _FactoredRadial(c ** 2, *_factor_support(u))
         self._psi2 = _FactoredRadial(c ** 4, *_factor_support(w))
@@ -169,7 +173,7 @@ def wendland_c8(c):
     """Wendland's C^8 kernel on R^2 with inverse support radius c.
 
     Reproduces the Sobolev space of order sigma = 5.5 in two dimensions.
-    Raises ValueError unless 0 < c < inf.
+    Raises ValueError unless 0 < c < 1.3e75, which keeps psi1 and psi2 finite.
     """
     one_minus_t_10 = [(-1) ** m * math.comb(10, m) for m in range(11)]
     coeffs = np.convolve(one_minus_t_10, _WENDLAND_C8_FACTOR)      # exact in int64

@@ -52,9 +52,10 @@ def test_solve_artifacts_smallest_grid(tmp_path, capsys):
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
-    assert cli.main(["solve", str(tmp_path / "nope.json")]) == 2
+    path = tmp_path / "nope.json"
+    assert cli.main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "not found" in err
+    assert f"config error: [Errno 2] No such file or directory: '{path}'" in err
     assert "usage" in err.lower()
 
 
@@ -93,6 +94,7 @@ def test_unknown_system_rejected(tmp_path, capsys):
     {"probe_spacing": float("nan")},
     {"alphas": []},
     {"kernel": {"c": float("inf")}},
+    {"kernel": {"c": 1e308}},
 ], ids=repr)
 def test_wrong_value_types_exit_2(tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"
@@ -710,7 +712,61 @@ def test_output_dir_naming_a_file_exits_2_before_assembly(tmp_path, capsys, asse
     for command in ("solve", "convergence", "fields"):
         assert cli.main([command, str(cfg), *args]) == 2
         err = capsys.readouterr().err
-        assert "cannot use output directory" in err and str(target) in err
+        assert "config error: [Errno 17] File exists" in err and str(target) in err
+    assert assemble_calls == []
+
+
+# each command with the extra arguments it needs and the first artifact it writes
+_WRITERS = {
+    "solve": ([], "beta.csv"),
+    "convergence": ([], "convergence.csv"),
+    "fields": ([], "fields.csv"),
+    "ellipses": (["--anchor", "0,0"], "ellipses.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_config_path_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, str(tmp_path), *_WRITERS[command][0]]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: [Errno 21] Is a directory: '{tmp_path}'" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_output_file_naming_a_directory_exits_2_and_writes_nothing_later(tmp_path, capsys,
+                                                                         command):
+    # the write fails after the work is done; no artifact after it is written
+    args, first = _WRITERS[command]
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    taken = tmp_path / "out" / first
+    taken.mkdir(parents=True)
+    assert cli.main([command, str(cfg), *args]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: [Errno 21] Is a directory: '{taken}'" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path / "out") == [first]
+
+
+@pytest.mark.parametrize("spacing", [1e-308, 5e-324])
+@pytest.mark.parametrize("key", ["grid", "check_grid", "alphas"])
+def test_spacing_too_small_for_the_edge_exits_2_before_assembly(tmp_path, capsys,
+                                                                assemble_calls, key, spacing):
+    # 2 / spacing overflows to inf, which round() cannot take
+    cfg = tmp_path / "cfg.json"
+    if key == "alphas":
+        _write_config(str(cfg), alphas=[0.5, spacing])
+    else:
+        _write_config(str(cfg), **{key: {"bounds": _BOUNDS, "spacing": spacing}})
+    commands = ["convergence"] if key == "alphas" else sorted(_WRITERS)
+    for command in commands:
+        assert cli.main([command, str(cfg), *_WRITERS[command][0]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"spacing {spacing!r} is too small for the edge [-1.0, 1.0]" in err
     assert assemble_calls == []
 
 

@@ -50,6 +50,17 @@ def test_non_finite_shape_parameter_rejected(c):
         wendland_c8(c)
 
 
+def test_shape_parameter_keeps_the_radial_quotients_finite():
+    # psi2 = c^4 w(c r): c = 1e308 made c ** 4 raise OverflowError, and
+    # c = 1e77 overflowed in profile_values
+    for c in (1e308, 1e77, 1.31e75):
+        with pytest.raises(ValueError, match="positive and finite, and below 1.305e"):
+            wendland_c8(c)
+    kern = wendland_c8(1.3e75)
+    r = kern.support_radius * np.linspace(0.0, 1.0, 101)
+    assert all(np.all(np.isfinite(values)) for values in kern.profile_values(r))
+
+
 def test_sigma_and_support(kern):
     assert kern.sigma == 5.5
     assert kern.support_radius == pytest.approx(1.0 / 0.9)
