@@ -1,7 +1,9 @@
 """Command-line front end: solve, convergence, fields, ellipses.
 
-Configuration comes from a JSON file; every key has a documented default and
-unknown keys are rejected.  Outputs are CSV (full-precision floats, header
+Configuration comes from a JSON file.  _KINDS says what each key holds and
+_checked reads the file against it, so an unknown key, a value of another JSON
+type or an integer beyond the float range is refused by its key path; every
+key has a documented default.  Outputs are CSV (full-precision floats, header
 row) and JSON for scalar metadata, written into the configured output
 directory.  Exit codes: 0 success, 2 configuration error or a path that
 cannot be read or written (an OSError; a write can fail after the work is
@@ -10,15 +12,16 @@ fields and ellipses reuse the beta.csv that solve wrote from the same inputs.
 
 The module imports numpy and its conmet names at the top: importing it runs
 conmet/__init__, which loads numpy, scipy and every conmet module anyway.
---threads sets OMP_NUM_THREADS, the cap on the assembly and evaluation
-worker threads.  Wall-clock values go to timing.json; convergence writes one
-entry per spacing there, finest first (alpha, nodes, assemble_, solve_ and
-error_seconds), and prints each to stderr as it finishes.  main registers
-gc.freeze with atexit, once per process, so that shutdown skips the cyclic
-collector's walk over the objects that the numpy and scipy imports leave.
-This is safe: conmet closes every file and thread pool it opens with `with`,
-refcount deallocation and atexit handlers registered before main still run,
-and only cyclic garbage that is alive at exit is left to the operating system.
+--threads sets OMP_NUM_THREADS, the cap on the assembly and evaluation worker
+threads, for one call of main.  Wall-clock values go to timing.json;
+convergence writes one entry per spacing there, finest first (alpha, nodes,
+assemble_, solve_ and error_seconds), and prints each to stderr as it
+finishes.  main registers gc.freeze with atexit, once per process, so that
+shutdown skips the cyclic collector's walk over the objects that the numpy and
+scipy imports leave.  This is safe: conmet closes every file and thread pool
+it opens with `with`, refcount deallocation and atexit handlers registered
+before main still run, and only cyclic garbage that is alive at exit is left
+to the operating system.
 """
 
 import argparse
@@ -58,10 +61,13 @@ class NumericalError(Exception):
 
 
 _DEFAULT_ALPHAS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
-_TOP_KEYS = {"system", "kernel", "rhs_matrix", "grid", "check_grid", "alphas",
-             "output_dir"}
-_GRID_KEYS = {"bounds", "spacing", "offset"}
-_KERNEL_KEYS = {"c"}
+# What each key holds: float (a JSON number), str, [kind] (a list of one kind) or
+# {key: kind} (an object with those keys only).  rhs_matrix may also be null.
+_GRID_KINDS = {"bounds": [[float]], "spacing": float, "offset": float}
+_KINDS = {"system": str, "kernel": {"c": float}, "rhs_matrix": [[float]], "grid": _GRID_KINDS,
+          "check_grid": _GRID_KINDS, "alphas": [float], "output_dir": str}
+_JSON_TYPES = {float: (int, float), str: str, list: list, dict: dict}
+_KIND_NAMES = {float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
 @dataclass(frozen=True)
@@ -76,82 +82,61 @@ class RunConfig:
     output_dir: str
 
 
-def _reject_unknown(mapping, allowed, context):
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {', '.join(unknown)}")
-
-
-def _number(value, name):
-    """A JSON number as float; true, false, strings and null are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value)
+def _checked(value, kind, name="", entry=False):
+    """value read against kind, with numbers as floats; a refusal names the
+    key path, as in "grid bounds must be a list, got NaN"."""
+    where = f"{name} entry" if entry else name or "config"
+    shape = type(kind) if isinstance(kind, (dict, list)) else kind
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[shape]):
+        shown = _KIND_NAMES[type(value)] if isinstance(value, (dict, list)) else json.dumps(value)
+        raise ConfigError(f"{where} must be {_KIND_NAMES[shape]}, got {shown}")
+    if shape is dict:
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+        return {key: None if key == "rhs_matrix" and item is None    # the system's own C
+                else _checked(item, kind[key], f"{name} {key}".lstrip())
+                for key, item in value.items()}
+    if shape is list:
+        return [_checked(item, kind[0], name, entry=True) for item in value]
+    if shape is str:
+        return value
+    try:
+        return float(value)
+    except OverflowError:           # a JSON integer beyond the float range
+        raise ConfigError(f"{where} must be a number within the float range, "
+                          f"got a {len(str(abs(value)))}-digit integer") from None
 
 
 def _parse_grid(raw, name, default_bounds, default_spacing, default_offset=None):
-    """Parse one grid object; default_offset None means half the spacing
-    (the staggered check-grid convention)."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be an object")
-    _reject_unknown(raw, _GRID_KEYS, name)
-    spacing = _number(raw.get("spacing", default_spacing), f"{name} spacing")
-    if default_offset is None:
-        default_offset = spacing / 2.0
+    """One GridSpec from a checked grid object; default_offset None means half
+    the spacing (the staggered check-grid convention)."""
+    spacing = raw.get("spacing", default_spacing)
+    offset = raw.get("offset", spacing / 2.0 if default_offset is None else default_offset)
     try:
-        spec = GridSpec(
-            bounds=tuple(tuple(_number(v, f"{name} bounds entry") for v in b)
-                         for b in raw.get("bounds", default_bounds)),
-            spacing=spacing,
-            offset=_number(raw.get("offset", default_offset), f"{name} offset"),
-        )
-    except (TypeError, ValueError) as err:
+        return GridSpec(bounds=raw.get("bounds", default_bounds), spacing=spacing, offset=offset)
+    except ValueError as err:
         raise ConfigError(f"invalid {name}: {err}") from err
-    return spec
 
 
 def load_config(path, output_dir=None):
-    """Read and validate a JSON config file; --output-dir overrides the file's."""
+    """Read and check a JSON config file; --output-dir overrides the file's."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:     # also nested past the recursion limit
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    for key in ("system", "output_dir"):
-        if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"{key} must be a string, got {json.dumps(raw[key])}")
-
-    kernel_raw = raw.get("kernel", {})
-    if not isinstance(kernel_raw, dict):
-        raise ConfigError("kernel must be an object")
-    _reject_unknown(kernel_raw, _KERNEL_KEYS, "kernel")
-
-    default_bounds = ((-1.0, 1.0), (-1.0, 1.0))
-    try:         # a value of the wrong JSON type, such as a number for a list
-        grid = _parse_grid(raw.get("grid", {}), "grid", default_bounds, 0.125,
-                           default_offset=0.0)
-        check = _parse_grid(raw.get("check_grid", {}), "check_grid",
-                            grid.bounds, 1.0 / 64.0)
-        alphas = tuple(_number(a, "alphas entry") for a in raw.get("alphas", _DEFAULT_ALPHAS))
-
-        rhs = raw.get("rhs_matrix")
-        config = RunConfig(
-            system=raw.get("system", "linear-example"),
-            kernel_c=_number(kernel_raw.get("c", 0.9), "kernel c"),
-            rhs_matrix=None if rhs is None else [[_number(v, "rhs_matrix entry") for v in row]
-                                                 for row in rhs],
-            grid=grid,
-            check_grid=check,
-            alphas=alphas,
-            output_dir=str(output_dir if output_dir is not None
-                           else raw.get("output_dir", "out")),
-        )
-    except TypeError as err:
-        raise ConfigError(f"config value of the wrong type: {err}") from err
-    return config
+    raw = _checked(raw, _KINDS)
+    grid = _parse_grid(raw.get("grid", {}), "grid", ((-1.0, 1.0), (-1.0, 1.0)), 0.125, 0.0)
+    return RunConfig(
+        system=raw.get("system", "linear-example"),
+        kernel_c=raw.get("kernel", {}).get("c", 0.9),
+        rhs_matrix=raw.get("rhs_matrix"),
+        grid=grid,
+        check_grid=_parse_grid(raw.get("check_grid", {}), "check_grid", grid.bounds, 1.0 / 64.0),
+        alphas=tuple(raw.get("alphas", _DEFAULT_ALPHAS)),
+        output_dir=raw.get("output_dir", "out") if output_dir is None else output_dir,
+    )
 
 
 def _setup(config):
@@ -159,14 +144,10 @@ def _setup(config):
     output directory, so that a bad path, c or C fails before any work."""
     bundle = get_system(config.system)        # ValueError: exit 2
     kernel = wendland_c8(config.kernel_c)     # ValueError: exit 2
-    if config.rhs_matrix is not None:
-        rhs = config.rhs_matrix
-    elif bundle.rhs is not None:
-        rhs = bundle.rhs
-    else:
-        rhs = np.eye(bundle.system.dim)
+    rhs = bundle.rhs if config.rhs_matrix is None else config.rhs_matrix
     os.makedirs(config.output_dir, exist_ok=True)        # OSError: exit 2
-    return bundle, kernel, check_rhs(rhs, bundle.system.dim)      # ValueError: exit 2
+    n = bundle.system.dim
+    return bundle, kernel, check_rhs(np.eye(n) if rhs is None else rhs, n)    # ValueError: exit 2
 
 
 def _float_lines(table):
@@ -434,15 +415,13 @@ def main(argv=None):
     _freeze_at_exit()
     parser = _build_parser()
     args = parser.parse_args(argv)
+    omp = os.environ.get("OMP_NUM_THREADS")
     try:
         _limit_threads(args.threads)
         config = load_config(args.config, output_dir=args.output_dir)
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "convergence":
-            return cmd_convergence(config)
-        if args.command == "fields":
-            return cmd_fields(config)
+        if args.command != "ellipses":
+            return {"solve": cmd_solve, "convergence": cmd_convergence,
+                    "fields": cmd_fields}[args.command](config)
         anchors = [_parse_anchor(a) for a in args.anchor]
         if not anchors:
             raise ConfigError("ellipses needs at least one --anchor 'x,y'")
@@ -461,6 +440,11 @@ def main(argv=None):
     except MemoryError as err:
         print(f"insufficient memory: {err}", file=sys.stderr)
         return 3
+    finally:                # --threads caps this call only
+        if omp is None:
+            os.environ.pop("OMP_NUM_THREADS", None)
+        else:
+            os.environ["OMP_NUM_THREADS"] = omp
 
 
 def console_entry():

@@ -71,6 +71,19 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "rotation" in capsys.readouterr().err
 
 
+def test_config_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["solve", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"config error: config file {cfg} is not valid JSON: maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string"]
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -128,6 +141,17 @@ _BOUNDS = [[-1, 1], [-1, 1]]
                  "check_grid bounds entry must be", id="check_grid-bounds"),
     pytest.param({"rhs_matrix": [[True, 0], [0, 1]]}, "rhs_matrix entry must be", id="rhs-bool"),
     pytest.param({"rhs_matrix": [[1, 0], [0, "1"]]}, "rhs_matrix entry must be", id="rhs-string"),
+    # a value of another JSON type at a list key, and an integer beyond the float range
+    pytest.param({"alphas": 1e308}, "alphas must be a list, got 1e+308", id="alphas-number"),
+    pytest.param({"rhs_matrix": float("inf")}, "rhs_matrix must be a list, got Infinity",
+                 id="rhs-number"),
+    pytest.param({"grid": {"bounds": float("nan")}}, "grid bounds must be a list, got NaN",
+                 id="grid-bounds-number"),
+    pytest.param({"check_grid": {"bounds": "c"}}, 'check_grid bounds must be a list, got "c"',
+                 id="check_grid-bounds-string"),
+    pytest.param({"kernel": {"c": 10 ** 400}},
+                 "kernel c must be a number within the float range, got a 401-digit integer",
+                 id="kernel-c-huge-integer"),
 ])
 def test_wrong_json_types_exit_2_before_any_work(tmp_path, capsys, monkeypatch, override,
                                                  message):
@@ -361,6 +385,33 @@ def test_threads_caps_the_evaluation_workers(capsys, monkeypatch):
     # the BLAS pools took their size when numpy loaded; --threads leaves them alone
     assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == ""
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("omp", [None, "2"])
+def test_threads_cap_only_their_own_call(tmp_path, capsys, monkeypatch, omp):
+    # main puts OMP_NUM_THREADS back as it found it, unset included, however it ends
+    from conmet import operator
+
+    monkeypatch.setenv("OMP_NUM_THREADS", omp or "")       # restored after the test
+    if omp is None:
+        monkeypatch.delenv("OMP_NUM_THREADS")
+    workers = operator.block_workers(8)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg))
+    assert cli.main(["solve", str(cfg), "--threads", "1"]) == 0
+    assert os.environ.get("OMP_NUM_THREADS") == omp
+    assert cli.main(["solve", str(tmp_path / "nope.json"), "--threads", "1"]) == 2
+    assert os.environ.get("OMP_NUM_THREADS") == omp
+
+    def interrupted(config):
+        assert operator.block_workers(8) == 1
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli, "cmd_solve", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.main(["solve", str(cfg), "--threads", "1"])
+    assert os.environ.get("OMP_NUM_THREADS") == omp
+    assert operator.block_workers(8) == workers
 
 
 def test_ellipses_require_anchor(tmp_path, capsys):

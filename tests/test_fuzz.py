@@ -6,8 +6,10 @@ flag of a small valid run, and every case keeps the same contract.
 - no warning is raised;
 - nothing is written outside the case's output directory;
 - an exit 2 writes one error line and no traceback, and maps no Gram;
-- a value of the wrong JSON type at a number or string key exits 2, and a
-  number that validation refuses is named by the key it sits at;
+- a value of the wrong JSON type at any key (number, string, list or object)
+  exits 2 and its error line names the key path, such as "grid bounds";
+  null at rhs_matrix is not one, as it means the system's own C;
+- a number that validation refuses is named by the key it sits at;
 - an exit 0 of solve leaves a finite beta.csv.
 
 Every grid, check grid and --count that validation accepts stays below about
@@ -35,7 +37,8 @@ _BASE = {
     "kernel": {"c": 0.9},
     "rhs_matrix": [[1.0, 0.0], [0.0, 1.0]],
     "grid": {"bounds": _BOX, "spacing": 0.25, "offset": 0.0},            # 5 x 5 or 9 x 9 nodes
-    "check_grid": {"bounds": _BOX, "spacing": 0.125, "offset": 0.0625},  # 8 x 8 points
+    # a copy, so that a case that changes check_grid's bounds leaves grid's alone
+    "check_grid": {"bounds": copy.deepcopy(_BOX), "spacing": 0.125, "offset": 0.0625},  # 8 x 8
     "alphas": [0.5, 0.25],
     "output_dir": "out",
 }
@@ -53,6 +56,9 @@ _VALUES = [
     [], [0.5], [[0.5]], [[-0.5, 0.5]], [[-0.5, 0.5]] * 3, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
     {}, {"spacing": 0.5},
 ]
+# values that every key gets after all the other cases, so that the seeded draws
+# of those stay as they were: an integer beyond the float range
+_LATE_VALUES = [10 ** 400]
 _FLAG_VALUES = {
     "--level": ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "5e-324", "True", "", "0.5"],
     "--count": ["0", "-1", "1", "3", "nan", "1e308", "True", "", "1.5"],
@@ -83,9 +89,20 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _label(value):
+    return "10**400" if value == 10 ** 400 else repr(value)
+
+
+def _kind(value):
+    """The JSON type of value as the config names it; None for true, false and null."""
+    if _is_number(value):
+        return "number"
+    return {str: "string", list: "list", dict: "object"}.get(type(value))
+
+
 def _mutate_config(rng, config, paths, value):
     """Put value at one of paths in config, or delete the key there or add an
-    unknown one; return the type that belongs there, if the key has one."""
+    unknown one; return the JSON type that belongs there, if the key has one."""
     path = rng.choice(paths)
     parent = config
     for key in path[:-1]:
@@ -98,7 +115,7 @@ def _mutate_config(rng, config, paths, value):
         del parent[path[-1]]
         return None
     parent[path[-1]] = copy.deepcopy(value)
-    return "number" if _is_number(old) else "string" if isinstance(old, str) else None
+    return None if path == ("rhs_matrix",) and value is None else _kind(old)
 
 
 def _mutate_args(args, flag, value):
@@ -121,6 +138,7 @@ def _cases():
     pairs = [(key, value) for key in keys for value in _VALUES + ["<deleted>", "<unknown key>"]]
     pairs += [(flag, value) for flag, values in _FLAG_VALUES.items() for value in values]
     pairs.append(("--anchor", "<none>"))
+    pairs += [(key, value) for key in keys for value in _LATE_VALUES]
     cases = []
     for index, (key, value) in enumerate(pairs):
         command = rng.choice(sorted(_ARGS)) if key in keys or key == "--threads" else "ellipses"
@@ -134,8 +152,8 @@ def _cases():
         else:
             _mutate_args(args, key, value)
             expected, names = None, _NAMES[key]
-        cases.append(pytest.param(command, config, args, value, expected, names,
-                                  id=f"{index:03d}-{command}-{key}={value!r}"))
+        cases.append(pytest.param(command, config, args, key, value, expected, names,
+                                  id=f"{index:03d}-{command}-{key}={_label(value)}"))
     return cases
 
 
@@ -146,11 +164,11 @@ def _run(argv):
         return exit_.code
 
 
-@pytest.mark.parametrize("command, config, args, value, expected, names", _cases())
-def test_cli_contract(tmp_path, capsys, monkeypatch, command, config, args, value, expected,
-                      names):
+@pytest.mark.parametrize("command, config, args, key, value, expected, names", _cases())
+def test_cli_contract(tmp_path, capsys, monkeypatch, command, config, args, key, value,
+                      expected, names):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("OMP_NUM_THREADS", "")      # no cap, and what --threads writes is undone
+    monkeypatch.setenv("OMP_NUM_THREADS", "")      # no cap
     grams = []
     zeroed_gram = collocation._zeroed_gram
     monkeypatch.setattr(collocation, "_zeroed_gram",
@@ -177,9 +195,9 @@ def test_cli_contract(tmp_path, capsys, monkeypatch, command, config, args, valu
         assert grams == [], f"exit 2 after mapping a Gram: {lines[0]}"
         if names:
             assert any(name in lines[0] for name in names), lines[0]
-    if expected == "number" and not _is_number(value) or \
-            expected == "string" and not isinstance(value, str):
+    if expected and _kind(value) != expected:
         assert code == 2, f"{value!r} taken where a {expected} belongs"
+        assert key.replace(".", " ") in lines[0], lines[0]
     if code == 0 and command == "solve":
         beta = np.loadtxt(os.path.join(output_dir, "beta.csv"), delimiter=",", skiprows=1)
         assert np.all(np.isfinite(beta))
