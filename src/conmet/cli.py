@@ -12,8 +12,8 @@ fields and ellipses reuse the beta.csv that solve wrote from the same inputs.
 
 The module imports numpy and its conmet names at the top: importing it runs
 conmet/__init__, which loads numpy, scipy and every conmet module anyway.
---threads sets OMP_NUM_THREADS, the cap on the assembly and evaluation worker
-threads, for one call of main.  Wall-clock values go to timing.json;
+OMP_NUM_THREADS at launch caps the worker threads, and the BLAS threads
+unless OPENBLAS_NUM_THREADS is set.  Wall-clock values go to timing.json;
 convergence writes one entry per spacing there, finest first (alpha, nodes,
 assemble_, solve_ and error_seconds), and prints each to stderr as it
 finishes.  main registers gc.freeze with atexit, once per process, so that
@@ -41,8 +41,8 @@ import numpy as np
 
 from . import __version__
 from .collocation import (FactorizationError, GridSpec, RecoverySolution, SolveDiagnostics,
-                          assemble, check_rhs, collocation_data, fill_distance_estimate,
-                          make_grid, separation_distance, solve)
+                          _check_memory, assemble, check_rhs, collocation_data,
+                          fill_distance_estimate, make_grid, separation_distance, solve)
 from .evaluate import (convergence_study, ellipse_points, eval_metric_batch, eval_operator_batch,
                        field_export)
 from .kernels import wendland_c8
@@ -299,9 +299,10 @@ def cmd_convergence(config):
 def cmd_fields(config):
     """Sample S and L(S) of the solve on the evaluation grid; write CSV + summary."""
     bundle, kernel, rhs = _setup(config)
+    check = make_grid(config.check_grid)        # MemoryError before any solve
     solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
     t0 = time.perf_counter()
-    fields = field_export(solution, make_grid(config.check_grid))
+    fields = field_export(solution, check)
     dim = bundle.system.dim
     coord_names = ["x", "y"] if dim == 2 else [f"x{a}" for a in range(dim)]
     header = coord_names + ["trace_S", "det_S", "trace_FS", "neg_det_FS",
@@ -330,6 +331,8 @@ def cmd_ellipses(config, anchors, level, count):
     if not (0.0 < level < math.inf and count >= 1):     # before any solve
         raise ConfigError("--level must be positive and finite and --count at least 1, "
                           f"got {level} and {count}")
+    _check_memory(f"{count} samples around each of {len(anchors)} anchors",
+                  300 * count * len(anchors))     # arrays, Python floats, CSV lines
     bundle, kernel, rhs = _setup(config)
     if bundle.system.dim != 2:
         raise ConfigError("ellipse export requires a two-dimensional system")
@@ -385,9 +388,6 @@ def _build_parser():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="path to the JSON config file")
         cmd.add_argument("--output-dir", help="override the configured output directory")
-        cmd.add_argument("--threads", type=int,
-                         help="cap the assembly and evaluation worker threads "
-                              "(default: one per CPU) by setting OMP_NUM_THREADS")
         if name == "ellipses":
             cmd.add_argument("--anchor", action="append", default=[],
                              help="ellipse anchor 'x,y' (repeatable)")
@@ -396,14 +396,6 @@ def _build_parser():
             cmd.add_argument("--count", type=int, default=64,
                              help="samples per ellipse (default 64)")
     return parser
-
-
-def _limit_threads(threads):
-    if threads is None:
-        return
-    if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
-    os.environ["OMP_NUM_THREADS"] = str(threads)      # read by operator.block_workers
 
 
 @functools.cache
@@ -415,9 +407,7 @@ def main(argv=None):
     _freeze_at_exit()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    omp = os.environ.get("OMP_NUM_THREADS")
     try:
-        _limit_threads(args.threads)
         config = load_config(args.config, output_dir=args.output_dir)
         if args.command != "ellipses":
             return {"solve": cmd_solve, "convergence": cmd_convergence,
@@ -440,11 +430,6 @@ def main(argv=None):
     except MemoryError as err:
         print(f"insufficient memory: {err}", file=sys.stderr)
         return 3
-    finally:                # --threads caps this call only
-        if omp is None:
-            os.environ.pop("OMP_NUM_THREADS", None)
-        else:
-            os.environ["OMP_NUM_THREADS"] = omp
 
 
 def console_entry():

@@ -15,7 +15,8 @@ so each chunk stops at the last block column k1 that operator.near_box
 keeps for the chunk rows' bounding box; the zero blocks past it are never
 computed.  Before it maps the Gram, assembly checks every equilibrium it is
 given, and that much memory against the headroom the system reports,
-raising MemoryError if it does not fit.  The solve takes the node set, which
+raising MemoryError if it does not fit; make_grid sizes its points the same
+way before it builds them.  The solve takes the node set, which
 carries the kernel that assembly used, and consumes the Gram, as xPOTRF
 consumes its input: the Cholesky factor overwrites the lower triangle.
 
@@ -39,6 +40,7 @@ carries the global 1-based pivot, and is not retried.
 """
 
 import contextlib
+import math
 import mmap
 import re
 from dataclasses import dataclass, replace
@@ -92,6 +94,8 @@ class GridSpec:
     offset: float = 0.0
 
     def __post_init__(self):
+        if not len(self.bounds) or any(len(row) != 2 for row in self.bounds):
+            raise ValueError(f"bounds must be one [lo, hi] pair per axis, got {self.bounds}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         if not self.spacing > 0.0:
@@ -117,21 +121,18 @@ class GridSpec:
                     f"spacing {self.spacing} does not divide the edge [{lo}, {hi}] "
                     f"with offset {self.offset}")
 
-    def axis_values(self, axis):
-        lo, hi = self.bounds[axis]
-        count = int(round((hi - lo - 2.0 * self.offset) / self.spacing)) + 1
-        return lo + self.offset + self.spacing * np.arange(count)
-
-    @property
-    def dim(self):
-        return len(self.bounds)
-
 
 def make_grid(spec):
-    """Tensor-product grid, points in lexicographic coordinate order."""
-    axes = [spec.axis_values(a) for a in range(spec.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, spec.dim)
+    """Tensor-product grid, points in lexicographic coordinate order; a
+    MemoryError, before anything is built, if its coordinates do not fit."""
+    counts = [int(round((hi - lo - 2.0 * spec.offset) / spec.spacing)) + 1
+              for lo, hi in spec.bounds]
+    _check_memory(f"the {' x '.join(map(str, counts))} points of a grid",
+                  8 * len(counts) * math.prod(counts))
+    axes = [lo + spec.offset + spec.spacing * np.arange(count)
+            for (lo, _), count in zip(spec.bounds, counts)]
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)      # views: stack makes the one copy
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def separation_distance(points):
@@ -227,7 +228,9 @@ def assemble(system, kernel, points, equilibria=()):
     chunks = _chunk_reach(cset.points, kernel.support_radius)
     slots = max(m * m + 5, PAIRWISE_SLOTS)    # 4 pairwise arrays, m^2 of value, 1 product
     panel_bytes = 2 * 8 * _PANEL * dim if _takes_panels(_column_ends(chunks, m)) else 0
-    _check_memory(dim, 8 * np.prod(workspace_shape(len(chunks), slots, big_n)) + panel_bytes)
+    _check_memory(f"the {dim}-unknown Gram matrix, its assembly and its factor",
+                  8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE    # lower triangle, a page a column
+                  + 8 * np.prod(workspace_shape(len(chunks), slots, big_n)) + panel_bytes)
     centre = cset.centre
 
     # Block row l, block column k:
@@ -324,15 +327,12 @@ def _available_memory_bytes():
     return min(found, default=None)
 
 
-def _check_memory(dim, work_bytes):
-    """Raise MemoryError if the lower triangle of a dim x dim Gram, the page
-    each column starts on, and work_bytes more do not fit."""
-    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + work_bytes
+def _check_memory(what, needed):
+    """Raise MemoryError, naming what, if needed bytes do not fit."""
     available = _available_memory_bytes()
     if available is not None and needed > available:
-        raise MemoryError(
-            f"the {dim}-unknown Gram matrix, its assembly and its factor need about "
-            f"{needed / 1e6:.0f} MB, but only {available / 1e6:.0f} MB are available")
+        raise MemoryError(f"{what} need about {needed / 1e6:.0f} MB, "
+                          f"but only {available / 1e6:.0f} MB are available")
 
 
 def _zeroed_gram(dim):

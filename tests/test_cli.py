@@ -375,45 +375,6 @@ def test_ellipses_overflowing_sample_exits_3_and_writes_nothing(tmp_path, capsys
     assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_threads_caps_the_evaluation_workers(capsys, monkeypatch):
-    from conmet import operator
-
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "")        # restored after the test
-    cli._limit_threads(1)
-    assert operator.block_workers(100) == 1
-    # the BLAS pools took their size when numpy loaded; --threads leaves them alone
-    assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == ""
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("omp", [None, "2"])
-def test_threads_cap_only_their_own_call(tmp_path, capsys, monkeypatch, omp):
-    # main puts OMP_NUM_THREADS back as it found it, unset included, however it ends
-    from conmet import operator
-
-    monkeypatch.setenv("OMP_NUM_THREADS", omp or "")       # restored after the test
-    if omp is None:
-        monkeypatch.delenv("OMP_NUM_THREADS")
-    workers = operator.block_workers(8)
-    cfg = tmp_path / "cfg.json"
-    _write_config(str(cfg))
-    assert cli.main(["solve", str(cfg), "--threads", "1"]) == 0
-    assert os.environ.get("OMP_NUM_THREADS") == omp
-    assert cli.main(["solve", str(tmp_path / "nope.json"), "--threads", "1"]) == 2
-    assert os.environ.get("OMP_NUM_THREADS") == omp
-
-    def interrupted(config):
-        assert operator.block_workers(8) == 1
-        raise RuntimeError("interrupted")
-
-    monkeypatch.setattr(cli, "cmd_solve", interrupted)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        cli.main(["solve", str(cfg), "--threads", "1"])
-    assert os.environ.get("OMP_NUM_THREADS") == omp
-    assert operator.block_workers(8) == workers
-
-
 def test_ellipses_require_anchor(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))
@@ -577,7 +538,7 @@ def test_byte_identical_reruns(tmp_path):
         for command in ("solve", "fields"):
             result = subprocess.run(
                 [sys.executable, "-m", "conmet.cli", command, str(cfg),
-                 "--output-dir", str(out), "--threads", "1"],
+                 "--output-dir", str(out)],
                 capture_output=True, text=True)
             assert result.returncode == 0, result.stderr
         outputs.append({name: (out / name).read_bytes()
@@ -821,6 +782,43 @@ def test_spacing_too_small_for_the_edge_exits_2_before_assembly(tmp_path, capsys
     assert assemble_calls == []
 
 
+@pytest.mark.parametrize("key", ["grid", "check_grid"])
+@pytest.mark.parametrize("bounds", [[], [[1, 2], [3]], [[-1, 1, 2]]],
+                         ids=["empty", "short-row", "long-row"])
+def test_bounds_that_are_not_pairs_exit_2_before_assembly(tmp_path, capsys, assemble_calls,
+                                                          key, bounds):
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), **{key: {"bounds": bounds, "spacing": 0.5}})
+    for command in sorted(_WRITERS):
+        assert cli.main([command, str(cfg), *_WRITERS[command][0]]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: invalid {key}: bounds must be one [lo, hi] pair per axis" in err
+    assert assemble_calls == []
+
+
+@pytest.mark.parametrize("command, override, args, what", [
+    ("solve", {"grid": {"bounds": _BOUNDS, "spacing": 1 / 256}}, [],
+     "the 513 x 513 points of a grid need about 4 MB"),
+    ("fields", {"check_grid": {"bounds": _BOUNDS, "spacing": 1 / 256}}, [],   # staggered
+     "the 512 x 512 points of a grid need about 4 MB"),
+    ("ellipses", {}, ["--anchor", "0,0", "--anchor", "0.5,0", "--count", "10000"],
+     "10000 samples around each of 2 anchors need about 6 MB"),
+], ids=["solve-grid", "fields-check-grid", "ellipses-samples"])
+def test_grids_and_samples_too_large_exit_3_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                             command, override, args, what):
+    import conmet.collocation
+
+    def no_assembly(*args, **kwargs):       # fails at once, where a 513^2-node one would not
+        raise AssertionError("assembled despite too little memory")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: 10 ** 6)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), **override)
+    assert cli.main([command, str(cfg), *args]) == 3
+    assert f"insufficient memory: {what}, but only 1 MB are available" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [["--level", "nan"], ["--level", "0"], ["--level", "-1"],
                                   ["--count", "0"]],
                          ids=["level-nan", "level-zero", "level-negative", "count-zero"])
@@ -856,13 +854,15 @@ def test_removed_regularize_key_exits_2_before_any_work(tmp_path, capsys, assemb
 
 
 def test_removed_regularize_flag_exits_2(tmp_path, capsys):
+    # so do --threads: OMP_NUM_THREADS at launch caps the workers
     cfg = tmp_path / "cfg.json"
     _write_config(str(cfg))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", str(cfg), "--regularize"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --regularize" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for args in (["--regularize"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(cfg), *args])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):

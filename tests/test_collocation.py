@@ -3,6 +3,7 @@
 import itertools
 import mmap
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -91,6 +92,22 @@ def test_grid_spec_validation():
     for axis in ((-1.0, float("nan")), (-1.0, float("inf")), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="is not finite"):
             GridSpec((axis, (-1.0, 1.0)), 0.25)
+    for bounds in ([], [[1.0, 2.0], [3.0]], [[-1.0, 1.0, 2.0]]):
+        with pytest.raises(ValueError, match=r"bounds must be one \[lo, hi\] pair per axis, "
+                                             rf"got {re.escape(str(bounds))}"):
+            GridSpec(bounds, 0.25)
+
+
+def test_make_grid_refuses_points_that_do_not_fit(monkeypatch):
+    # a 513 x 513 grid of float64 pairs: one byte less is refused before
+    # anything is built, that amount is not
+    spec = GridSpec(BOUNDS, 1.0 / 256.0)
+    expected = make_grid(spec)
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: expected.nbytes - 1)
+    with pytest.raises(MemoryError, match="the 513 x 513 points of a grid need about 4 MB"):
+        make_grid(spec)
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: expected.nbytes)
+    assert np.array_equal(make_grid(spec), expected)
 
 
 # -- separation and fill distance ---------------------------------------------
@@ -514,9 +531,9 @@ def test_memory_check_takes_the_headroom_under_the_cgroup_limit(tmp_path, monkey
                         ((str(limit), str(usage), str(stat), key),))
     assert conmet.collocation._available_memory_bytes() == 224 * mib
     with pytest.raises(MemoryError, match="only 235 MB are available"):
-        conmet.collocation._check_memory(1, 300 * 10 ** 6)
+        conmet.collocation._check_memory("a 300 MB array", 300 * 10 ** 6)
     usage.write_text(f"{400 * mib}\n")
-    conmet.collocation._check_memory(1, 300 * 10 ** 6)
+    conmet.collocation._check_memory("a 300 MB array", 300 * 10 ** 6)
     limit.write_text("max\n")                  # cgroup v2's no limit
     assert conmet.collocation._available_memory_bytes() == 2 ** 36
 

@@ -13,8 +13,7 @@ flag of a small valid run, and every case keeps the same contract.
 - an exit 0 of solve leaves a finite beta.csv.
 
 Every grid, check grid and --count that validation accepts stays below about
-10^4 points, and --threads never exceeds the CPU count, so no case can run
-out of memory or start more threads than the box has.
+10^4 points, so no case can run out of memory.
 """
 
 import copy
@@ -64,7 +63,6 @@ _FLAG_VALUES = {
     "--count": ["0", "-1", "1", "3", "nan", "1e308", "True", "", "1.5"],
     "--anchor": ["nan,0", "inf,0", "0,-inf", "1e308,0", "1e-308,0", "5e-324,5e-324", "0",
                  "0,0,0", "a,b", "", "True,0", "0.25,0.25"],
-    "--threads": ["0", "-1", "1", str(min(2, os.cpu_count())), "nan", "1e308", "True", "", "1.5"],
 }
 # the words that name each key in an error message
 _NAMES = {
@@ -72,7 +70,6 @@ _NAMES = {
     "bounds": ("bounds", "axis", "edge"), "alphas": ("alphas", "spacing"),
     "rhs_matrix": ("right-hand-side", "rhs_matrix"),
     "--level": ("level",), "--count": ("count",), "--anchor": ("anchor",),
-    "--threads": ("threads",),
 }
 
 
@@ -141,7 +138,7 @@ def _cases():
     pairs += [(key, value) for key in keys for value in _LATE_VALUES]
     cases = []
     for index, (key, value) in enumerate(pairs):
-        command = rng.choice(sorted(_ARGS)) if key in keys or key == "--threads" else "ellipses"
+        command = rng.choice(sorted(_ARGS)) if key in keys else "ellipses"
         config = copy.deepcopy(_BASE)
         config["grid"]["spacing"] = rng.choice([0.25, 0.125])
         args = list(_ARGS[command])
