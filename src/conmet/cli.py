@@ -300,6 +300,8 @@ def cmd_fields(config):
     """Sample S and L(S) of the solve on the evaluation grid; write CSV + summary."""
     bundle, kernel, rhs = _setup(config)
     check = make_grid(config.check_grid)        # MemoryError before any solve
+    _check_memory(f"the fields of {len(check)} check points",   # 750 B each in the plane, 920 in 3-D
+                  1000 * len(check))            # (tracemalloc peak of the export and CSV lines)
     solution, timing = _stored_or_solved(config, bundle, kernel, rhs)
     t0 = time.perf_counter()
     fields = field_export(solution, check)

@@ -14,29 +14,30 @@ is zero when its two points lie at least the kernel's support radius apart,
 so each chunk stops at the last block column k1 that operator.near_box
 keeps for the chunk rows' bounding box; the zero blocks past it are never
 computed.  Before it maps the Gram, assembly checks every equilibrium it is
-given, and that much memory against the headroom the system reports,
-raising MemoryError if it does not fit; make_grid sizes its points the same
-way before it builds them.  The solve takes the node set, which
-carries the kernel that assembly used, and consumes the Gram, as xPOTRF
-consumes its input: the Cholesky factor overwrites the lower triangle.
+given, and that much memory against the headroom the system reports, the
+lower triangle first, as it needs only N, raising MemoryError if it does
+not fit; make_grid sizes its points the same way before it builds them.
+The solve takes the node set, which carries the kernel that assembly used,
+and consumes the Gram, as xPOTRF consumes its input: the Cholesky factor
+overwrites the lower triangle.
 
-The chunks' k1 also bound the factor.  Column j of the Gram is zero from
-row ends[j] on, with ends the chunks' k1 in unknowns made nondecreasing:
-a column envelope, inside which the Cholesky factor fills in and outside
-of which it stays zero (George & Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981).  When the envelope's flops,
-sum_j (ends[j] - j)^2, are at most a quarter of the dense dim^3 / 3, the
-solve factors panel by panel inside it: cho_factor on each 256-column
-diagonal block, dtrsm on the rows below it down to the envelope, and dgemm
-updates of the trailing envelope in 256-column tiles, all through scipy's
-BLAS and LAPACK, whose thread pool is not numpy's.  The zeros past the
-envelope are then neither computed nor touched, and their pages stay
-unmapped; the memory check counts the two panel-wide arrays the loop
-holds.  Any other Gram, such as a one-chunk one whose envelope is the whole
-triangle, is one cho_factor call on the lower triangle.  The Gram of a
-positive definite kernel is SPD in exact arithmetic, so a failed factor
-means near-degenerate node geometry; it raises FactorizationError, which
-carries the global 1-based pivot, and is not retried.
+Each node's reach bounds the factor: column j of the Gram is zero from row
+ends[j] on, one past the last node within the support of column j's node,
+in unknowns, made nondecreasing.  That is a column envelope, inside which
+the Cholesky factor fills in and outside of which it stays zero (George &
+Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
+When its flops, sum_j (ends[j] - j)^2, are at most a quarter of the dense
+dim^3 / 3, the solve factors panel by panel inside it: cho_factor on each
+256-column diagonal block, dtrsm on the rows below it down to the envelope
+and dgemm updates of the trailing envelope in 256-column tiles, through
+scipy's BLAS and LAPACK, whose thread pool is not numpy's; then each
+triangular solve is a dtrsv on each diagonal block and a GEMV below it down
+to the envelope.  The zeros past the envelope are never used, and the
+memory check counts the two panel-wide arrays the loop holds.  Any other
+Gram is one cho_factor and one cho_solve call on the lower triangle.  The
+Gram of a positive definite kernel is SPD in exact arithmetic, so a failed
+factor means near-degenerate node geometry; it raises FactorizationError,
+which carries the global 1-based pivot, and is not retried.
 """
 
 import contextlib
@@ -50,9 +51,10 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
-from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
-                       pairwise_scalars, run_blocks, workspace_shape)
+from .operator import (_SUPPORT_MARGIN, PAIRWISE_SLOTS, block_rows, coordinate_matrices,
+                       near_box, pairwise_scalars, run_blocks, workspace_shape)
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -225,12 +227,13 @@ def assemble(system, kernel, points, equilibria=()):
     col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]
     big_n, m = len(cset), len(scale)
     dim = big_n * m
-    chunks = _chunk_reach(cset.points, kernel.support_radius)
+    what = f"the {dim}-unknown Gram matrix, its assembly and its factor"
+    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE    # lower triangle, a page a column
+    _check_memory(what, needed)                 # before the reaches, which scan the nodes
+    chunks, ends = _chunk_reach(cset.points, kernel.support_radius, m)
     slots = max(m * m + 5, PAIRWISE_SLOTS)    # 4 pairwise arrays, m^2 of value, 1 product
-    panel_bytes = 2 * 8 * _PANEL * dim if _takes_panels(_column_ends(chunks, m)) else 0
-    _check_memory(f"the {dim}-unknown Gram matrix, its assembly and its factor",
-                  8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE    # lower triangle, a page a column
-                  + 8 * np.prod(workspace_shape(len(chunks), slots, big_n)) + panel_bytes)
+    _check_memory(what, needed + 8 * np.prod(workspace_shape(len(chunks), slots, big_n))
+                  + 2 * 8 * _PANEL * dim * _takes_panels(ends))
     centre = cset.centre
 
     # Block row l, block column k:
@@ -273,23 +276,26 @@ def assemble(system, kernel, points, equilibria=()):
     return cset, gram
 
 
-def _chunk_reach(points, radius):
-    """Assembly's chunks of block rows as triples (l0, l1, k1): operator.near_box
-    drops every node from k1 on for the box around nodes l0 .. l1 - 1."""
+def _chunk_reach(points, radius, m):
+    """Assembly's chunks of block rows as triples (l0, l1, k1), operator.near_box
+    dropping every node from k1 on for the box around nodes l0 .. l1 - 1, and
+    the envelope ends (module docstring) by near_box's margin: each chunk's
+    rows look back from k1, a chunk's width at a time, until each has met its
+    last node; a row meets itself."""
     step = block_rows(len(points))
-    chunks = []
+    chunks, last = [], np.empty(len(points), dtype=np.intp)
     for l0 in range(0, len(points), step):
         rows = points[l0:l0 + step]
         near = near_box(points[l0:], (rows.min(axis=0), rows.max(axis=0)), radius)
         chunks.append((l0, l0 + len(rows), l0 + 1 + int(np.flatnonzero(near)[-1])))
-    return chunks
-
-
-def _column_ends(chunks, m):
-    """ends[j], the Gram row that column j's nonzeros stop short of, made
-    nondecreasing so that the Cholesky factor's fill stays below it too."""
-    l0, l1, k1 = np.transpose(chunks)
-    return np.maximum.accumulate(np.repeat(m * k1, m * (l1 - l0)))
+        todo, stop = np.arange(l0, l0 + len(rows)), chunks[-1][2]
+        while todo.size:
+            start = max(l0, stop - step)
+            near = cdist(points[todo], points[start:stop]) <= radius * (1.0 + _SUPPORT_MARGIN)
+            met = near.any(axis=1)
+            last[todo[met]] = stop - 1 - np.argmax(near[met, ::-1], axis=1)
+            todo, stop = todo[~met], start
+    return chunks, np.maximum.accumulate(np.repeat(m * (last + 1), m))
 
 
 def _takes_panels(ends):
@@ -378,17 +384,19 @@ def _factor_block(block, offset):
 def _cholesky(gram, ends):
     """Overwrite the lower triangle of the Fortran-ordered gram with its factor.
 
-    Column j is taken as zero from row ends[j] on (_column_ends).  Panels,
-    when _takes_panels(ends), neither read nor write past that envelope,
-    and neither path touches the strict upper triangle.
+    Column j is taken as zero from row ends[j] on.  Panels, when
+    _takes_panels(ends), write zeros there down to their last row, and
+    neither path touches the strict upper triangle.
     """
     if not _takes_panels(ends):
         _factor_block(gram, 0)
         return
-    lower = np.tri(_PANEL, dtype=bool)
+    lower = np.asfortranarray(np.tri(_PANEL, dtype=bool))    # the Gram's order: twice as fast
     for j0 in range(0, len(gram), _PANEL):
         j1 = min(len(gram), j0 + _PANEL)
-        e = int(ends[j1 - 1])               # the panel's rows end before row e
+        e, s = int(ends[j1 - 1]), int(ends[j0])     # the panel's rows end before row e
+        # rows from s on can lie past their column's end, which becomes zero
+        np.copyto(gram[s:e, j0:j1], 0.0, where=np.arange(s, e)[:, None] >= ends[j0:j1])
         # L11 L11^T = A11, L21 = A21 L11^-T, then A22 -= L21 L21^T in tiles
         diag = _factor_block(gram[j0:j1, j0:j1], j0)
         np.copyto(gram[j0:j1, j0:j1], diag, where=lower[:j1 - j0, :j1 - j0])
@@ -406,6 +414,21 @@ def _cholesky(gram, ends):
             square = gram[c0:c1, c0:c1]
             np.subtract(square, update[:c1 - c0], out=square, where=lower[:c1 - c0, :c1 - c0])
             gram[c1:e, c0:c1] -= update[c1 - c0:]
+
+
+def _substitute(factor, ends, b):
+    """x with L L^T x = b, L the lower triangle of a factor that took panels,
+    by substitution panel by panel inside the envelope.  numpy's @ takes the
+    strided views of the factor as they are; scipy's dgemv would copy them."""
+    x = b.copy()
+    panels = [(j0, min(len(x), j0 + _PANEL)) for j0 in range(0, len(x), _PANEL)]
+    for j0, j1 in panels:                                   # L y = b
+        x[j0:j1] = scipy.linalg.blas.dtrsv(factor[j0:j1, j0:j1], x[j0:j1], lower=1)
+        x[j1:ends[j1 - 1]] -= factor[j1:ends[j1 - 1], j0:j1] @ x[j0:j1]
+    for j0, j1 in reversed(panels):                         # L^T x = y
+        x[j0:j1] -= factor[j1:ends[j1 - 1], j0:j1].T @ x[j1:ends[j1 - 1]]
+        x[j0:j1] = scipy.linalg.blas.dtrsv(factor[j0:j1, j0:j1], x[j0:j1], lower=1, trans=1)
+    return x
 
 
 @dataclass(frozen=True)
@@ -458,9 +481,10 @@ def solve(gram, rhs, cset):
     its input: only its lower triangle is read, and it holds the Cholesky
     factor afterwards, also after a FactorizationError.  Its entries outside
     the column envelope of cset's points under cset.kernel (module docstring)
-    are taken as the zeros that assemble leaves there.  A set without a
-    kernel, any other gram or a C that fails check_rhs is a ValueError before
-    the Gram is read; a non-finite solution is a FloatingPointError.
+    are taken as the zeros that assemble leaves there, and panels and
+    triangular solves stay inside it.  A set without a kernel, any other
+    gram or a C that fails check_rhs is a ValueError before the Gram is
+    read; a non-finite solution is a FloatingPointError.
     """
     kernel = cset.kernel
     if kernel is None:
@@ -476,8 +500,10 @@ def solve(gram, rhs, cset):
                          'as assemble returns it; copy one with gram.copy(order="F")')
     b = -np.tile(rhs[i, j], len(cset))
 
-    _cholesky(gram, _column_ends(_chunk_reach(cset.points, kernel.support_radius), len(i)))
-    gamma = scipy.linalg.cho_solve((gram, True), b, check_finite=False)
+    ends = _chunk_reach(cset.points, kernel.support_radius, len(i))[1]
+    _cholesky(gram, ends)
+    gamma = (_substitute(gram, ends, b) if _takes_panels(ends)
+             else scipy.linalg.cho_solve((gram, True), b, check_finite=False))
     if not np.all(np.isfinite(gamma)):
         raise FloatingPointError("the solution of the collocation system is not finite "
                                  f"(largest |C| entry {np.max(np.abs(rhs)):.3g})")

@@ -819,6 +819,21 @@ def test_grids_and_samples_too_large_exit_3_before_any_solve(tmp_path, capsys, m
     assert f"insufficient memory: {what}, but only 1 MB are available" in capsys.readouterr().err
 
 
+def test_fields_export_too_large_exits_3_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         assemble_calls):
+    # the 128 x 128 check points take 262 kB, the export about 16 MB
+    import conmet.collocation
+
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: 10 ** 6)
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), check_grid={"bounds": _BOUNDS, "spacing": 1 / 64, "offset": 1 / 128})
+    assert cli.main(["fields", str(cfg)]) == 3
+    assert ("insufficient memory: the fields of 16384 check points need about 16 MB, "
+            "but only 1 MB are available") in capsys.readouterr().err
+    assert assemble_calls == []
+    assert not (tmp_path / "out" / "fields.csv").exists()
+
+
 @pytest.mark.parametrize("args", [["--level", "nan"], ["--level", "0"], ["--level", "-1"],
                                   ["--count", "0"]],
                          ids=["level-nan", "level-zero", "level-negative", "count-zero"])

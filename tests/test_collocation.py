@@ -412,6 +412,18 @@ def test_assemble_fails_fast_without_memory(linear, kernel, monkeypatch):
     assert assemble(system, kernel, pts)[1].shape == (867, 867)
 
 
+def test_assemble_refuses_the_lower_triangle_before_any_reach(linear, kernel, monkeypatch):
+    # the lower triangle needs only the node count, so a Gram too large for
+    # it is refused before the reaches scan the nodes
+    def no_reach(*args):
+        raise AssertionError("took the reach of a Gram that cannot fit")
+
+    monkeypatch.setattr(conmet.collocation, "_chunk_reach", no_reach)
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: 10 ** 6)
+    with pytest.raises(MemoryError, match=r"^the 867-unknown Gram matrix, .* only 1 MB"):
+        assemble(linear[0], kernel, make_grid(GridSpec(BOUNDS, 0.125)))
+
+
 def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, monkeypatch):
     # the check asks for the Gram's lower triangle, the page each of its
     # columns starts on, and exactly one workspace, of the size the chunks
@@ -422,9 +434,9 @@ def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, m
 
 
 def test_memory_check_counts_the_panel_temporaries(linear, kernel, monkeypatch):
-    # with 42 assembly chunks the envelope of [-4, 4]^2 at h = 0.5 holds
-    # 0.065 of the dense flops, so the factor takes panels, and the check asks
-    # for two panels' worth of float64 per unknown more
+    # the envelope of [-4, 4]^2 at h = 0.5 holds 0.040 of the dense flops, so
+    # the factor takes panels, and the check asks for two panels' worth of
+    # float64 per unknown more
     _assert_memory_check_asks(linear[0], kernel, make_grid(GridSpec(_WIDE, 0.5)), monkeypatch,
                               panels=True)
 
@@ -733,8 +745,8 @@ def test_solve_consumes_gram(linear, kernel):
 
 
 @pytest.mark.parametrize("bounds, spacing, panels", [
-    pytest.param(_WIDE, 0.25, True, id="panels"),          # envelope: 0.098 of the flops
-    pytest.param(BOUNDS, 0.125, False, id="one-call"),     # one chunk: the whole triangle
+    pytest.param(_WIDE, 0.25, True, id="panels"),          # envelope: 0.042 of the flops
+    pytest.param(BOUNDS, 0.125, False, id="one-call"),     # 0.474
 ])
 def test_solve_factor_matches_dense_cholesky(linear, kernel, monkeypatch, bounds, spacing,
                                              panels):
@@ -769,6 +781,54 @@ def test_panel_factor_reads_only_the_lower_triangle(linear, kernel, monkeypatch)
     blind = np.where(np.tri(len(gram), dtype=bool), gram, np.nan)
     solution = solve(gram, rhs, cset)
     _assert_blind_solve_matches(blind, rhs, cset, solution)
+
+
+def _node_ends(cset):
+    return conmet.collocation._chunk_reach(cset.points, cset.kernel.support_radius, 3)[1]
+
+
+_RNG = np.random.default_rng(24)
+
+
+@pytest.mark.parametrize("points, flops", [
+    pytest.param(make_grid(GridSpec(_WIDE, 0.2)), 0.042, id="large-domain"),
+    pytest.param(_RNG.permutation(make_grid(GridSpec(_WIDE, 0.4))), 0.997, id="shuffled-grid"),
+    pytest.param(_RNG.uniform(-4.0, 4.0, (700, 2)), 1.0, id="random-points"),
+])
+def test_node_ends_cover_every_nonzero(linear, kernel, points, flops):
+    # the oracle: one past the last nonzero row of each column of the lower
+    # triangle, which holds the diagonal; the ends may not fall short of it
+    # anywhere, and they are its per-node, nondecreasing hull
+    cset, gram = assemble(linear[0], kernel, points)
+    ends = _node_ends(cset)
+    nonzero = len(gram) - np.argmax(gram[::-1] != 0.0, axis=0)
+    assert np.all(nonzero >= np.arange(1, len(gram) + 1))
+    assert np.all(nonzero <= ends)
+    hull = 3 * np.ceil(nonzero.reshape(-1, 3).max(axis=1) / 3)
+    assert np.array_equal(ends, np.maximum.accumulate(np.repeat(hull, 3)))
+    share = np.sum((ends - np.arange(len(ends))) ** 2.0) / (len(ends) ** 3 / 3)
+    assert share == pytest.approx(flops, abs=5e-4)
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(0.9, id="support-two-lines"),
+    pytest.param(2.5, id="support-inside-a-cell"),  # 0.4 < h: a block diagonal Gram
+])
+def test_panels_take_the_lower_triangle_past_the_node_ends_as_zero(linear, c):
+    # on [-4, 4]^2 at h = 0.5 the factor takes panels; NaN in the lower
+    # triangle past each column's node end gives the same beta bit for bit,
+    # so neither the factor nor the triangular solves use those entries
+    system, _, rhs = linear
+    cset, gram = assemble(system, wendland_c8(c), make_grid(GridSpec(_WIDE, 0.5)))
+    ends = _node_ends(cset)
+    assert conmet.collocation._takes_panels(ends)
+    past = np.arange(len(gram))[:, None] >= ends
+    assert np.all(gram[past] == 0.0) and np.count_nonzero(past[:conmet.collocation._PANEL])
+    blind = np.where(past, np.nan, gram)
+    solution = solve(gram, rhs, cset)
+    other = solve(np.asfortranarray(blind), rhs, cset)
+    assert _bits(other.beta) == _bits(solution.beta)
+    assert other.diagnostics == solution.diagnostics
 
 
 def _assert_blind_solve_matches(blind, rhs, cset, solution):
@@ -815,8 +875,8 @@ def test_solve_permutation_invariance(linear, kernel):
 
 
 @pytest.mark.parametrize("c, panels", [
-    pytest.param(0.6, False, id="one-call"),
-    pytest.param(1.2, True, id="panels"),
+    pytest.param(0.4, False, id="one-call"),      # envelope: 0.339 of the dense flops
+    pytest.param(1.2, True, id="panels"),         # 0.047
 ])
 def test_solve_takes_the_kernel_from_the_node_set(linear, monkeypatch, c, panels):
     # on [-3, 3]^2 at h = 0.2 the factor's envelope comes from the kernel that
