@@ -17,13 +17,14 @@ computed.  Before it maps the Gram, assembly checks every equilibrium it is
 given, and that much memory against the headroom the system reports, the
 lower triangle first, as it needs only N, raising MemoryError if it does
 not fit; make_grid sizes its points the same way before it builds them.
-The solve takes the node set, which carries the kernel that assembly used,
-and consumes the Gram, as xPOTRF consumes its input: the Cholesky factor
-overwrites the lower triangle.
+The solve takes the node set, which carries the kernel that assembly used
+and its envelope, and consumes the Gram, as xPOTRF consumes its input: the
+Cholesky factor overwrites the lower triangle.
 
 Each node's reach bounds the factor: column j of the Gram is zero from row
-ends[j] on, one past the last node within the support of column j's node,
-in unknowns, made nondecreasing.  That is a column envelope, inside which
+ends[j] on, one past the last node where assembly found the kernel value
+psi of column j's node nonzero (positive exactly inside the support), in
+unknowns, made nondecreasing.  That is a column envelope, inside which
 the Cholesky factor fills in and outside of which it stays zero (George &
 Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
 When its flops, sum_j (ends[j] - j)^2, are at most a quarter of the dense
@@ -32,8 +33,8 @@ dim^3 / 3, the solve factors panel by panel inside it: cho_factor on each
 and dgemm updates of the trailing envelope in 256-column tiles, through
 scipy's BLAS and LAPACK, whose thread pool is not numpy's; then each
 triangular solve is a dtrsv on each diagonal block and a GEMV below it down
-to the envelope.  The zeros past the envelope are never used, and the
-memory check counts the two panel-wide arrays the loop holds.  Any other
+to the envelope.  The zeros past the envelope are never used, and solve
+checks memory for the loop's two panel-wide arrays first.  Any other
 Gram is one cho_factor and one cho_solve call on the lower triangle.  The
 Gram of a positive definite kernel is SPD in exact arithmetic, so a failed
 factor means near-degenerate node geometry; it raises FactorizationError,
@@ -51,10 +52,9 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
-from .operator import (_SUPPORT_MARGIN, PAIRWISE_SLOTS, block_rows, coordinate_matrices,
-                       near_box, pairwise_scalars, run_blocks, workspace_shape)
+from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
+                       pairwise_scalars, run_blocks, workspace_shape)
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -168,13 +168,15 @@ def fill_distance_estimate(points, bounds, probe_spacing):
 
 @dataclass(frozen=True)
 class CollocationSet:
-    """Pairwise-distinct collocation points with cached f and Df values."""
+    """Pairwise-distinct collocation points with cached f and Df values; from
+    assemble also its kernel and the envelope ends read off the kernel values."""
 
     system: object
     points: np.ndarray        # (N, dim)
     f_values: np.ndarray      # (N, dim)
     jacobians: np.ndarray     # (N, dim, dim)
     kernel: object = None     # that of assemble's Gram; None from collocation_data
+    ends: np.ndarray = None   # (N m,): the Gram's envelope (module docstring); None as kernel
 
     def __len__(self):
         return len(self.points)
@@ -211,12 +213,13 @@ def assemble(system, kernel, points, equilibria=()):
     pair with m = dim (dim + 1) / 2.  The Gram is Fortran-ordered and given
     by its lower triangle; its strict upper triangle is zero outside the
     chunks' diagonal squares, and np.tril(gram) + np.tril(gram, -1).T is the
-    whole matrix.  Raises ValueError for duplicate points (naming the
-    offending pair) and when a supplied equilibrium, wherever it lies, fails
-    check_equilibrium_condition, and MemoryError, before mapping anything
-    large, when the lower triangle plus one assembly workspace per worker
-    and, if solve will factor in panels, its two panel-wide arrays exceed
-    the memory the system reports as available, or cannot be mapped.
+    whole matrix.  The set also carries the envelope ends (module docstring),
+    read off the kernel values psi that the chunks compute.  Raises
+    ValueError for duplicate points (naming the offending pair) and when a
+    supplied equilibrium, wherever it lies, fails check_equilibrium_condition,
+    and MemoryError, before mapping anything large, when the lower triangle
+    plus one assembly workspace per worker exceed the memory the system
+    reports as available, or cannot be mapped.
     """
     cset = replace(collocation_data(system, points), kernel=kernel)
     _reject_duplicates(cset.points)
@@ -229,12 +232,12 @@ def assemble(system, kernel, points, equilibria=()):
     dim = big_n * m
     what = f"the {dim}-unknown Gram matrix, its assembly and its factor"
     needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE    # lower triangle, a page a column
-    _check_memory(what, needed)                 # before the reaches, which scan the nodes
-    chunks, ends = _chunk_reach(cset.points, kernel.support_radius, m)
+    _check_memory(what, needed)                 # before the chunks, which scan the nodes
+    chunks = _chunk_reach(cset.points, kernel.support_radius)
     slots = max(m * m + 5, PAIRWISE_SLOTS)    # 4 pairwise arrays, m^2 of value, 1 product
-    _check_memory(what, needed + 8 * np.prod(workspace_shape(len(chunks), slots, big_n))
-                  + 2 * 8 * _PANEL * dim * _takes_panels(ends))
+    _check_memory(what, needed + 8 * np.prod(workspace_shape(len(chunks), slots, big_n)))
     centre = cset.centre
+    last = np.empty(big_n, dtype=np.intp)     # each node's last node in its support
 
     # Block row l, block column k:
     #   B_lk = R_l (psi C_k + theta D) + g2 C_k + h D
@@ -258,6 +261,8 @@ def assemble(system, kernel, points, equilibria=()):
         psi, g2, theta, h = (a.T for a in pairwise_scalars(
             kernel, centre, cset.points[l0:k1], cset.f_values[l0:k1],
             rows, cset.f_values[l0:l1], work))
+        # psi > 0 exactly inside the support, which holds each row's own node
+        last[l0:l1] = k1 - 1 - np.argmax(psi[:, ::-1] > 0.0, axis=1)
         cols = col_t[:, l0:k1]
         shape = (l1 - l0, m, (k1 - l0) * m)
         value = work[4:].reshape(-1)[:m * m * psi.size].reshape(l1 - l0, m, k1 - l0, m)
@@ -273,29 +278,20 @@ def assemble(system, kernel, points, equilibria=()):
         body += value.reshape(shape)
 
     run_blocks(assemble_chunk, chunks, slots, big_n)
-    return cset, gram
+    return replace(cset, ends=np.maximum.accumulate(np.repeat(m * (last + 1), m))), gram
 
 
-def _chunk_reach(points, radius, m):
+def _chunk_reach(points, radius):
     """Assembly's chunks of block rows as triples (l0, l1, k1), operator.near_box
-    dropping every node from k1 on for the box around nodes l0 .. l1 - 1, and
-    the envelope ends (module docstring) by near_box's margin: each chunk's
-    rows look back from k1, a chunk's width at a time, until each has met its
-    last node; a row meets itself."""
+    dropping every node from k1 on for the box around nodes l0 .. l1 - 1; the
+    envelope ends come from the kernel values the chunks compute."""
     step = block_rows(len(points))
-    chunks, last = [], np.empty(len(points), dtype=np.intp)
+    chunks = []
     for l0 in range(0, len(points), step):
         rows = points[l0:l0 + step]
         near = near_box(points[l0:], (rows.min(axis=0), rows.max(axis=0)), radius)
         chunks.append((l0, l0 + len(rows), l0 + 1 + int(np.flatnonzero(near)[-1])))
-        todo, stop = np.arange(l0, l0 + len(rows)), chunks[-1][2]
-        while todo.size:
-            start = max(l0, stop - step)
-            near = cdist(points[todo], points[start:stop]) <= radius * (1.0 + _SUPPORT_MARGIN)
-            met = near.any(axis=1)
-            last[todo[met]] = stop - 1 - np.argmax(near[met, ::-1], axis=1)
-            todo, stop = todo[~met], start
-    return chunks, np.maximum.accumulate(np.repeat(m * (last + 1), m))
+    return chunks
 
 
 def _takes_panels(ends):
@@ -480,15 +476,14 @@ def solve(gram, rhs, cset):
     gram (writeable, Fortran-ordered float64) is consumed as xPOTRF consumes
     its input: only its lower triangle is read, and it holds the Cholesky
     factor afterwards, also after a FactorizationError.  Its entries outside
-    the column envelope of cset's points under cset.kernel (module docstring)
-    are taken as the zeros that assemble leaves there, and panels and
-    triangular solves stay inside it.  A set without a kernel, any other
-    gram or a C that fails check_rhs is a ValueError before the Gram is
-    read; a non-finite solution is a FloatingPointError.
+    cset.ends, the envelope assemble read off its kernel values (module
+    docstring), are the zeros it leaves there; panels and triangular solves
+    stay inside it.  A set without ends, any other gram or a C that fails
+    check_rhs is a ValueError, and panels that do not fit a MemoryError,
+    before the Gram is read; a non-finite solution is a FloatingPointError.
     """
-    kernel = cset.kernel
-    if kernel is None:
-        raise ValueError("the collocation set carries no kernel; pass the set from assemble")
+    if cset.ends is None:
+        raise ValueError("the collocation set carries no envelope; pass the set from assemble")
     rhs = check_rhs(rhs, cset.system.dim)
     n = len(rhs)
     i, j = np.triu_indices(n)
@@ -498,9 +493,11 @@ def solve(gram, rhs, cset):
     if gram.dtype != np.float64 or not (gram.flags.writeable and gram.flags.f_contiguous):
         raise ValueError("Gram matrix must be a writeable, Fortran-ordered float64 array, "
                          'as assemble returns it; copy one with gram.copy(order="F")')
+    ends = cset.ends
+    if _takes_panels(ends):                  # the two panel-wide arrays _cholesky holds
+        _check_memory(f"the panels of the {dim}-unknown Gram's factor", 2 * 8 * _PANEL * dim)
     b = -np.tile(rhs[i, j], len(cset))
 
-    ends = _chunk_reach(cset.points, kernel.support_radius, len(i))[1]
     _cholesky(gram, ends)
     gamma = (_substitute(gram, ends, b) if _takes_panels(ends)
              else scipy.linalg.cho_solve((gram, True), b, check_finite=False))
@@ -512,4 +509,4 @@ def solve(gram, rhs, cset):
     beta = np.zeros((len(cset), n, n))
     beta[:, i, j] = beta[:, j, i] = gamma.reshape(len(cset), -1) * np.where(i == j, 1.0, 0.5)
 
-    return RecoverySolution(cset, kernel, beta, rhs, SolveDiagnostics(dim, min_pivot=min_pivot))
+    return RecoverySolution(cset, cset.kernel, beta, rhs, SolveDiagnostics(dim, min_pivot=min_pivot))

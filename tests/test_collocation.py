@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,7 +236,8 @@ def _wide_nodes(kernel, rng):
 def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
     # every chunk size, down to one block row, on one and two workers, must
     # keep every pair the kernel does not map to zero, including pairs at the
-    # radius to within rounding, and leave exactly zero blocks for all others
+    # radius to within rounding, and leave exactly zero blocks for all others;
+    # the envelope ends read off those kernel values do not depend on either
     system, _, _ = linear
     nodes = _wide_nodes(kernel, np.random.default_rng(71))
     cset = conmet.collocation_data(system, nodes)
@@ -251,18 +253,21 @@ def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
                            cset.points, cset.f_values)[0]
     # one, two, seven and all block rows per chunk; one- and two-row chunks
     # round differently here, so a cut that followed the worker count would show
+    ends = set()
     for budget in (1, 8 * 2 * big_n, 8 * 7 * big_n, conmet.operator._BLOCK_BYTES):
         monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", budget)
         by_workers = []
         for workers in (1, 2):
             monkeypatch.setattr(conmet.operator, "block_workers",
                                 lambda blocks, w=workers: min(w, blocks))
-            _, gram = assemble(system, kernel, nodes)
+            cset, gram = assemble(system, kernel, nodes)
             blocks = _whole(gram).reshape(big_n, 3, big_n, 3)
             assert np.allclose(blocks, oracle, rtol=1e-12, atol=1e-12)
             assert np.array_equal(np.any(blocks != 0.0, axis=(1, 3)), psi != 0.0)
             by_workers.append(gram.tobytes())
+            ends.add(cset.ends.tobytes())
         assert by_workers[0] == by_workers[1]
+    assert len(ends) == 1
 
 
 def _whole(gram):
@@ -427,23 +432,39 @@ def test_assemble_refuses_the_lower_triangle_before_any_reach(linear, kernel, mo
 def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, monkeypatch):
     # the check asks for the Gram's lower triangle, the page each of its
     # columns starts on, and exactly one workspace, of the size the chunks
-    # receive, per worker: one byte less is refused, that amount is not
-    # (this grid's envelope takes one factor call, which needs nothing more)
-    _assert_memory_check_asks(linear[0], kernel, make_grid(GridSpec(BOUNDS, 0.125)), monkeypatch,
-                              panels=False)
+    # receive, per worker: one byte less is refused, that amount is not.
+    # This grid's envelope takes one factor call, and solve checks nothing
+    system, _, rhs = linear
+    cset, gram = _assert_assembly_asks(system, kernel, make_grid(GridSpec(BOUNDS, 0.125)),
+                                       monkeypatch)
+    assert not conmet.collocation._takes_panels(cset.ends)
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: 0)
+    solve(gram, rhs, cset)
 
 
 def test_memory_check_counts_the_panel_temporaries(linear, kernel, monkeypatch):
     # the envelope of [-4, 4]^2 at h = 0.5 holds 0.040 of the dense flops, so
-    # the factor takes panels, and the check asks for two panels' worth of
-    # float64 per unknown more
-    _assert_memory_check_asks(linear[0], kernel, make_grid(GridSpec(_WIDE, 0.5)), monkeypatch,
-                              panels=True)
+    # the factor takes panels: assembly asks for nothing more than it maps
+    # and allocates, and solve, before it reads the Gram, asks for the two
+    # panel-wide arrays of float64 that it holds beside it
+    system, _, rhs = linear
+    cset, gram = _assert_assembly_asks(system, kernel, make_grid(GridSpec(_WIDE, 0.5)),
+                                       monkeypatch)
+    assert conmet.collocation._takes_panels(cset.ends)
+    needed = 2 * 8 * conmet.collocation._PANEL * len(gram)
+    kept = gram.copy(order="F")
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed - 1)
+    with pytest.raises(MemoryError, match=r"^the panels of the \d+-unknown Gram's factor"):
+        solve(gram, rhs, cset)
+    assert _bits(gram) == _bits(kept)
+    monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed)
+    solve(gram, rhs, cset)
 
 
-def _assert_memory_check_asks(system, kernel, pts, monkeypatch, panels):
-    """The amount the memory check needs on 2 workers with 16 KiB blocks:
-    one byte less is refused, that amount is not."""
+def _assert_assembly_asks(system, kernel, pts, monkeypatch):
+    """The amount assemble's memory check needs on 2 workers with 16 KiB
+    blocks: one byte less is refused, that amount is not; the node set and
+    Gram that amount gives."""
     monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", 2 ** 14)
     monkeypatch.setattr(conmet.operator, "block_workers", lambda blocks: min(2, blocks))
     seen = {}
@@ -459,13 +480,14 @@ def _assert_memory_check_asks(system, kernel, pts, monkeypatch, panels):
     gram = assemble(system, kernel, pts)[1]
     (workspace_bytes,) = set(seen.values())
     dim = len(gram)
-    needed = (8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + 2 * workspace_bytes
-              + panels * 2 * 8 * conmet.collocation._PANEL * dim)
+    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE + 2 * workspace_bytes
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed - 1)
     with pytest.raises(MemoryError):
         assemble(system, kernel, pts)
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed)
-    assert np.array_equal(assemble(system, kernel, pts)[1], gram)
+    cset, again = assemble(system, kernel, pts)
+    assert np.array_equal(again, gram)
+    return cset, again
 
 
 def test_failed_mapping_is_a_memory_error(linear, kernel, monkeypatch):
@@ -783,24 +805,24 @@ def test_panel_factor_reads_only_the_lower_triangle(linear, kernel, monkeypatch)
     _assert_blind_solve_matches(blind, rhs, cset, solution)
 
 
-def _node_ends(cset):
-    return conmet.collocation._chunk_reach(cset.points, cset.kernel.support_radius, 3)[1]
-
-
 _RNG = np.random.default_rng(24)
 
 
-@pytest.mark.parametrize("points, flops", [
-    pytest.param(make_grid(GridSpec(_WIDE, 0.2)), 0.042, id="large-domain"),
-    pytest.param(_RNG.permutation(make_grid(GridSpec(_WIDE, 0.4))), 0.997, id="shuffled-grid"),
-    pytest.param(_RNG.uniform(-4.0, 4.0, (700, 2)), 1.0, id="random-points"),
+@pytest.mark.parametrize("points, c, flops", [
+    pytest.param(make_grid(GridSpec(_WIDE, 0.2)), 0.9, 0.042, id="large-domain"),
+    pytest.param(_RNG.permutation(make_grid(GridSpec(_WIDE, 0.4))), 0.9, 0.997,
+                 id="shuffled-grid"),
+    pytest.param(_RNG.uniform(-4.0, 4.0, (700, 2)), 0.9, 1.0, id="random-points"),
+    # grid neighbours two lines apart lie exactly on the support radius, where
+    # the kernel is 0: a margin around the radius would give 0.0397
+    pytest.param(make_grid(GridSpec(_WIDE, 0.5)), 1.0, 0.0119, id="exact-radius"),
 ])
-def test_node_ends_cover_every_nonzero(linear, kernel, points, flops):
+def test_node_ends_cover_every_nonzero(linear, points, c, flops):
     # the oracle: one past the last nonzero row of each column of the lower
     # triangle, which holds the diagonal; the ends may not fall short of it
     # anywhere, and they are its per-node, nondecreasing hull
-    cset, gram = assemble(linear[0], kernel, points)
-    ends = _node_ends(cset)
+    cset, gram = assemble(linear[0], wendland_c8(c), points)
+    ends = cset.ends
     nonzero = len(gram) - np.argmax(gram[::-1] != 0.0, axis=0)
     assert np.all(nonzero >= np.arange(1, len(gram) + 1))
     assert np.all(nonzero <= ends)
@@ -820,7 +842,7 @@ def test_panels_take_the_lower_triangle_past_the_node_ends_as_zero(linear, c):
     # so neither the factor nor the triangular solves use those entries
     system, _, rhs = linear
     cset, gram = assemble(system, wendland_c8(c), make_grid(GridSpec(_WIDE, 0.5)))
-    ends = _node_ends(cset)
+    ends = cset.ends
     assert conmet.collocation._takes_panels(ends)
     past = np.arange(len(gram))[:, None] >= ends
     assert np.all(gram[past] == 0.0) and np.count_nonzero(past[:conmet.collocation._PANEL])
@@ -897,13 +919,16 @@ def test_solve_takes_the_kernel_from_the_node_set(linear, monkeypatch, c, panels
 
 
 def test_solve_takes_only_what_assemble_returns(linear, kernel):
-    # a node set without a kernel, and a C-ordered, read-only or float32
-    # Gram, are each a ValueError before anything is written
+    # a node set that assemble did not build, with or without a kernel, and
+    # a C-ordered, read-only or float32 Gram, are each a ValueError before
+    # anything is written
     system, _, rhs = linear
     cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.5)))
     kept = gram.copy(order="F")
-    with pytest.raises(ValueError, match="carries no kernel"):
-        solve(gram, rhs, collocation_data(system, cset.points))
+    bare = collocation_data(system, cset.points)
+    for other in (bare, replace(bare, kernel=kernel)):
+        with pytest.raises(ValueError, match="carries no envelope; pass the set from assemble"):
+            solve(gram, rhs, other)
     read_only = gram.copy(order="F")
     read_only.flags.writeable = False
     for bad in (np.array(gram, order="C"), read_only, np.asfortranarray(gram, np.float32)):
