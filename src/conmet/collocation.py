@@ -34,14 +34,24 @@ and dgemm updates of the trailing envelope in 256-column tiles, through
 scipy's BLAS and LAPACK, whose thread pool is not numpy's; then each
 triangular solve is a dtrsv on each diagonal block and a GEMV below it down
 to the envelope.  The zeros past the envelope are never used, and solve
-checks memory for the loop's two panel-wide arrays first.  Any other
-Gram is one cho_factor and one cho_solve call on the lower triangle.  The
-Gram of a positive definite kernel is SPD in exact arithmetic, so a failed
-factor means near-degenerate node geometry; it raises FactorizationError,
-which carries the global 1-based pivot, and is not retried.
+checks memory for the loop's two panel-wide arrays first.  Any other Gram
+is factored in place as a band of lower bandwidth kd = max(ends - j) - 1:
+the Fortran (dim, dim) array is LAPACK band storage with LDAB = dim + 1,
+which keeps A(i, j) at AB(1 + i - j, j), flat offset i + j dim, where the
+dense array keeps it.  So dpbtrf factors it and dpbtrs solves with it where
+it lies, touching only rows j .. j + kd of column j, so no page that
+assembly left unwritten.  scipy's wrappers of both would copy the Gram, so
+_lapack binds them by pointer from scipy.linalg.cython_lapack, scipy's own
+OpenBLAS and thread pool, through ctypes.  The band would beat the panels
+too, but the benchmark's tracer times the factor only through cho_factor;
+the panels go once it reads dpbtrf.  The Gram of a positive definite kernel
+is SPD in exact arithmetic, so a failed factor means near-degenerate node
+geometry; it raises FactorizationError, which carries the global 1-based
+pivot, and is not retried.
 """
 
 import contextlib
+import ctypes
 import math
 import mmap
 import re
@@ -51,6 +61,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.cython_lapack
 from scipy.spatial import cKDTree
 
 from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
@@ -362,6 +373,65 @@ class FactorizationError(RuntimeError):
         self.pivot = pivot
 
 
+def _not_positive_definite(pivot):
+    """The FactorizationError for LAPACK's 1-based pivot."""
+    return FactorizationError(f"Gram matrix is numerically not positive definite (pivot {pivot})",
+                              pivot=pivot)
+
+
+_CHAR, _INT, _DOUBLE = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_C_TYPES = {_CHAR: "char *", _INT: "int *",
+            _DOUBLE: "__pyx_t_5scipy_6linalg_13cython_lapack_d *"}    # Cython's name for double
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name, arguments):
+    """Bind scipy's LAPACK routine name by pointer.
+
+    arguments are the routine's (name, ctypes type) pairs in order, INFO
+    last.  The function returned takes the values of all but INFO (bytes,
+    ints and arrays, the last two passed by reference) and returns INFO;
+    ctypes releases the GIL for the call.  An ImportError, naming the
+    routine, unless scipy declares it with exactly these argument types;
+    the function raises RuntimeError, naming the argument, when INFO
+    rejects one.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__.get(name)
+    signature = None if capsule is None else _CAPSULE_NAME(capsule)
+    declared = f"void ({', '.join(_C_TYPES[kind] for _, kind in arguments)})"
+    if signature != declared.encode():
+        raise ImportError(f"scipy's LAPACK {name} is {signature!r}, not {declared!r}")
+    routine = ctypes.CFUNCTYPE(None, *(kind for _, kind in arguments))(
+        _CAPSULE_POINTER(capsule, signature))
+
+    def call(*values):
+        info = ctypes.c_int()
+        passed = [value.ctypes.data_as(_DOUBLE) if kind is _DOUBLE
+                  else ctypes.byref(ctypes.c_int(value)) if kind is _INT else value
+                  for value, (_, kind) in zip(values, arguments)]
+        routine(*passed, ctypes.byref(info))
+        if info.value < 0:
+            raise RuntimeError(f"LAPACK's {name} rejected its argument {arguments[-info.value - 1][0]}")
+        return info.value
+    return call
+
+
+_DPBTRF = _lapack("dpbtrf", (("uplo", _CHAR), ("n", _INT), ("kd", _INT), ("ab", _DOUBLE),
+                             ("ldab", _INT), ("info", _INT)))
+_DPBTRS = _lapack("dpbtrs", (("uplo", _CHAR), ("n", _INT), ("kd", _INT), ("nrhs", _INT),
+                             ("ab", _DOUBLE), ("ldab", _INT), ("b", _DOUBLE), ("ldb", _INT),
+                             ("info", _INT)))
+
+
+def _bandwidth(ends):
+    """The lower bandwidth kd of the envelope: no column reaches kd + 1 rows
+    past its diagonal."""
+    return int(np.max(ends - np.arange(len(ends)))) - 1
+
+
 def _factor_block(block, offset):
     """Lower Cholesky factor of block by cho_factor, in place if block is
     Fortran-contiguous; a failure is a FactorizationError whose 1-based
@@ -371,21 +441,23 @@ def _factor_block(block, offset):
                                        check_finite=False)[0]
     except scipy.linalg.LinAlgError as err:
         match = re.search(r"(\d+)", str(err))
-        pivot = offset + int(match.group(1)) if match else None
-        raise FactorizationError(
-            f"Gram matrix is numerically not positive definite (pivot {pivot})",
-            pivot=pivot) from err
+        raise _not_positive_definite(offset + int(match.group(1)) if match else None) from err
 
 
 def _cholesky(gram, ends):
     """Overwrite the lower triangle of the Fortran-ordered gram with its factor.
 
     Column j is taken as zero from row ends[j] on.  Panels, when
-    _takes_panels(ends), write zeros there down to their last row, and
-    neither path touches the strict upper triangle.
+    _takes_panels(ends), write zeros there down to their last row.  The band
+    factor reads and writes only rows j .. j + _bandwidth(ends) of column j,
+    and neither path touches the strict upper triangle.
     """
     if not _takes_panels(ends):
-        _factor_block(gram, 0)
+        # the Fortran (dim, dim) array is band storage with LDAB = dim + 1:
+        # AB(1 + i - j, j) lies at i - j + j (dim + 1) = i + j dim, where A(i, j) is
+        pivot = _DPBTRF(b"L", len(gram), _bandwidth(ends), gram, len(gram) + 1)
+        if pivot:
+            raise _not_positive_definite(pivot)
         return
     lower = np.asfortranarray(np.tri(_PANEL, dtype=bool))    # the Gram's order: twice as fast
     for j0 in range(0, len(gram), _PANEL):
@@ -413,10 +485,14 @@ def _cholesky(gram, ends):
 
 
 def _substitute(factor, ends, b):
-    """x with L L^T x = b, L the lower triangle of a factor that took panels,
-    by substitution panel by panel inside the envelope.  numpy's @ takes the
-    strided views of the factor as they are; scipy's dgemv would copy them."""
+    """x with L L^T x = b, L the lower triangle of the factor _cholesky left:
+    dpbtrs in the band, or substitution panel by panel inside the envelope.
+    numpy's @ takes the strided views of the factor as they are; scipy's
+    dgemv would copy them."""
     x = b.copy()
+    if not _takes_panels(ends):
+        _DPBTRS(b"L", len(x), _bandwidth(ends), 1, factor, len(x) + 1, x, len(x))
+        return x
     panels = [(j0, min(len(x), j0 + _PANEL)) for j0 in range(0, len(x), _PANEL)]
     for j0, j1 in panels:                                   # L y = b
         x[j0:j1] = scipy.linalg.blas.dtrsv(factor[j0:j1, j0:j1], x[j0:j1], lower=1)
@@ -478,9 +554,14 @@ def solve(gram, rhs, cset):
     factor afterwards, also after a FactorizationError.  Its entries outside
     cset.ends, the envelope assemble read off its kernel values (module
     docstring), are the zeros it leaves there; panels and triangular solves
-    stay inside it.  A set without ends, any other gram or a C that fails
-    check_rhs is a ValueError, and panels that do not fit a MemoryError,
-    before the Gram is read; a non-finite solution is a FloatingPointError.
+    stay inside it.  A Gram whose envelope is too wide for panels is
+    factored and solved in place as a band, by dpbtrf and dpbtrs at
+    LDAB = dim + 1, which leave the lower triangle past the bandwidth as it
+    was; the panels remain only because the benchmark's tracer times the
+    factor through cho_factor.  A set without ends, any other gram or a C
+    that fails check_rhs is a ValueError, and panels that do not fit a
+    MemoryError, before the Gram is read; a non-finite solution is a
+    FloatingPointError.
     """
     if cset.ends is None:
         raise ValueError("the collocation set carries no envelope; pass the set from assemble")
@@ -499,8 +580,7 @@ def solve(gram, rhs, cset):
     b = -np.tile(rhs[i, j], len(cset))
 
     _cholesky(gram, ends)
-    gamma = (_substitute(gram, ends, b) if _takes_panels(ends)
-             else scipy.linalg.cho_solve((gram, True), b, check_finite=False))
+    gamma = _substitute(gram, ends, b)
     if not np.all(np.isfinite(gamma)):
         raise FloatingPointError("the solution of the collocation system is not finite "
                                  f"(largest |C| entry {np.max(np.abs(rhs)):.3g})")

@@ -773,7 +773,8 @@ def test_solve_consumes_gram(linear, kernel):
 def test_solve_factor_matches_dense_cholesky(linear, kernel, monkeypatch, bounds, spacing,
                                              panels):
     # either path leaves the Cholesky factor of the whole matrix in the lower
-    # triangle and the strict upper one as assembled
+    # triangle and the strict upper one as assembled; the band factor calls
+    # LAPACK's dpbtrf by pointer, not cho_factor
     system, _, rhs = linear
     cset, gram = assemble(system, kernel, make_grid(GridSpec(bounds, spacing)))
     kept = gram.copy(order="F")
@@ -785,7 +786,7 @@ def test_solve_factor_matches_dense_cholesky(linear, kernel, monkeypatch, bounds
     if panels:
         assert len(shapes) > 1 and max(shapes) == (conmet.collocation._PANEL,) * 2
     else:
-        assert shapes == [gram.shape]
+        assert shapes == []
     assert np.array_equal(np.triu(gram, 1), np.triu(kept, 1))
     factor = np.linalg.cholesky(_whole(kept))
     del kept
@@ -851,6 +852,45 @@ def test_panels_take_the_lower_triangle_past_the_node_ends_as_zero(linear, c):
     other = solve(np.asfortranarray(blind), rhs, cset)
     assert _bits(other.beta) == _bits(solution.beta)
     assert other.diagnostics == solution.diagnostics
+
+
+def test_band_factor_leaves_the_lower_triangle_past_the_band_as_it_was(linear, kernel):
+    # on [-1, 1]^2 at h = 1/8 the envelope holds 0.474 of the dense flops, and
+    # the factor takes the band: NaN in the lower triangle past it gives the
+    # same beta bit for bit and is still NaN after the solve, so neither the
+    # factor nor the triangular solves read or write those entries
+    system, _, rhs = linear
+    cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.125)))
+    ends = cset.ends
+    assert not conmet.collocation._takes_panels(ends)
+    kd = int(np.max(ends - np.arange(len(ends)))) - 1        # the band's lower bandwidth
+    past = np.arange(len(gram))[:, None] > np.arange(len(gram)) + kd
+    assert np.all(gram[past] == 0.0) and np.count_nonzero(past) > len(gram)
+    blind = np.asfortranarray(np.where(past, np.nan, gram))
+    solution = solve(gram, rhs, cset)
+    other = solve(blind, rhs, cset)
+    assert _bits(other.beta) == _bits(solution.beta)
+    assert other.diagnostics == solution.diagnostics
+    assert np.all(np.isnan(blind[past]))
+
+
+def test_lapack_binding_checks_the_signature_and_info():
+    # a declared argument list that differs from scipy's is an ImportError at
+    # binding, before any call; an argument LAPACK rejects is a RuntimeError
+    # naming it
+    bind = conmet.collocation._lapack
+    wrong = (("uplo", conmet.collocation._CHAR), ("n", conmet.collocation._INT),
+             ("ab", conmet.collocation._DOUBLE), ("ldab", conmet.collocation._INT),
+             ("info", conmet.collocation._INT))                # dpbtrf without kd
+    with pytest.raises(ImportError, match="dpbtrf"):
+        bind("dpbtrf", wrong)
+    with pytest.raises(ImportError, match="no_such_routine"):
+        bind("no_such_routine", wrong)
+    a = np.asfortranarray(2.0 * np.eye(4))
+    with pytest.raises(RuntimeError, match="dpbtrf rejected its argument ldab"):
+        conmet.collocation._DPBTRF(b"L", 4, 2, a, 2)           # LDAB < KD + 1
+    assert conmet.collocation._DPBTRF(b"L", 4, 1, a, 5) == 0
+    assert np.array_equal(a, np.sqrt(2.0) * np.eye(4))
 
 
 def _assert_blind_solve_matches(blind, rhs, cset, solution):
