@@ -18,49 +18,45 @@ given, and that much memory against the headroom the system reports, the
 lower triangle first, as it needs only N, raising MemoryError if it does
 not fit; make_grid sizes its points the same way before it builds them.
 The solve takes the node set, which carries the kernel that assembly used
-and its envelope, and consumes the Gram, as xPOTRF consumes its input: the
-Cholesky factor overwrites the lower triangle.
+and the Gram's bandwidth, and consumes the Gram, as xPOTRF consumes its
+input: the Cholesky factor overwrites the lower triangle.
 
-Each node's reach bounds the factor: column j of the Gram is zero from row
-ends[j] on, one past the last node where assembly found the kernel value
-psi of column j's node nonzero (positive exactly inside the support), in
-unknowns, made nondecreasing.  That is a column envelope, inside which
-the Cholesky factor fills in and outside of which it stays zero (George &
-Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
-When its flops, sum_j (ends[j] - j)^2, are at most a quarter of the dense
-dim^3 / 3, the solve factors panel by panel inside it: cho_factor on each
-256-column diagonal block, dtrsm on the rows below it down to the envelope
-and dgemm updates of the trailing envelope in 256-column tiles, through
-scipy's BLAS and LAPACK, whose thread pool is not numpy's; then each
-triangular solve is a dtrsv on each diagonal block and a GEMV below it down
-to the envelope.  The zeros past the envelope are never used, and solve
-checks memory for the loop's two panel-wide arrays first.  Any other Gram
-is factored in place as a band of lower bandwidth kd = max(ends - j) - 1:
-the Fortran (dim, dim) array is LAPACK band storage with LDAB = dim + 1,
-which keeps A(i, j) at AB(1 + i - j, j), flat offset i + j dim, where the
-dense array keeps it.  So dpbtrf factors it and dpbtrs solves with it where
-it lies, touching only rows j .. j + kd of column j, so no page that
+Each node's reach bounds the factor.  Assembly reads each node's last node
+in the support off the kernel values psi it computes (positive exactly
+inside the support), and from those the Gram's lower bandwidth kd, in
+unknowns: no column j is nonzero past row j + kd, and the Cholesky factor
+fills in only inside that band (LAPACK Users' Guide, xPBTRF).  The Fortran
+(dim, dim) array is LAPACK band storage with LDAB = dim + 1, which keeps
+A(i, j) at AB(1 + i - j, j), flat offset i + j dim, where the dense array
+keeps it.  So dpbtrf factors the Gram and dpbtrs solves with its factor
+where they lie, touching only rows j .. j + kd of column j, so no page that
 assembly left unwritten.  scipy's wrappers of both would copy the Gram, so
 _lapack binds them by pointer from scipy.linalg.cython_lapack, scipy's own
-OpenBLAS and thread pool, through ctypes.  The band would beat the panels
-too, but the benchmark's tracer times the factor only through cho_factor;
-the panels go once it reads dpbtrf.  The Gram of a positive definite kernel
-is SPD in exact arithmetic, so a failed factor means near-degenerate node
-geometry; it raises FactorizationError, which carries the global 1-based
-pivot, and is not retried.
+OpenBLAS and thread pool, through ctypes.  When the band's flops are at most
+a quarter of the dense dim^3 / 3, the factor is instead taken panel by
+panel inside the band: cho_factor on each 256-column diagonal block, dtrsm
+on the rows below it down to the band and dgemm updates of the trailing band
+in 256-column tiles, through scipy's BLAS and LAPACK; the panels write zeros
+past the band in the rows they read, and solve checks memory for the loop's
+two panel-wide arrays first.  dpbtrf would beat the panels too, but the
+benchmark's tracer times the factor only through cho_factor; the panels go
+once it reads dpbtrf.  The Gram of a positive definite kernel is SPD in
+exact arithmetic, so a failed factor means near-degenerate node geometry; it
+raises FactorizationError, which carries the global 1-based pivot, and is
+not retried.
 """
 
 import contextlib
 import ctypes
 import math
 import mmap
-import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.lapack
 import scipy.linalg.cython_lapack
 from scipy.spatial import cKDTree
 
@@ -83,7 +79,7 @@ __all__ = [
 ]
 
 _DIVISIBILITY_TOL = 1e-12
-_PANEL = 256                    # columns per panel of the envelope Cholesky factor
+_PANEL = 256                    # columns per panel of the band's panel factor
 _MEMINFO = "/proc/meminfo"
 _CGROUP_FILES = (           # limit, usage, stat and its inactive file cache key
     ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current",
@@ -180,14 +176,14 @@ def fill_distance_estimate(points, bounds, probe_spacing):
 @dataclass(frozen=True)
 class CollocationSet:
     """Pairwise-distinct collocation points with cached f and Df values; from
-    assemble also its kernel and the envelope ends read off the kernel values."""
+    assemble also its kernel and the Gram's bandwidth read off the kernel values."""
 
     system: object
     points: np.ndarray        # (N, dim)
     f_values: np.ndarray      # (N, dim)
     jacobians: np.ndarray     # (N, dim, dim)
     kernel: object = None     # that of assemble's Gram; None from collocation_data
-    ends: np.ndarray = None   # (N m,): the Gram's envelope (module docstring); None as kernel
+    kd: int = None            # the Gram's lower bandwidth (module docstring); None as kernel
 
     def __len__(self):
         return len(self.points)
@@ -224,8 +220,8 @@ def assemble(system, kernel, points, equilibria=()):
     pair with m = dim (dim + 1) / 2.  The Gram is Fortran-ordered and given
     by its lower triangle; its strict upper triangle is zero outside the
     chunks' diagonal squares, and np.tril(gram) + np.tril(gram, -1).T is the
-    whole matrix.  The set also carries the envelope ends (module docstring),
-    read off the kernel values psi that the chunks compute.  Raises
+    whole matrix.  The set also carries its lower bandwidth kd (module
+    docstring), read off the kernel values psi that the chunks compute.  Raises
     ValueError for duplicate points (naming the offending pair) and when a
     supplied equilibrium, wherever it lies, fails check_equilibrium_condition,
     and MemoryError, before mapping anything large, when the lower triangle
@@ -289,13 +285,13 @@ def assemble(system, kernel, points, equilibria=()):
         body += value.reshape(shape)
 
     run_blocks(assemble_chunk, chunks, slots, big_n)
-    return replace(cset, ends=np.maximum.accumulate(np.repeat(m * (last + 1), m))), gram
+    return replace(cset, kd=m * int(np.max(last - np.arange(big_n))) + m - 1), gram
 
 
 def _chunk_reach(points, radius):
     """Assembly's chunks of block rows as triples (l0, l1, k1), operator.near_box
     dropping every node from k1 on for the box around nodes l0 .. l1 - 1; the
-    envelope ends come from the kernel values the chunks compute."""
+    bandwidth comes from the kernel values the chunks compute."""
     step = block_rows(len(points))
     chunks = []
     for l0 in range(0, len(points), step):
@@ -305,10 +301,9 @@ def _chunk_reach(points, radius):
     return chunks
 
 
-def _takes_panels(ends):
-    """Whether the envelope's flops are at most a quarter of the dense factor's."""
-    dim = len(ends)
-    return np.sum((ends - np.arange(dim)) ** 2.0) <= dim ** 3 / 12.0
+def _takes_panels(dim, kd):
+    """Whether the band's flops are at most a quarter of the dense factor's."""
+    return np.sum(np.minimum(kd + 1, np.arange(dim, 0, -1)) ** 2.0) <= dim ** 3 / 12.0
 
 
 def _read_int(path, key=None):
@@ -426,45 +421,40 @@ _DPBTRS = _lapack("dpbtrs", (("uplo", _CHAR), ("n", _INT), ("kd", _INT), ("nrhs"
                              ("info", _INT)))
 
 
-def _bandwidth(ends):
-    """The lower bandwidth kd of the envelope: no column reaches kd + 1 rows
-    past its diagonal."""
-    return int(np.max(ends - np.arange(len(ends)))) - 1
-
-
 def _factor_block(block, offset):
-    """Lower Cholesky factor of block by cho_factor, in place if block is
-    Fortran-contiguous; a failure is a FactorizationError whose 1-based
-    pivot counts from offset."""
+    """Lower Cholesky factor of block by cho_factor, in a copy; a failure is a
+    FactorizationError whose 1-based pivot, LAPACK's info on block, counts
+    from offset.  block stays as it was for that second call."""
     try:
-        return scipy.linalg.cho_factor(block, lower=True, overwrite_a=True,
+        return scipy.linalg.cho_factor(block, lower=True, overwrite_a=False,
                                        check_finite=False)[0]
     except scipy.linalg.LinAlgError as err:
-        match = re.search(r"(\d+)", str(err))
-        raise _not_positive_definite(offset + int(match.group(1)) if match else None) from err
+        pivot = scipy.linalg.lapack.dpotrf(block, lower=1)[1]
+        raise _not_positive_definite(offset + pivot) from err
 
 
-def _cholesky(gram, ends):
+def _cholesky(gram, kd):
     """Overwrite the lower triangle of the Fortran-ordered gram with its factor.
 
-    Column j is taken as zero from row ends[j] on.  Panels, when
-    _takes_panels(ends), write zeros there down to their last row.  The band
-    factor reads and writes only rows j .. j + _bandwidth(ends) of column j,
-    and neither path touches the strict upper triangle.
+    Column j is taken as zero past row j + kd.  Panels, when _takes_panels,
+    write zeros there down to their last row.  The band factor reads and
+    writes only rows j .. j + kd of column j, and neither path touches the
+    strict upper triangle.
     """
-    if not _takes_panels(ends):
+    dim = len(gram)
+    if not _takes_panels(dim, kd):
         # the Fortran (dim, dim) array is band storage with LDAB = dim + 1:
         # AB(1 + i - j, j) lies at i - j + j (dim + 1) = i + j dim, where A(i, j) is
-        pivot = _DPBTRF(b"L", len(gram), _bandwidth(ends), gram, len(gram) + 1)
+        pivot = _DPBTRF(b"L", dim, kd, gram, dim + 1)
         if pivot:
             raise _not_positive_definite(pivot)
         return
     lower = np.asfortranarray(np.tri(_PANEL, dtype=bool))    # the Gram's order: twice as fast
-    for j0 in range(0, len(gram), _PANEL):
-        j1 = min(len(gram), j0 + _PANEL)
-        e, s = int(ends[j1 - 1]), int(ends[j0])     # the panel's rows end before row e
-        # rows from s on can lie past their column's end, which becomes zero
-        np.copyto(gram[s:e, j0:j1], 0.0, where=np.arange(s, e)[:, None] >= ends[j0:j1])
+    for j0 in range(0, dim, _PANEL):
+        j1 = min(dim, j0 + _PANEL)
+        s, e = j0 + kd + 1, min(dim, j1 + kd)      # the panel's rows end before row e
+        # rows from s on can lie past their column's band, which becomes zero
+        np.copyto(gram[s:e, j0:j1], 0.0, where=np.arange(s, e)[:, None] > np.arange(j0, j1) + kd)
         # L11 L11^T = A11, L21 = A21 L11^-T, then A22 -= L21 L21^T in tiles
         diag = _factor_block(gram[j0:j1, j0:j1], j0)
         np.copyto(gram[j0:j1, j0:j1], diag, where=lower[:j1 - j0, :j1 - j0])
@@ -482,25 +472,6 @@ def _cholesky(gram, ends):
             square = gram[c0:c1, c0:c1]
             np.subtract(square, update[:c1 - c0], out=square, where=lower[:c1 - c0, :c1 - c0])
             gram[c1:e, c0:c1] -= update[c1 - c0:]
-
-
-def _substitute(factor, ends, b):
-    """x with L L^T x = b, L the lower triangle of the factor _cholesky left:
-    dpbtrs in the band, or substitution panel by panel inside the envelope.
-    numpy's @ takes the strided views of the factor as they are; scipy's
-    dgemv would copy them."""
-    x = b.copy()
-    if not _takes_panels(ends):
-        _DPBTRS(b"L", len(x), _bandwidth(ends), 1, factor, len(x) + 1, x, len(x))
-        return x
-    panels = [(j0, min(len(x), j0 + _PANEL)) for j0 in range(0, len(x), _PANEL)]
-    for j0, j1 in panels:                                   # L y = b
-        x[j0:j1] = scipy.linalg.blas.dtrsv(factor[j0:j1, j0:j1], x[j0:j1], lower=1)
-        x[j1:ends[j1 - 1]] -= factor[j1:ends[j1 - 1], j0:j1] @ x[j0:j1]
-    for j0, j1 in reversed(panels):                         # L^T x = y
-        x[j0:j1] -= factor[j1:ends[j1 - 1], j0:j1].T @ x[j1:ends[j1 - 1]]
-        x[j0:j1] = scipy.linalg.blas.dtrsv(factor[j0:j1, j0:j1], x[j0:j1], lower=1, trans=1)
-    return x
 
 
 @dataclass(frozen=True)
@@ -551,20 +522,20 @@ def solve(gram, rhs, cset):
 
     gram (writeable, Fortran-ordered float64) is consumed as xPOTRF consumes
     its input: only its lower triangle is read, and it holds the Cholesky
-    factor afterwards, also after a FactorizationError.  Its entries outside
-    cset.ends, the envelope assemble read off its kernel values (module
-    docstring), are the zeros it leaves there; panels and triangular solves
-    stay inside it.  A Gram whose envelope is too wide for panels is
-    factored and solved in place as a band, by dpbtrf and dpbtrs at
-    LDAB = dim + 1, which leave the lower triangle past the bandwidth as it
-    was; the panels remain only because the benchmark's tracer times the
-    factor through cho_factor.  A set without ends, any other gram or a C
-    that fails check_rhs is a ValueError, and panels that do not fit a
+    factor afterwards, also after a FactorizationError.  Its entries past
+    cset.kd, the lower bandwidth assemble read off its kernel values (module
+    docstring), are the zeros it leaves there.  Every factor is solved in
+    place as a band, by dpbtrs at LDAB = dim + 1.  A band narrow enough for
+    panels is factored by them inside it, writing zeros past it in the rows
+    they read; any other by dpbtrf, which leaves the lower triangle past the
+    band as it was.  The panels remain only because the benchmark's tracer
+    times the factor through cho_factor.  A set without kd, any other gram or
+    a C that fails check_rhs is a ValueError, and panels that do not fit a
     MemoryError, before the Gram is read; a non-finite solution is a
     FloatingPointError.
     """
-    if cset.ends is None:
-        raise ValueError("the collocation set carries no envelope; pass the set from assemble")
+    if cset.kd is None:
+        raise ValueError("the collocation set carries no bandwidth; pass the set from assemble")
     rhs = check_rhs(rhs, cset.system.dim)
     n = len(rhs)
     i, j = np.triu_indices(n)
@@ -574,13 +545,12 @@ def solve(gram, rhs, cset):
     if gram.dtype != np.float64 or not (gram.flags.writeable and gram.flags.f_contiguous):
         raise ValueError("Gram matrix must be a writeable, Fortran-ordered float64 array, "
                          'as assemble returns it; copy one with gram.copy(order="F")')
-    ends = cset.ends
-    if _takes_panels(ends):                  # the two panel-wide arrays _cholesky holds
+    if _takes_panels(dim, cset.kd):         # the two panel-wide arrays _cholesky holds
         _check_memory(f"the panels of the {dim}-unknown Gram's factor", 2 * 8 * _PANEL * dim)
-    b = -np.tile(rhs[i, j], len(cset))
+    gamma = -np.tile(rhs[i, j], len(cset))
 
-    _cholesky(gram, ends)
-    gamma = _substitute(gram, ends, b)
+    _cholesky(gram, cset.kd)
+    _DPBTRS(b"L", dim, cset.kd, 1, gram, dim + 1, gamma, dim)      # A gamma = b, in place
     if not np.all(np.isfinite(gamma)):
         raise FloatingPointError("the solution of the collocation system is not finite "
                                  f"(largest |C| entry {np.max(np.abs(rhs)):.3g})")

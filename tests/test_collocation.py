@@ -237,7 +237,7 @@ def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
     # every chunk size, down to one block row, on one and two workers, must
     # keep every pair the kernel does not map to zero, including pairs at the
     # radius to within rounding, and leave exactly zero blocks for all others;
-    # the envelope ends read off those kernel values do not depend on either
+    # the bandwidth read off those kernel values does not depend on either
     system, _, _ = linear
     nodes = _wide_nodes(kernel, np.random.default_rng(71))
     cset = conmet.collocation_data(system, nodes)
@@ -253,7 +253,7 @@ def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
                            cset.points, cset.f_values)[0]
     # one, two, seven and all block rows per chunk; one- and two-row chunks
     # round differently here, so a cut that followed the worker count would show
-    ends = set()
+    bandwidths = set()
     for budget in (1, 8 * 2 * big_n, 8 * 7 * big_n, conmet.operator._BLOCK_BYTES):
         monkeypatch.setattr(conmet.operator, "_BLOCK_BYTES", budget)
         by_workers = []
@@ -265,9 +265,9 @@ def test_assemble_skips_only_exact_zeros(linear, kernel, monkeypatch):
             assert np.allclose(blocks, oracle, rtol=1e-12, atol=1e-12)
             assert np.array_equal(np.any(blocks != 0.0, axis=(1, 3)), psi != 0.0)
             by_workers.append(gram.tobytes())
-            ends.add(cset.ends.tobytes())
+            bandwidths.add(cset.kd)
         assert by_workers[0] == by_workers[1]
-    assert len(ends) == 1
+    assert len(bandwidths) == 1
 
 
 def _whole(gram):
@@ -433,24 +433,24 @@ def test_memory_check_counts_the_workspaces_assembly_allocates(linear, kernel, m
     # the check asks for the Gram's lower triangle, the page each of its
     # columns starts on, and exactly one workspace, of the size the chunks
     # receive, per worker: one byte less is refused, that amount is not.
-    # This grid's envelope takes one factor call, and solve checks nothing
+    # This grid's band takes dpbtrf, and solve checks nothing
     system, _, rhs = linear
     cset, gram = _assert_assembly_asks(system, kernel, make_grid(GridSpec(BOUNDS, 0.125)),
                                        monkeypatch)
-    assert not conmet.collocation._takes_panels(cset.ends)
+    assert not conmet.collocation._takes_panels(len(gram), cset.kd)
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: 0)
     solve(gram, rhs, cset)
 
 
 def test_memory_check_counts_the_panel_temporaries(linear, kernel, monkeypatch):
-    # the envelope of [-4, 4]^2 at h = 0.5 holds 0.040 of the dense flops, so
+    # the band of [-4, 4]^2 at h = 0.5 holds 0.041 of the dense flops, so
     # the factor takes panels: assembly asks for nothing more than it maps
     # and allocates, and solve, before it reads the Gram, asks for the two
     # panel-wide arrays of float64 that it holds beside it
     system, _, rhs = linear
     cset, gram = _assert_assembly_asks(system, kernel, make_grid(GridSpec(_WIDE, 0.5)),
                                        monkeypatch)
-    assert conmet.collocation._takes_panels(cset.ends)
+    assert conmet.collocation._takes_panels(len(gram), cset.kd)
     needed = 2 * 8 * conmet.collocation._PANEL * len(gram)
     kept = gram.copy(order="F")
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: needed - 1)
@@ -521,7 +521,7 @@ def test_assemble_leaves_the_unwritten_pages_unmapped():
     # on [-4, 4]^2 at h = 0.2 the chunks write about a quarter of the Gram's
     # pages: the lower triangle up to each chunk's last block column in the
     # support; a Gram on huge pages, or one written whole, costs all of them.
-    # The panel factor stays inside that envelope, where one dense dpotrf
+    # The panel factor stays inside the band, where one dense dpotrf
     # call would write the whole lower triangle (0.71 of the Gram's bytes)
     try:
         with open("/proc/self/status") as handle:
@@ -725,7 +725,7 @@ def test_solve_factorization_error_carries_pivot(linear, kernel, monkeypatch):
     cholesky = conmet.collocation._cholesky
     calls = []
     monkeypatch.setattr(conmet.collocation, "_cholesky",
-                        lambda a, ends: calls.append(len(a)) or cholesky(a, ends))
+                        lambda a, kd: calls.append(len(a)) or cholesky(a, kd))
     with pytest.raises(FactorizationError) as err:
         solve(spoiled, rhs, cset)
     assert isinstance(err.value.pivot, int) and err.value.pivot >= 1
@@ -767,8 +767,8 @@ def test_solve_consumes_gram(linear, kernel):
 
 
 @pytest.mark.parametrize("bounds, spacing, panels", [
-    pytest.param(_WIDE, 0.25, True, id="panels"),          # envelope: 0.042 of the flops
-    pytest.param(BOUNDS, 0.125, False, id="one-call"),     # 0.474
+    pytest.param(_WIDE, 0.25, True, id="panels"),          # band: 0.042 of the flops
+    pytest.param(BOUNDS, 0.125, False, id="one-call"),     # 0.477
 ])
 def test_solve_factor_matches_dense_cholesky(linear, kernel, monkeypatch, bounds, spacing,
                                              panels):
@@ -810,68 +810,48 @@ _RNG = np.random.default_rng(24)
 
 
 @pytest.mark.parametrize("points, c, flops", [
-    pytest.param(make_grid(GridSpec(_WIDE, 0.2)), 0.9, 0.042, id="large-domain"),
-    pytest.param(_RNG.permutation(make_grid(GridSpec(_WIDE, 0.4))), 0.9, 0.997,
+    pytest.param(make_grid(GridSpec(_WIDE, 0.2)), 0.9, 0.0421, id="large-domain"),
+    pytest.param(_RNG.permutation(make_grid(GridSpec(_WIDE, 0.4))), 0.9, 1.0010,
                  id="shuffled-grid"),
-    pytest.param(_RNG.uniform(-4.0, 4.0, (700, 2)), 0.9, 1.0, id="random-points"),
+    pytest.param(_RNG.uniform(-4.0, 4.0, (700, 2)), 0.9, 1.0007, id="random-points"),
     # grid neighbours two lines apart lie exactly on the support radius, where
-    # the kernel is 0: a margin around the radius would give 0.0397
-    pytest.param(make_grid(GridSpec(_WIDE, 0.5)), 1.0, 0.0119, id="exact-radius"),
+    # the kernel is 0: a margin around the radius would give 0.0405
+    pytest.param(make_grid(GridSpec(_WIDE, 0.5)), 1.0, 0.0124, id="exact-radius"),
 ])
 def test_node_ends_cover_every_nonzero(linear, points, c, flops):
     # the oracle: one past the last nonzero row of each column of the lower
-    # triangle, which holds the diagonal; the ends may not fall short of it
-    # anywhere, and they are its per-node, nondecreasing hull
+    # triangle, which holds the diagonal; the bandwidth that each node's last
+    # node in the support gives reaches exactly the farthest of them
     cset, gram = assemble(linear[0], wendland_c8(c), points)
-    ends = cset.ends
     nonzero = len(gram) - np.argmax(gram[::-1] != 0.0, axis=0)
     assert np.all(nonzero >= np.arange(1, len(gram) + 1))
-    assert np.all(nonzero <= ends)
-    hull = 3 * np.ceil(nonzero.reshape(-1, 3).max(axis=1) / 3)
-    assert np.array_equal(ends, np.maximum.accumulate(np.repeat(hull, 3)))
-    share = np.sum((ends - np.arange(len(ends))) ** 2.0) / (len(ends) ** 3 / 3)
+    assert cset.kd + 1 == np.max(nonzero - np.arange(len(gram)))
+    columns = np.minimum(cset.kd + 1, np.arange(len(gram), 0, -1))      # rows j .. j + kd
+    share = np.sum(columns ** 2.0) / (len(gram) ** 3 / 3)
     assert share == pytest.approx(flops, abs=5e-4)
 
 
-@pytest.mark.parametrize("c", [
-    pytest.param(0.9, id="support-two-lines"),
-    pytest.param(2.5, id="support-inside-a-cell"),  # 0.4 < h: a block diagonal Gram
+@pytest.mark.parametrize("bounds, spacing, c, panels", [
+    pytest.param(_WIDE, 0.5, 0.9, True, id="panels-support-two-lines"),
+    pytest.param(_WIDE, 0.5, 2.5, True, id="panels-support-inside-a-cell"),  # 0.4 < h: kd = 2
+    pytest.param(BOUNDS, 0.125, 0.9, False, id="band"),    # 0.477 of the dense flops
 ])
-def test_panels_take_the_lower_triangle_past_the_node_ends_as_zero(linear, c):
-    # on [-4, 4]^2 at h = 0.5 the factor takes panels; NaN in the lower
-    # triangle past each column's node end gives the same beta bit for bit,
-    # so neither the factor nor the triangular solves use those entries
+def test_nothing_past_the_band_is_read(linear, bounds, spacing, c, panels):
+    # NaN in the lower triangle past row j + kd of each column j gives the same
+    # beta and diagnostics bit for bit, so neither factor nor the triangular
+    # solves read those entries; the panels write zeros over the NaN in the
+    # rows they read, and dpbtrf leaves them all as they were
     system, _, rhs = linear
-    cset, gram = assemble(system, wendland_c8(c), make_grid(GridSpec(_WIDE, 0.5)))
-    ends = cset.ends
-    assert conmet.collocation._takes_panels(ends)
-    past = np.arange(len(gram))[:, None] >= ends
-    assert np.all(gram[past] == 0.0) and np.count_nonzero(past[:conmet.collocation._PANEL])
-    blind = np.where(past, np.nan, gram)
-    solution = solve(gram, rhs, cset)
-    other = solve(np.asfortranarray(blind), rhs, cset)
-    assert _bits(other.beta) == _bits(solution.beta)
-    assert other.diagnostics == solution.diagnostics
-
-
-def test_band_factor_leaves_the_lower_triangle_past_the_band_as_it_was(linear, kernel):
-    # on [-1, 1]^2 at h = 1/8 the envelope holds 0.474 of the dense flops, and
-    # the factor takes the band: NaN in the lower triangle past it gives the
-    # same beta bit for bit and is still NaN after the solve, so neither the
-    # factor nor the triangular solves read or write those entries
-    system, _, rhs = linear
-    cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, 0.125)))
-    ends = cset.ends
-    assert not conmet.collocation._takes_panels(ends)
-    kd = int(np.max(ends - np.arange(len(ends)))) - 1        # the band's lower bandwidth
-    past = np.arange(len(gram))[:, None] > np.arange(len(gram)) + kd
+    cset, gram = assemble(system, wendland_c8(c), make_grid(GridSpec(bounds, spacing)))
+    assert conmet.collocation._takes_panels(len(gram), cset.kd) == panels
+    past = np.arange(len(gram))[:, None] > np.arange(len(gram)) + cset.kd
     assert np.all(gram[past] == 0.0) and np.count_nonzero(past) > len(gram)
     blind = np.asfortranarray(np.where(past, np.nan, gram))
     solution = solve(gram, rhs, cset)
     other = solve(blind, rhs, cset)
     assert _bits(other.beta) == _bits(solution.beta)
     assert other.diagnostics == solution.diagnostics
-    assert np.all(np.isnan(blind[past]))
+    assert np.all(np.isnan(blind[past])) == (not panels)
 
 
 def test_lapack_binding_checks_the_signature_and_info():
@@ -905,16 +885,19 @@ def _assert_blind_solve_matches(blind, rhs, cset, solution):
     assert other.diagnostics == solution.diagnostics
 
 
-@pytest.mark.parametrize("bounds, spacing", [
-    pytest.param(_WIDE, 0.25, id="panels"),
-    pytest.param(BOUNDS, 0.125, id="one-call"),
+@pytest.mark.parametrize("bounds, spacing, c, spoiled, panels", [
+    pytest.param(_WIDE, 0.25, 0.9, 3 * 256 + 17, True, id="panels"),    # in the fourth panel
+    pytest.param(BOUNDS, 0.125, 0.9, 3 * 256 + 17, False, id="one-call"),
+    # 243 unknowns: the one panel is the whole Gram, a contiguous block that
+    # cho_factor would overwrite in part before the pivot is read
+    pytest.param(BOUNDS, 0.25, 2.5, 200, True, id="one-panel"),
 ])
-def test_solve_reports_the_global_pivot(linear, kernel, bounds, spacing):
-    # a negative diagonal entry in the fourth panel: every leading minor
-    # before it is intact, so the factor fails exactly there
+def test_solve_reports_the_global_pivot(linear, bounds, spacing, c, spoiled, panels):
+    # a negative diagonal entry: every leading minor before it is intact, so
+    # the factor fails exactly there
     system, _, rhs = linear
-    cset, gram = assemble(system, kernel, make_grid(GridSpec(bounds, spacing)))
-    spoiled = 3 * conmet.collocation._PANEL + 17
+    cset, gram = assemble(system, wendland_c8(c), make_grid(GridSpec(bounds, spacing)))
+    assert conmet.collocation._takes_panels(len(gram), cset.kd) == panels
     gram[spoiled, spoiled] = -1.0
     with pytest.raises(FactorizationError) as err:
         solve(gram, rhs, cset)
@@ -937,11 +920,11 @@ def test_solve_permutation_invariance(linear, kernel):
 
 
 @pytest.mark.parametrize("c, panels", [
-    pytest.param(0.4, False, id="one-call"),      # envelope: 0.339 of the dense flops
+    pytest.param(0.4, False, id="one-call"),      # band: 0.340 of the dense flops
     pytest.param(1.2, True, id="panels"),         # 0.047
 ])
 def test_solve_takes_the_kernel_from_the_node_set(linear, monkeypatch, c, panels):
-    # on [-3, 3]^2 at h = 0.2 the factor's envelope comes from the kernel that
+    # on [-3, 3]^2 at h = 0.2 the factor's band comes from the kernel that
     # assemble stored with the nodes, so the solve interpolates C at every node
     system, _, _ = linear
     k = wendland_c8(c)
@@ -967,7 +950,7 @@ def test_solve_takes_only_what_assemble_returns(linear, kernel):
     kept = gram.copy(order="F")
     bare = collocation_data(system, cset.points)
     for other in (bare, replace(bare, kernel=kernel)):
-        with pytest.raises(ValueError, match="carries no envelope; pass the set from assemble"):
+        with pytest.raises(ValueError, match="carries no bandwidth; pass the set from assemble"):
             solve(gram, rhs, other)
     read_only = gram.copy(order="F")
     read_only.flags.writeable = False
