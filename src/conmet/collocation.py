@@ -13,10 +13,10 @@ lower triangle, one page per column and one workspace per worker.  A block
 is zero when its two points lie at least the kernel's support radius apart,
 so each chunk stops at the last block column k1 that operator.near_box
 keeps for the chunk rows' bounding box; the zero blocks past it are never
-computed.  Before it maps the Gram, assembly checks every equilibrium it is
-given, and that much memory against the headroom the system reports, the
-lower triangle first, as it needs only N, raising MemoryError if it does
-not fit; make_grid sizes its points the same way before it builds them.
+computed.  Before it scans a node or maps the Gram, assembly checks every
+equilibrium it is given, and that much memory, which N alone fixes, against
+the headroom the system reports, in one check, raising MemoryError if it
+does not fit; make_grid sizes its points the same way before it builds them.
 The solve takes the node set, which carries the kernel that assembly used
 and the Gram's bandwidth, and consumes the Gram, as xPOTRF consumes its
 input: the Cholesky factor overwrites the lower triangle.
@@ -208,7 +208,7 @@ def _reject_duplicates(points):
 def collocation_data(system, points):
     """Cache f and Df at the points, one call to each batched callback, in a
     CollocationSet; a ValueError names any wrong shape (DynamicalSystem.values)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
     return CollocationSet(system, points, *system.values(points))
 
 
@@ -224,9 +224,10 @@ def assemble(system, kernel, points, equilibria=()):
     docstring), read off the kernel values psi that the chunks compute.  Raises
     ValueError for duplicate points (naming the offending pair) and when a
     supplied equilibrium, wherever it lies, fails check_equilibrium_condition,
-    and MemoryError, before mapping anything large, when the lower triangle
-    plus one assembly workspace per worker exceed the memory the system
-    reports as available, or cannot be mapped.
+    and MemoryError, in one check before it scans the nodes or maps anything
+    large, when the lower triangle, a page per column and one assembly
+    workspace per worker exceed the memory the system reports as available,
+    or when the Gram cannot be mapped.
     """
     cset = replace(collocation_data(system, points), kernel=kernel)
     _reject_duplicates(cset.points)
@@ -237,12 +238,13 @@ def assemble(system, kernel, points, equilibria=()):
     col_t = np.ascontiguousarray(col.transpose(1, 0, 2))     # (m, N, m): [a, k, b]
     big_n, m = len(cset), len(scale)
     dim = big_n * m
-    what = f"the {dim}-unknown Gram matrix, its assembly and its factor"
-    needed = 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE    # lower triangle, a page a column
-    _check_memory(what, needed)                 # before the chunks, which scan the nodes
-    chunks = _chunk_reach(cset.points, kernel.support_radius)
     slots = max(m * m + 5, PAIRWISE_SLOTS)    # 4 pairwise arrays, m^2 of value, 1 product
-    _check_memory(what, needed + 8 * np.prod(workspace_shape(len(chunks), slots, big_n)))
+    chunk_count = -(-big_n // block_rows(big_n))              # as many as _chunk_reach makes
+    # the lower triangle, a page a column and the workspaces, before the chunks scan the nodes
+    _check_memory(f"the {dim}-unknown Gram matrix, its assembly and its factor",
+                  8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE
+                  + 8 * np.prod(workspace_shape(chunk_count, slots, big_n)))
+    chunks = _chunk_reach(cset.points, kernel.support_radius)
     centre = cset.centre
     last = np.empty(big_n, dtype=np.intp)     # each node's last node in its support
 
@@ -259,21 +261,15 @@ def assemble(system, kernel, points, equilibria=()):
         # Block columns from k1 on lie outside the support of every chunk
         # row, so their blocks keep the mapping's zeros.
         l0, l1, k1 = bounds
-        rows = cset.points[l0:l1]
-        # The engine is called with the roles swapped (rows k >= l0, columns
-        # l in the chunk), which swaps theta and g2 and transposes all four.
-        # Then h rounds psi2 <x_k - x_l, f_l> before the f_k product, the
-        # order of earlier releases, so their Grams and beta.csv are
-        # reproduced bit for bit.
-        psi, g2, theta, h = (a.T for a in pairwise_scalars(
-            kernel, centre, cset.points[l0:k1], cset.f_values[l0:k1],
-            rows, cset.f_values[l0:l1], work))
+        psi, theta, g2, h = pairwise_scalars(
+            kernel, centre, cset.points[l0:l1], cset.f_values[l0:l1],
+            cset.points[l0:k1], cset.f_values[l0:k1], work)
         # psi > 0 exactly inside the support, which holds each row's own node
         last[l0:l1] = k1 - 1 - np.argmax(psi[:, ::-1] > 0.0, axis=1)
         cols = col_t[:, l0:k1]
         shape = (l1 - l0, m, (k1 - l0) * m)
         value = work[4:].reshape(-1)[:m * m * psi.size].reshape(l1 - l0, m, k1 - l0, m)
-        product = work[-1, :psi.size].reshape(theta.T.shape).T   # theta's layout, past value
+        product = work[-1, :psi.size].reshape(psi.shape)          # past value
         np.multiply(psi[:, None, :, None], cols[None], out=value)
         for a in range(m):
             value[:, a, :, a] += np.multiply(theta, scale[a], out=product)

@@ -157,10 +157,10 @@ def field_export(solution, grid):
     "max_eig_fs".  S(x[e]) is positive definite where min_eig_s[e] > 0 and
     L(S)(x[e]) negative definite where max_eig_fs[e] < 0; a NaN fails both.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    s, fs = _fields_batch(solution, collocation_data(solution.collocation.system, grid))
+    query = collocation_data(solution.collocation.system, grid)
+    s, fs = _fields_batch(solution, query)
     return {
-        "x": grid,
+        "x": query.points,
         "s": s,
         "fs": fs,
         "trace_s": np.trace(s, axis1=1, axis2=2),
@@ -172,19 +172,20 @@ def field_export(solution, grid):
     }
 
 
-@dataclass(frozen=True, kw_only=True)
-class _CheckGrid(CollocationSet):
-    m: np.ndarray           # the exact metric M at the points
-    fm: np.ndarray          # and L(M)
-
-
 def _check_grid(exact, system, check_points):
-    q = collocation_data(system, check_points)
-    if len(q) == 0:
+    """The check points as a CollocationSet, with M and L(M) there."""
+    query = collocation_data(system, check_points)
+    if len(query) == 0:
         raise ValueError("empty check grid")
-    m = np.asarray(exact.value(q.points), dtype=float)
-    fm = apply_operator(m, exact.gradient(q.points), q.f_values, q.jacobians)
-    return _CheckGrid(system, q.points, q.f_values, q.jacobians, m=m, fm=fm)
+    m = np.asarray(exact.value(query.points), dtype=float)
+    return query, m, apply_operator(m, exact.gradient(query.points), query.f_values,
+                                    query.jacobians)
+
+
+def _errors(solution, query, m, fm):
+    """(max |S - M|, max |L(S) - L(M)|) over the points of query."""
+    s_all, fs_all = _fields_batch(solution, query)
+    return float(np.max(np.abs(s_all - m))), float(np.max(np.abs(fs_all - fm)))
 
 
 def error_report(solution, exact, check_points):
@@ -192,14 +193,9 @@ def error_report(solution, exact, check_points):
 
     Returns (e, e_s): the componentwise maximum of |S - M| and of
     |L(S) - L(M)| over the check points, with L(M) evaluated through
-    apply_operator from the exact value/gradient callables.  check_points may
-    also be the _CheckGrid that convergence_study computes once per study.
+    apply_operator from the exact value/gradient callables.
     """
-    if not isinstance(check_points, _CheckGrid):
-        check_points = _check_grid(exact, solution.collocation.system, check_points)
-    s_all, fs_all = _fields_batch(solution, check_points)
-    return (float(np.max(np.abs(s_all - check_points.m))),
-            float(np.max(np.abs(fs_all - check_points.fm))))
+    return _errors(solution, *_check_grid(exact, solution.collocation.system, check_points))
 
 
 @dataclass(frozen=True)
@@ -251,7 +247,7 @@ def convergence_study(system, exact, rhs, kernel, alphas, bounds, check_spec,
             raise FactorizationError(f"alpha={alpha}: {err}", pivot=err.pivot) from err
         del gram        # the error evaluation does not need it
         t2 = time.perf_counter()
-        errors[alpha] = error_report(solution, exact, check)
+        errors[alpha] = _errors(solution, *check)
         if progress is not None:
             progress({"alpha": alpha, "nodes": len(cset), "assemble_seconds": t1 - t0,
                       "solve_seconds": t2 - t1, "error_seconds": time.perf_counter() - t2})

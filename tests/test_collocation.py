@@ -499,21 +499,40 @@ def test_failed_mapping_is_a_memory_error(linear, kernel, monkeypatch):
         assemble(linear[0], kernel, make_grid(GridSpec(BOUNDS, 0.125)))
 
 
+def _in_fresh_process(script, *args):
+    """The stdout of script run with args by a fresh interpreter that imports
+    this conmet, with status(key) there giving a /proc/self/status value in
+    bytes; a skip where that file has no VmRSS or VmHWM."""
+    try:
+        with open("/proc/self/status") as handle:
+            keys = {line.split(":")[0] for line in handle}
+    except OSError:
+        keys = set()
+    if not {"VmRSS", "VmHWM"} <= keys:
+        pytest.skip("no VmRSS or VmHWM in /proc/self/status")
+    src = os.path.dirname(os.path.dirname(conmet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    prelude = """
+def status(key):
+    with open("/proc/self/status") as handle:
+        return next(int(line.split()[1]) * 1024 for line in handle if line.startswith(key))
+"""
+    return subprocess.run([sys.executable, "-c", prelude + script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 _RSS_GROWTH = """
 import conmet
-
-def rss():
-    with open("/proc/self/status") as handle:
-        return next(int(line.split()[1]) * 1024 for line in handle if line.startswith("VmRSS:"))
 
 system, _, rhs = conmet.linear_example()
 points = conmet.make_grid(conmet.GridSpec(((-4.0, 4.0), (-4.0, 4.0)), 0.2))
 kernel = conmet.wendland_c8(0.9)
-before = rss()
+before = status("VmRSS:")
 cset, gram = conmet.assemble(system, kernel, points)
-print((rss() - before) / gram.nbytes)
+print((status("VmRSS:") - before) / gram.nbytes)
 conmet.solve(gram, rhs, cset)
-print((rss() - before) / gram.nbytes)
+print((status("VmRSS:") - before) / gram.nbytes)
 """
 
 
@@ -523,20 +542,46 @@ def test_assemble_leaves_the_unwritten_pages_unmapped():
     # support; a Gram on huge pages, or one written whole, costs all of them.
     # The panel factor stays inside the band, where one dense dpotrf
     # call would write the whole lower triangle (0.71 of the Gram's bytes)
-    try:
-        with open("/proc/self/status") as handle:
-            if not any(line.startswith("VmRSS:") for line in handle):
-                pytest.skip("no VmRSS in /proc/self/status")
-    except OSError:
-        pytest.skip("no /proc/self/status")
-    src = os.path.dirname(os.path.dirname(conmet.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-c", _RSS_GROWTH], env=env,
-                            capture_output=True, text=True, check=True)
-    assembled, solved = map(float, result.stdout.split())
+    assembled, solved = map(float, _in_fresh_process(_RSS_GROWTH).split())
     assert assembled < 0.5
     assert solved < 0.45
+
+
+_MEMORY_ASKED_AND_USED = """
+import sys
+import conmet, conmet.collocation
+
+half, spacing = map(float, sys.argv[1:])
+system, _, rhs = conmet.linear_example()
+points = conmet.make_grid(conmet.GridSpec(((-half, half), (-half, half)), spacing))
+asks = []
+check = conmet.collocation._check_memory
+
+def recorded(what, needed):
+    asks.append(needed)
+    check(what, needed)
+
+conmet.collocation._check_memory = recorded
+before = status("VmRSS:")
+cset, gram = conmet.assemble(system, conmet.wendland_c8(0.9), points)
+conmet.solve(gram, rhs, cset)
+print(max(asks), status("VmHWM:") - before)
+"""
+
+
+@pytest.mark.parametrize("half, spacing", [(4.0, 0.2), (1.0, 0.0625), (1.0, 0.125)],
+                         ids=["large-domain", "h=1/16", "h=1/8"])
+def test_memory_check_asks_for_no_less_than_assembly_and_solve_use(half, spacing):
+    # the largest memory check of assemble and solve against the resident
+    # memory they add at their peak, in a fresh process; 16 MB covers the
+    # allocator and the threads' stacks.  The peak is the process's VmHWM,
+    # not ru_maxrss, which a spawned process takes over from its parent.  The
+    # ask may lie well above the use (2.1x on [-4, 4]^2, whose lower triangle
+    # the kernel's zeros mostly leave unwritten), but never below it, or a
+    # problem that does not fit is killed for want of memory, not refused
+    output = _in_fresh_process(_MEMORY_ASKED_AND_USED, str(half), str(spacing))
+    asked, used = map(int, output.split())
+    assert used <= asked + 16 * 10 ** 6
 
 
 def test_available_memory_is_positive_or_unknown():

@@ -341,8 +341,8 @@ def test_convergence_study_rows_equal_error_reports_in_given_order(linear, kerne
 
 def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeypatch):
     # f, Df, M and grad M at the check points are computed once per study,
-    # M and grad M in one batched call each; every spacing still goes through
-    # error_report with the whole check grid
+    # M and grad M in one batched call each; every spacing still measures its
+    # errors on the whole check grid
     system, exact, rhs = linear
     check = GridSpec(BOUNDS, 0.125, offset=0.0625)         # apart from every node
     check_points = {tuple(x) for x in make_grid(check)}
@@ -358,13 +358,13 @@ def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeyp
                                      counted("jacobian", system.jacobian))
     counted_exact = ExactMetric(counted("value", exact.value), counted("gradient", exact.gradient))
     reports = []
-    original = evaluate.error_report
+    original = evaluate._errors
 
-    def recorded(solution, exact, check_points):
-        reports.append(len(check_points))
-        return original(solution, exact, check_points)
+    def recorded(solution, query, m, fm):
+        reports.append(len(query))
+        return original(solution, query, m, fm)
 
-    monkeypatch.setattr(evaluate, "error_report", recorded)
+    monkeypatch.setattr(evaluate, "_errors", recorded)
     alphas = [0.5, 0.25, 0.125]
     report = convergence_study(counted_system, counted_exact, rhs, kernel, alphas, BOUNDS, check)
     assert reports == [len(check_points)] * len(alphas)
@@ -378,7 +378,7 @@ def test_convergence_study_computes_check_grid_data_once(linear, kernel, monkeyp
     for alpha, row in zip(alphas, report.rows):
         cset, gram = assemble(system, kernel, make_grid(GridSpec(BOUNDS, alpha)))
         solution = solve(gram, rhs, cset)
-        assert (row.e, row.e_s) == original(solution, exact, make_grid(check))
+        assert (row.e, row.e_s) == error_report(solution, exact, make_grid(check))
 
 
 def test_convergence_study_failure_at_coarse_spacing_names_it(linear, kernel, monkeypatch):
@@ -490,6 +490,19 @@ def test_field_export_single_point(solved_quarter, linear):
     fields = field_export(solved_quarter, [[0.1, -0.2]])
     assert len(fields["x"]) == 1
     assert fields["s"][0].shape == (2, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda solution, system, kernel, x: eval_metric_batch(solution, x),
+    lambda solution, system, kernel, x: field_export(solution, x),
+    lambda solution, system, kernel, x: assemble(system, kernel, x),
+], ids=["eval_metric_batch", "field_export", "assemble"])
+def test_a_single_point_is_refused_unless_given_as_a_batch(solved_quarter, linear, kernel,
+                                                           call):
+    # evaluation and assembly take (E, dim) arrays only: x[None] is the batch
+    # of one point x, and x itself is not read as one
+    with pytest.raises(ValueError, match=r"points have shape \(2,\)"):
+        call(solved_quarter, linear[0], kernel, np.array([0.1, -0.2]))
 
 
 def test_field_export_scalars_match_pointwise(solved_quarter, linear):
