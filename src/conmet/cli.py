@@ -8,7 +8,9 @@ row) and JSON for scalar metadata, written into the configured output
 directory.  Exit codes: 0 success, 2 configuration error or a path that
 cannot be read or written (an OSError; a write can fail after the work is
 done), 3 numerical failure or a problem too large for the available memory.
-fields and ellipses reuse the beta.csv that solve wrote from the same inputs.
+solve reads the node grid's separation and fill distance off its GridSpec,
+exact for a tensor grid, and fields and ellipses reuse the beta.csv that
+solve wrote from the same inputs.
 
 The module imports numpy and its conmet names at the top: importing it runs
 conmet/__init__, which loads numpy, scipy and every conmet module anyway.
@@ -41,8 +43,7 @@ import numpy as np
 
 from . import __version__
 from .collocation import (FactorizationError, GridSpec, RecoverySolution, SolveDiagnostics,
-                          _check_memory, assemble, check_rhs, collocation_data,
-                          fill_distance_estimate, make_grid, separation_distance, solve)
+                          _check_memory, assemble, check_rhs, collocation_data, make_grid, solve)
 from .evaluate import (convergence_study, ellipse_points, eval_metric_batch, eval_operator_batch,
                        field_export)
 from .kernels import wendland_c8
@@ -212,7 +213,7 @@ def cmd_solve(config):
     beta_path = os.path.join(config.output_dir, "beta.csv")
     table = np.column_stack([np.arange(len(points)), points, solution.beta[:, i, j]])
     _write_csv(beta_path, header, _float_lines(table))
-    diag = solution.diagnostics
+    diag, grid = solution.diagnostics, config.grid
     _write_json(os.path.join(config.output_dir, "solution.json"), {
         "system": config.system,
         "kernel": {"c": kernel.shape_parameter, "sigma": kernel.sigma},
@@ -222,10 +223,10 @@ def cmd_solve(config):
         "factorization": diag.factorization,
         "regularized": diag.regularized,
         "min_pivot": diag.min_pivot,
-        "separation_distance": separation_distance(points) if len(points) > 1 else None,
-        # probes a quarter spacing apart hit the cell centres of a grid with offset 0
-        "fill_distance_estimate": fill_distance_estimate(
-            points, config.grid.bounds, config.grid.spacing / 4),
+        # exact on the tensor grid: along each axis the box point farthest from the
+        # nodes lies offset from an end node or spacing / 2 from an interior one
+        "separation_distance": grid.spacing if len(points) > 1 else None,
+        "fill_distance_estimate": math.sqrt(len(grid.bounds)) * max(grid.offset, grid.spacing / 2),
         "solve_key": _solve_key(config, rhs),
         "beta_sha256": _file_sha256(beta_path),
     })

@@ -1,4 +1,4 @@
-"""Grids, geometric quantities, and the collocation system A gamma = b.
+"""Grids and the collocation system A gamma = b.
 
 The Gram matrix couples every pair of functionals (point k, component pair
 i <= j).  It is symmetric positive definite, stored dense, and it is the one
@@ -37,13 +37,13 @@ a quarter of the dense dim^3 / 3, the factor is instead taken panel by
 panel inside the band: cho_factor on each 256-column diagonal block, dtrsm
 on the rows below it down to the band and dgemm updates of the trailing band
 in 256-column tiles, through scipy's BLAS and LAPACK; the panels write zeros
-past the band in the rows they read, and solve checks memory for the loop's
-two panel-wide arrays first.  dpbtrf would beat the panels too, but the
-benchmark's tracer times the factor only through cho_factor; the panels go
-once it reads dpbtrf.  The Gram of a positive definite kernel is SPD in
-exact arithmetic, so a failed factor means near-degenerate node geometry; it
-raises FactorizationError, which carries the global 1-based pivot, and is
-not retried.
+past the band in the rows they read, and the factor checks memory for the
+loop's two panel-wide arrays before it writes anything.  dpbtrf would beat
+the panels too, but the benchmark's tracer times the factor only through
+cho_factor; the panels go once it reads dpbtrf.  The Gram of a positive
+definite kernel is SPD in exact arithmetic, so a failed factor means
+near-degenerate node geometry; it raises FactorizationError, which carries
+the global 1-based pivot, and is not retried.
 """
 
 import contextlib
@@ -58,7 +58,6 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.linalg.cython_lapack
-from scipy.spatial import cKDTree
 
 from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
                        pairwise_scalars, run_blocks, workspace_shape)
@@ -67,8 +66,6 @@ from .systems import check_equilibrium_condition
 __all__ = [
     "GridSpec",
     "make_grid",
-    "separation_distance",
-    "fill_distance_estimate",
     "CollocationSet",
     "collocation_data",
     "assemble",
@@ -142,35 +139,6 @@ def make_grid(spec):
             for (lo, _), count in zip(spec.bounds, counts)]
     mesh = np.meshgrid(*axes, indexing="ij", copy=False)      # views: stack makes the one copy
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
-
-
-def separation_distance(points):
-    """Minimum pairwise distance of a point set (at least two points)."""
-    points = np.asarray(points, dtype=float)
-    if len(points) < 2:
-        raise ValueError("separation distance needs at least 2 points")
-    dist, _ = cKDTree(points).query(points, k=2)
-    return float(np.min(dist[:, 1]))
-
-
-def fill_distance_estimate(points, bounds, probe_spacing):
-    """Fill distance of the point set over the box, probed on a fine grid.
-
-    The probes form a tensor grid that spans every edge in equal steps of at
-    most probe_spacing.  The estimate is the largest probe-to-nearest-point
-    distance, a lower bound of the true fill distance that converges as
-    probe_spacing -> 0.
-    """
-    points = np.asarray(points, dtype=float)
-    if len(points) == 0:
-        raise ValueError("fill distance of an empty point set")
-    if not probe_spacing > 0.0:
-        raise ValueError(f"probe spacing must be positive, got {probe_spacing}")
-    axes = [np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / probe_spacing - 1e-9))) + 1)
-            for lo, hi in bounds]
-    probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    dist, _ = cKDTree(points).query(probes, k=1)
-    return float(np.max(dist))
 
 
 @dataclass(frozen=True)
@@ -433,9 +401,10 @@ def _cholesky(gram, kd):
     """Overwrite the lower triangle of the Fortran-ordered gram with its factor.
 
     Column j is taken as zero past row j + kd.  Panels, when _takes_panels,
-    write zeros there down to their last row.  The band factor reads and
-    writes only rows j .. j + kd of column j, and neither path touches the
-    strict upper triangle.
+    write zeros there down to their last row; a MemoryError comes before any
+    write if their two panel-wide arrays do not fit.  The band factor reads
+    and writes only rows j .. j + kd of column j, and neither path touches
+    the strict upper triangle.
     """
     dim = len(gram)
     if not _takes_panels(dim, kd):
@@ -445,6 +414,8 @@ def _cholesky(gram, kd):
         if pivot:
             raise _not_positive_definite(pivot)
         return
+    # diag and below, each at most _PANEL columns of dim rows
+    _check_memory(f"the panels of the {dim}-unknown Gram's factor", 2 * 8 * _PANEL * dim)
     lower = np.asfortranarray(np.tri(_PANEL, dtype=bool))    # the Gram's order: twice as fast
     for j0 in range(0, dim, _PANEL):
         j1 = min(dim, j0 + _PANEL)
@@ -514,21 +485,16 @@ def solve(gram, rhs, cset):
 
     gram and cset are what assemble returned, and the solution's kernel is
     cset.kernel.  The stacked right-hand side repeats -C_ij over the
-    functional ordering; a failed Cholesky factor is a FactorizationError.
+    functional ordering.
 
     gram (writeable, Fortran-ordered float64) is consumed as xPOTRF consumes
     its input: only its lower triangle is read, and it holds the Cholesky
     factor afterwards, also after a FactorizationError.  Its entries past
     cset.kd, the lower bandwidth assemble read off its kernel values (module
-    docstring), are the zeros it leaves there.  Every factor is solved in
-    place as a band, by dpbtrs at LDAB = dim + 1.  A band narrow enough for
-    panels is factored by them inside it, writing zeros past it in the rows
-    they read; any other by dpbtrf, which leaves the lower triangle past the
-    band as it was.  The panels remain only because the benchmark's tracer
-    times the factor through cho_factor.  A set without kd, any other gram or
-    a C that fails check_rhs is a ValueError, and panels that do not fit a
-    MemoryError, before the Gram is read; a non-finite solution is a
-    FloatingPointError.
+    docstring), are the zeros it leaves there.  A set without kd, any other
+    gram or a C that fails check_rhs is a ValueError, and a factor that does
+    not fit a MemoryError, before the Gram is read; a failed factor is a
+    FactorizationError and a non-finite solution a FloatingPointError.
     """
     if cset.kd is None:
         raise ValueError("the collocation set carries no bandwidth; pass the set from assemble")
@@ -541,8 +507,6 @@ def solve(gram, rhs, cset):
     if gram.dtype != np.float64 or not (gram.flags.writeable and gram.flags.f_contiguous):
         raise ValueError("Gram matrix must be a writeable, Fortran-ordered float64 array, "
                          'as assemble returns it; copy one with gram.copy(order="F")')
-    if _takes_panels(dim, cset.kd):         # the two panel-wide arrays _cholesky holds
-        _check_memory(f"the panels of the {dim}-unknown Gram's factor", 2 * 8 * _PANEL * dim)
     gamma = -np.tile(rhs[i, j], len(cset))
 
     _cholesky(gram, cset.kd)

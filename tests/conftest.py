@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -60,3 +64,26 @@ def straddling_pairs(kernel, centre, rng, low, high, count, attempts=5000):
             if len(pairs) == count:
                 break
     return pairs
+
+
+def in_fresh_process(script, *args):
+    """The stdout of script run with args by a fresh interpreter that imports
+    this conmet, with status(key) there giving a /proc/self/status value in
+    bytes; a skip where that file has no VmRSS or VmHWM."""
+    try:
+        with open("/proc/self/status") as handle:
+            keys = {line.split(":")[0] for line in handle}
+    except OSError:
+        keys = set()
+    if not {"VmRSS", "VmHWM"} <= keys:
+        pytest.skip("no VmRSS or VmHWM in /proc/self/status")
+    src = os.path.dirname(os.path.dirname(conmet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    prelude = """
+def status(key):
+    with open("/proc/self/status") as handle:
+        return next(int(line.split()[1]) * 1024 for line in handle if line.startswith(key))
+"""
+    return subprocess.run([sys.executable, "-c", prelude + script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout

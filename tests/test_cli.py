@@ -9,8 +9,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 import conmet.cli as cli
+from conftest import in_fresh_process
 
 
 def _write_config(path, **overrides):
@@ -43,7 +45,7 @@ def test_solve_artifacts_smallest_grid(tmp_path, capsys):
     assert meta["n_unknowns"] == 27
     assert meta["interp_residual"] < 1e-10
     assert "relative_residual" not in meta
-    assert meta["separation_distance"] == pytest.approx(1.0)
+    assert meta["separation_distance"] == 1.0
     timing = json.loads((tmp_path / "out" / "timing.json").read_text())
     assert timing["assemble_seconds"] > 0.0 and timing["residual_seconds"] > 0.0
     header, rows = _read_csv(tmp_path / "out" / "beta.csv")
@@ -482,6 +484,32 @@ def test_solution_reports_min_pivot(tmp_path, capsys):
     assert 0.0 < meta["min_pivot"] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("bounds, spacing, offset", [
+    ([[-4, 4], [-4, 4]], 0.2, 0.0),
+    ([[-1, 1], [-1, 1]], 0.5, 0.25),
+    ([[-1, 1], [-1, 1]], 0.5, 0.5),
+    ([[-1, 1], [-0.5, 0.5]], 0.5, 0.5),
+], ids=["large-domain", "offset-half-spacing", "offset-past-half-spacing", "single-node-axis"])
+def test_solution_reports_the_grids_separation_and_fill_distance(tmp_path, capsys, bounds,
+                                                                 spacing, offset):
+    # the closed forms, bit for bit, and the brute-force minimum over node
+    # pairs and maximum over probes at the box's corners and cells' centres
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": bounds, "spacing": spacing, "offset": offset})
+    assert cli.main(["solve", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert meta["separation_distance"] == spacing
+    assert meta["fill_distance_estimate"] == np.sqrt(2) * max(offset, spacing / 2)
+    _, rows = _read_csv(tmp_path / "out" / "beta.csv")
+    nodes = np.array([[float(v) for v in row[1:3]] for row in rows])
+    axes = [np.unique(nodes[:, a]) for a in range(2)]
+    probes = np.stack(np.meshgrid(*[np.concatenate([edge, (axis[1:] + axis[:-1]) / 2])
+                                    for edge, axis in zip(bounds, axes)]), axis=-1)
+    fill = np.max(np.min(cdist(probes.reshape(-1, 2), nodes), axis=1))
+    assert meta["separation_distance"] == pytest.approx(np.min(pdist(nodes)), rel=1e-12)
+    assert meta["fill_distance_estimate"] == pytest.approx(fill, rel=1e-12)
+
+
 def test_solve_calls_each_system_callback_once(tmp_path, capsys, monkeypatch):
     # the node residual reuses the f and Df values that assembly cached, and
     # equals bit for bit the one evaluated from the bare nodes
@@ -832,6 +860,37 @@ def test_fields_export_too_large_exits_3_before_any_solve(tmp_path, capsys, monk
             "but only 1 MB are available") in capsys.readouterr().err
     assert assemble_calls == []
     assert not (tmp_path / "out" / "fields.csv").exists()
+
+
+_FIELDS_ASKED_AND_USED = """
+import sys
+import conmet.cli as cli
+
+assert cli.main(["solve", sys.argv[1]]) == 0
+asks = []
+check = cli._check_memory
+
+def recorded(what, needed):
+    asks.append(needed)
+    check(what, needed)
+
+cli._check_memory = recorded
+before = status("VmRSS:")
+assert cli.main(["fields", sys.argv[1]]) == 0
+print(max(asks), status("VmHWM:") - before)
+"""
+
+
+def test_fields_memory_check_asks_for_no_less_than_fields_uses(tmp_path):
+    # fields on the 256 x 256 check grid after a solve on 5 x 5 nodes, in a
+    # fresh process: the resident memory it adds at its peak stays within
+    # its memory check plus 16 MB for the allocator, as in test_collocation
+    cfg = tmp_path / "cfg.json"
+    _write_config(str(cfg), grid={"bounds": _BOUNDS, "spacing": 0.5},
+                  check_grid={"bounds": _BOUNDS, "spacing": 1 / 128})     # staggered
+    asked, used = map(int, in_fresh_process(_FIELDS_ASKED_AND_USED, str(cfg)).split()[-2:])
+    assert asked == 1000 * 256 * 256
+    assert used <= asked + 16 * 10 ** 6
 
 
 @pytest.mark.parametrize("args", [["--level", "nan"], ["--level", "0"], ["--level", "-1"],

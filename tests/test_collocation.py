@@ -2,9 +2,7 @@
 
 import itertools
 import mmap
-import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -26,9 +24,8 @@ from conmet import (
     solve,
     wendland_c8,
 )
-from conmet.collocation import fill_distance_estimate, separation_distance
 from conmet.operator import pairwise_scalars
-from conftest import BOUNDS, straddling_pairs
+from conftest import BOUNDS, in_fresh_process, straddling_pairs
 from oracles import (
     FunctionalIndex,
     functional_indices,
@@ -109,61 +106,6 @@ def test_make_grid_refuses_points_that_do_not_fit(monkeypatch):
         make_grid(spec)
     monkeypatch.setattr(conmet.collocation, "_available_memory_bytes", lambda: expected.nbytes)
     assert np.array_equal(make_grid(spec), expected)
-
-
-# -- separation and fill distance ---------------------------------------------
-
-def test_separation_distance_on_grid():
-    assert separation_distance(make_grid(GridSpec(BOUNDS, 0.25))) == pytest.approx(0.25)
-
-
-def test_separation_distance_two_points():
-    assert separation_distance([[0.0, 0.0], [3.0, 0.0]]) == pytest.approx(3.0)
-
-
-def test_separation_distance_matches_bruteforce():
-    rng = np.random.default_rng(42)
-    pts = rng.uniform(-1, 1, (100, 2))
-    brute = min(np.linalg.norm(a - b)
-                for a, b in itertools.combinations(pts, 2))
-    assert separation_distance(pts) == pytest.approx(brute, rel=1e-12)
-
-
-def test_separation_distance_needs_two_points():
-    with pytest.raises(ValueError):
-        separation_distance([[0.0, 0.0]])
-
-
-def test_fill_distance_single_center_point():
-    # farthest probe is a box corner at distance sqrt(2)
-    est = fill_distance_estimate([[0.0, 0.0]], BOUNDS, 0.25)
-    assert est == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-
-def test_fill_distance_grid_cell_centers():
-    alpha = 0.25
-    pts = make_grid(GridSpec(BOUNDS, alpha))
-    # probes that hit the cell centers give exactly sqrt(2)/2 * alpha
-    est = fill_distance_estimate(pts, BOUNDS, alpha / 2.0)
-    assert est == pytest.approx(np.sqrt(2.0) / 2.0 * alpha, rel=1e-12)
-    # probes that miss the centers stay below, and refine upward
-    coarse = fill_distance_estimate(pts, BOUNDS, alpha / 5.0)
-    assert coarse <= est + 1e-15
-    assert coarse >= 0.8 * est
-
-
-def test_fill_distance_zero_when_probes_hit_nodes():
-    pts = make_grid(GridSpec(BOUNDS, 0.25))
-    assert fill_distance_estimate(pts, BOUNDS, 0.25) == 0.0
-
-
-def test_fill_distance_validation():
-    with pytest.raises(ValueError):
-        fill_distance_estimate(np.empty((0, 2)), BOUNDS, 0.1)
-    with pytest.raises(ValueError):
-        fill_distance_estimate([[0.0, 0.0]], BOUNDS, -0.1)
-    with pytest.raises(ValueError, match="probe spacing must be positive, got nan"):
-        fill_distance_estimate([[0.0, 0.0]], BOUNDS, float("nan"))
 
 
 # -- collocation sets and assembly ---------------------------------------------
@@ -499,29 +441,6 @@ def test_failed_mapping_is_a_memory_error(linear, kernel, monkeypatch):
         assemble(linear[0], kernel, make_grid(GridSpec(BOUNDS, 0.125)))
 
 
-def _in_fresh_process(script, *args):
-    """The stdout of script run with args by a fresh interpreter that imports
-    this conmet, with status(key) there giving a /proc/self/status value in
-    bytes; a skip where that file has no VmRSS or VmHWM."""
-    try:
-        with open("/proc/self/status") as handle:
-            keys = {line.split(":")[0] for line in handle}
-    except OSError:
-        keys = set()
-    if not {"VmRSS", "VmHWM"} <= keys:
-        pytest.skip("no VmRSS or VmHWM in /proc/self/status")
-    src = os.path.dirname(os.path.dirname(conmet.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    prelude = """
-def status(key):
-    with open("/proc/self/status") as handle:
-        return next(int(line.split()[1]) * 1024 for line in handle if line.startswith(key))
-"""
-    return subprocess.run([sys.executable, "-c", prelude + script, *args], env=env,
-                          capture_output=True, text=True, check=True).stdout
-
-
 _RSS_GROWTH = """
 import conmet
 
@@ -542,7 +461,7 @@ def test_assemble_leaves_the_unwritten_pages_unmapped():
     # support; a Gram on huge pages, or one written whole, costs all of them.
     # The panel factor stays inside the band, where one dense dpotrf
     # call would write the whole lower triangle (0.71 of the Gram's bytes)
-    assembled, solved = map(float, _in_fresh_process(_RSS_GROWTH).split())
+    assembled, solved = map(float, in_fresh_process(_RSS_GROWTH).split())
     assert assembled < 0.5
     assert solved < 0.45
 
@@ -579,7 +498,7 @@ def test_memory_check_asks_for_no_less_than_assembly_and_solve_use(half, spacing
     # ask may lie well above the use (2.1x on [-4, 4]^2, whose lower triangle
     # the kernel's zeros mostly leave unwritten), but never below it, or a
     # problem that does not fit is killed for want of memory, not refused
-    output = _in_fresh_process(_MEMORY_ASKED_AND_USED, str(half), str(spacing))
+    output = in_fresh_process(_MEMORY_ASKED_AND_USED, str(half), str(spacing))
     asked, used = map(int, output.split())
     assert used <= asked + 16 * 10 ** 6
 
