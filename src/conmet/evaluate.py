@@ -139,36 +139,34 @@ def eval_operator_batch(solution, points):
     return _fields_batch(solution, _query(solution, points))[1]
 
 
-def _det(stack):
-    """Determinants of an (E, n, n) stack; NaN where a matrix is not finite,
-    without the LU that would warn of an invalid value there."""
-    finite = np.all(np.isfinite(stack), axis=(1, 2))
-    with np.errstate(over="ignore"):         # a determinant beyond the float range is +-inf
-        det = np.linalg.det(np.where(finite[:, None, None], stack, 0.0))
-    return np.where(finite, det, np.nan)
-
-
 def field_export(solution, grid):
     """Sample S and L(S) with their definiteness scalars on a point list.
 
     Returns a dict of arrays whose entry e belongs to the point x[e]: "x"
     (E, n); "s" and "fs", the (E, n, n) stacks of S and L(S); and the (E,)
     arrays "trace_s", "det_s", "trace_fs", "neg_det_fs", "min_eig_s" and
-    "max_eig_fs".  S(x[e]) is positive definite where min_eig_s[e] > 0 and
-    L(S)(x[e]) negative definite where max_eig_fs[e] < 0; a NaN fails both.
+    "max_eig_fs".  The determinants are products of the eigenvalues, and a
+    matrix with a non-finite entry has NaN in all four definiteness columns.
+    S(x[e]) is positive definite where min_eig_s[e] > 0 and L(S)(x[e])
+    negative definite where max_eig_fs[e] < 0; a NaN fails both.
     """
     query = collocation_data(solution.collocation.system, grid)
     s, fs = _fields_batch(solution, query)
+    # one eigvalsh per stack; it returns arbitrary values for a non-finite matrix
+    eig_s, eig_fs = (np.where(np.all(np.isfinite(m), axis=(1, 2))[:, None],
+                              np.linalg.eigvalsh(m), np.nan) for m in (s, fs))
+    with np.errstate(over="ignore", invalid="ignore"):      # +-inf past the range, 0 * inf NaN
+        det_s, det_fs = np.prod(eig_s, axis=1), np.prod(eig_fs, axis=1)
     return {
         "x": query.points,
         "s": s,
         "fs": fs,
         "trace_s": np.trace(s, axis1=1, axis2=2),
-        "det_s": _det(s),
+        "det_s": det_s,
         "trace_fs": np.trace(fs, axis1=1, axis2=2),
-        "neg_det_fs": -_det(fs),
-        "min_eig_s": np.linalg.eigvalsh(s)[:, 0],
-        "max_eig_fs": np.linalg.eigvalsh(fs)[:, -1],
+        "neg_det_fs": -det_fs,
+        "min_eig_s": eig_s[:, 0],
+        "max_eig_fs": eig_fs[:, -1],
     }
 
 

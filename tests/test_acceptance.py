@@ -2,8 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 PASS/FAIL lines.  The error-table criteria share one module-scoped study over
-the full spacing list; the finest grid is a dense 12675-unknown solve, so the
-module takes a couple of minutes.
+the full spacing list; the finest grid is a dense 12675-unknown solve, and the
+module runs in about ten seconds on two Xeon cores.
 """
 
 import csv

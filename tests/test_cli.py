@@ -279,9 +279,11 @@ def test_fields_summary_matches_csv_recount(tmp_path, capsys):
 
 def test_fields_counts_singular_and_non_finite_metrics_as_failures(tmp_path, capsys,
                                                                    monkeypatch):
-    # S = [[a, a], [a, a]] is singular, but its LU determinant rounds to
-    # +5.3e-15; an all-NaN S decides nothing.  Both rows fail, as their
-    # min_eig_S shows, and the export raises no warning
+    # S = [[a, a], [a, a]] is singular, and its det_S, the product of its
+    # eigenvalues, is 0 (an LU rounds it to +5.3e-15); an all-NaN S and an S
+    # with one NaN entry, which eigvalsh does not read, decide nothing.  All
+    # three rows fail, as their min_eig_S and det_S show, the trace and
+    # determinant recount agrees with the summary, and no warning is raised
     import conmet.evaluate
 
     a = 5.940812679889744
@@ -291,6 +293,7 @@ def test_fields_counts_singular_and_non_finite_metrics_as_failures(tmp_path, cap
         s, fs = original(solution, query)
         s[3] = a
         s[5] = np.nan
+        s[7, 0, 1] = np.nan
         return s, fs
 
     monkeypatch.setattr(conmet.evaluate, "_fields_batch", stubbed)
@@ -300,11 +303,14 @@ def test_fields_counts_singular_and_non_finite_metrics_as_failures(tmp_path, cap
                               "offset": 0.0})
     assert cli.main(["fields", str(cfg)]) == 0
     _, rows = _read_csv(tmp_path / "out" / "fields.csv")
-    assert float(rows[3][3]) > 0.0                      # det_S
+    assert float(rows[3][3]) == 0.0                     # det_S
     assert float(rows[3][6]) == 0.0 and np.isnan(float(rows[5][6]))     # min_eig_S
+    assert np.isnan(float(rows[7][6])) and np.isnan(float(rows[7][3]))
     summary = json.loads((tmp_path / "out" / "fields_summary.json").read_text())
     recount = sum(not float(row[6]) > 0.0 for row in rows)
-    assert summary["metric_not_positive_definite"] == recount == 2
+    assert summary["metric_not_positive_definite"] == recount == 3
+    # check_fields' rule: S positive definite where det_S > 0 and trace_S > 0
+    assert sum(not (float(row[3]) > 0.0 and float(row[2]) > 0.0) for row in rows) == recount
 
 
 def test_ellipses_good_and_flagged_anchors(tmp_path, capsys):
