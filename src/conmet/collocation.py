@@ -59,8 +59,8 @@ import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.linalg.cython_lapack
 
-from .operator import (PAIRWISE_SLOTS, block_rows, coordinate_matrices, near_box,
-                       pairwise_scalars, run_blocks, workspace_shape)
+from .operator import (PAIRWISE_SLOTS, _SYMMETRY_TOL, block_rows, coordinate_matrices,
+                       near_box, pairwise_scalars, run_blocks, workspace_shape)
 from .systems import check_equilibrium_condition
 
 __all__ = [
@@ -190,7 +190,7 @@ def assemble(system, kernel, points, equilibria=()):
     chunks' diagonal squares, and np.tril(gram) + np.tril(gram, -1).T is the
     whole matrix.  The set also carries its lower bandwidth kd (module
     docstring), read off the kernel values psi that the chunks compute.  Raises
-    ValueError for duplicate points (naming the offending pair) and when a
+    ValueError for no or duplicate points (naming the offending pair) and when a
     supplied equilibrium, wherever it lies, fails check_equilibrium_condition,
     and MemoryError, in one check before it scans the nodes or maps anything
     large, when the lower triangle, a page per column and one assembly
@@ -198,6 +198,8 @@ def assemble(system, kernel, points, equilibria=()):
     or when the Gram cannot be mapped.
     """
     cset = replace(collocation_data(system, points), kernel=kernel)
+    if not len(cset):
+        raise ValueError("there is no collocation point: assemble needs at least one")
     _reject_duplicates(cset.points)
     for x0, sign in equilibria:
         check_equilibrium_condition(system, x0, sign)
@@ -473,7 +475,7 @@ def check_rhs(rhs, n):
         raise ValueError(f"right-hand-side matrix has shape {rhs.shape}, expected {(n, n)}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand-side matrix must be finite")
-    if np.max(np.abs(rhs - rhs.T)) > _DIVISIBILITY_TOL * max(1.0, np.max(np.abs(rhs))):
+    if np.max(np.abs(rhs - rhs.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(rhs))):
         raise ValueError("right-hand-side matrix must be symmetric")
     if np.min(np.linalg.eigvalsh(rhs)) <= 0.0:
         raise ValueError("right-hand-side matrix must be positive definite")

@@ -12,22 +12,25 @@ with r_k = |x_k - x|, b_k the coefficient matrices, and H12 the mixed kernel
 Hessian.  The weights of both sums are the pairwise quantities of
 operator.pairwise_scalars with the query points as rows, and f, Df at the
 query points come from collocation_data, one batched call each, so assembly
-and evaluation share one engine.  Evaluation groups the query points into
-square cells whose edge is the kernel's support radius and splits each cell
-into blocks of operator.block_rows(K) points, with K the count of nodes that
-operator.near_box keeps for the cell; a block sums only over the nodes kept
-for it, since every other node contributes exactly zero.  operator.run_blocks
-runs the blocks on the worker threads that assembly uses too; each block
-writes its own rows, so the values do not depend on the worker count.
-convergence_study checks C and the declared equilibria, and computes f, Df,
-M and L(M) at the check points, once, before its first assembly, so a bad C,
-a bad equilibrium or an exact metric of the wrong shape fails before any
-Gram exists.  It evaluates the finest spacing first, right after its solve,
-so that Gram peaks before any block exists.  Every result is exactly
-symmetric by construction.  Evaluation takes arrays only: a single point x
-is the batch x[None].  Definiteness is one rule, the sign of an extreme
-eigenvalue: field_export takes it from eigvalsh, and ellipse_points from the
-batched eigh whose eigenvectors also give its samples.
+and evaluation share one engine.  Both sums run in the upper-triangle
+coordinates of assembly and solve, and one index map reads (i, j) and (j, i)
+from the same coordinate, so S is exactly symmetric, and so is L(S), whose
+zero-order part is Df^T S plus its transpose.  Evaluation groups the query
+points into square cells whose edge is the kernel's support radius and splits
+each cell into blocks of operator.block_rows(K) points, with K the count of
+nodes that operator.near_box keeps for the cell; a block sums only over the
+nodes kept for it, since every other node contributes exactly zero.
+operator.run_blocks runs the blocks on the worker threads that assembly uses
+too; each block writes its own rows, so the values do not depend on the worker
+count.  convergence_study checks C and the declared equilibria, and computes
+f, Df, M and L(M) at the check points, once, before its first assembly, so a
+bad C, a bad equilibrium or an exact metric of the wrong shape fails before
+any Gram exists.  It evaluates the finest spacing first, right after its
+solve, so that Gram peaks before any block exists.  Evaluation takes arrays
+only: one point x is the batch x[None]; a (0, n) batch gives empty arrays.
+Definiteness is one rule, the sign of an extreme eigenvalue: field_export
+takes it from eigvalsh, and ellipse_points from the batched eigh whose
+eigenvectors also give its samples.
 """
 
 import time
@@ -54,17 +57,12 @@ __all__ = [
 ]
 
 
-def _symmetrize(fields):
-    """Exactly symmetric copy, (T + T^T)/2 slice by slice."""
-    return 0.5 * (fields + fields.transpose(0, 2, 1))
-
-
-def _combine(weights_a, flats_a, weights_b, flats_b, n, work):
-    """sum_k w_a[e,k] A_k + w_b[e,k] B_k through two dense GEMMs into work's rows 0-1."""
-    out, product = (row[:len(weights_a) * n * n].reshape(-1, n * n) for row in work[:2])
-    np.add(np.matmul(weights_a, flats_a, out=out), np.matmul(weights_b, flats_b, out=product),
-           out=out)
-    return out.reshape(-1, n, n)
+def _combine(weights_a, coords_a, weights_b, coords_b, work):
+    """sum_k w_a[e,k] A_k + w_b[e,k] B_k in (K, m) coordinates; two GEMMs into work's rows 0-1."""
+    m = coords_a.shape[1]
+    out, product = (row[:len(weights_a) * m].reshape(-1, m) for row in work[:2])
+    return np.add(np.matmul(weights_a, coords_a, out=out),
+                  np.matmul(weights_b, coords_b, out=product), out=out)
 
 
 def _cell_blocks(points, nodes, edge):
@@ -78,7 +76,7 @@ def _cell_blocks(points, nodes, edge):
     order = np.lexsort(cells.T[::-1])
     keys = cells[order]
     starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-    bounds = [0, *starts, len(points)]
+    bounds = [0, *starts, len(points)] if len(points) else []     # no points, no cell
     for c0, c1 in zip(bounds[:-1], bounds[1:]):
         cell = points[order[c0:c1]]
         near = np.count_nonzero(near_box(nodes, (cell.min(axis=0), cell.max(axis=0)), edge))
@@ -92,13 +90,15 @@ def _fields_batch(solution, query):
     cset = solution.collocation
     radius = solution.kernel.support_radius
     n = cset.system.dim
-    # P_k = J_k beta_k + beta_k J_k^T
-    p_flat = operator_image(solution.beta, 0.0,
-                            cset.jacobians.transpose(0, 2, 1)).reshape(-1, n * n)
-    beta_flat = solution.beta.reshape(-1, n * n)
+    upper = np.triu_indices(n)
+    m = len(upper[0])
+    mirror = np.empty((n, n), dtype=np.intp)        # (i, j) and (j, i) -> coordinate of i <= j
+    mirror[upper] = mirror[upper[::-1]] = np.arange(m)
+    # P_k = J_k beta_k + beta_k J_k^T and beta_k by their upper triangles, (N, m) each
+    p_coords, beta_coords = (values[:, upper[0], upper[1]] for values in (
+        operator_image(solution.beta, 0.0, cset.jacobians.transpose(0, 2, 1)), solution.beta))
     centre = cset.centre
-    s_out = np.empty((len(query), n, n))
-    fs_out = np.empty((len(query), n, n))
+    s_out, fs_out = (np.empty((len(query), n, n)) for _ in range(2))
 
     def evaluate_block(block, work):
         rows = query.points[block]
@@ -106,16 +106,14 @@ def _fields_batch(solution, query):
         psi, theta, g2, h = pairwise_scalars(
             solution.kernel, centre, rows, query.f_values[block],
             cset.points[near], cset.f_values[near], work)
-        p_near, beta_near = p_flat[near], beta_flat[near]
-        s_val = _symmetrize(_combine(psi, p_near, theta, beta_near, n, work[4:]))
-        s_out[block] = s_val
-        fs = operator_image(s_val, _combine(g2, p_near, h, beta_near, n, work[4:]),
-                            query.jacobians[block])
-        fs_out[block] = _symmetrize(fs)
+        p_near, beta_near = p_coords[near], beta_coords[near]
+        s_out[block] = s_val = _combine(psi, p_near, theta, beta_near, work[4:])[:, mirror]
+        orbital = _combine(g2, p_near, h, beta_near, work[4:])[:, mirror]
+        fs_out[block] = operator_image(s_val, orbital, query.jacobians[block])
 
     blocks = list(_cell_blocks(query.points, cset.points, radius))
     run_blocks(evaluate_block, blocks, PAIRWISE_SLOTS,     # rows that fit _combine's sums too
-               max([len(cset)] + [n * n * len(block) for block in blocks]))
+               max([len(cset)] + [m * len(block) for block in blocks]))
     return s_out, fs_out
 
 

@@ -283,6 +283,15 @@ def test_assemble_rejects_duplicates(linear, kernel):
         assemble(system, kernel, [[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
 
 
+def test_assemble_refuses_no_points_before_the_memory_check(linear, kernel, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("checked the memory of a Gram without unknowns")
+
+    monkeypatch.setattr(conmet.collocation, "_check_memory", no_check)
+    with pytest.raises(ValueError, match="no collocation point"):
+        assemble(linear[0], kernel, np.empty((0, 2)))
+
+
 def test_assemble_bitwise_deterministic(linear, kernel):
     system, _, _ = linear
     pts = make_grid(GridSpec(BOUNDS, 0.5))

@@ -24,7 +24,6 @@ from conmet import (
     linear_example,
     make_grid,
     solve,
-    wendland_c8,
 )
 from conmet import evaluate, operator
 from conmet.collocation import FactorizationError
@@ -83,16 +82,20 @@ def test_eval_batch_matches_single(solved_quarter):
                            rtol=1e-13, atol=1e-13)
 
 
-def test_form1_equals_form2(solved_quarter, kernel):
+@pytest.mark.parametrize("solved, half_edge", [("solved_quarter", 1.0), ("solved_3d", 0.75)],
+                         ids=["n=2", "n=3"])
+def test_form1_equals_form2(solved, half_edge, kernel, request):
     # expansion over representers with the raw coefficients gamma agrees with
-    # the closed-form evaluation from the symmetric beta matrices
-    cset = solved_quarter.collocation
-    beta = solved_quarter.beta
-    pairs = triangle_indices(2)
+    # the closed-form evaluation from the symmetric beta matrices, off the nodes
+    solution = request.getfixturevalue(solved)
+    cset = solution.collocation
+    beta = solution.beta
+    n = cset.system.dim
+    pairs = triangle_indices(n)
     rng = np.random.default_rng(52)
-    xs = rng.uniform(-1, 1, (50, 2))
-    for x, s_x in zip(xs, eval_metric_batch(solved_quarter, xs)):
-        form1 = np.zeros((2, 2))
+    xs = rng.uniform(-half_edge, half_edge, (50, n))
+    for x, s_x in zip(xs, eval_metric_batch(solution, xs)):
+        form1 = np.zeros((n, n))
         for k in range(len(cset)):
             data = point_data(cset, k)
             for i, j in pairs:
@@ -505,6 +508,17 @@ def test_a_single_point_is_refused_unless_given_as_a_batch(solved_quarter, linea
         call(solved_quarter, linear[0], kernel, np.array([0.1, -0.2]))
 
 
+def test_empty_batches_give_empty_arrays(solved_quarter):
+    empty = np.empty((0, 2))
+    assert eval_metric_batch(solved_quarter, empty).shape == (0, 2, 2)
+    assert eval_operator_batch(solved_quarter, empty).shape == (0, 2, 2)
+    fields = field_export(solved_quarter, empty)
+    assert fields["x"].shape == (0, 2)
+    assert fields["s"].shape == fields["fs"].shape == (0, 2, 2)
+    for key in ("trace_s", "det_s", "trace_fs", "neg_det_fs", "min_eig_s", "max_eig_fs"):
+        assert fields[key].shape == (0,), key
+
+
 def test_field_export_scalars_match_pointwise(solved_quarter, linear):
     # the batched trace, det and eigenvalue columns agree with per-point
     # calls; each det is the product of the per-point eigenvalues, bit for bit
@@ -626,13 +640,25 @@ def test_ellipse_overflowing_samples_raise(level, s_x):
 
 # -- a three-dimensional system end to end ------------------------------------------
 
-def test_three_dimensional_recovery():
+def _three_dimensional():
+    """x' = A x in dimension 3, with its 27 nodes {-1/2, 0, 1/2}^3."""
     a = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -1.5]])
     system = DynamicalSystem(3, lambda x: x @ a.T, lambda x: np.tile(a, (len(x), 1, 1)),
                              label="3d")
-    kernel = wendland_c8(0.9)
     axis = (-0.5, 0.0, 0.5)
-    pts = np.array([(x, y, z) for x in axis for y in axis for z in axis])
+    return system, np.array([(x, y, z) for x in axis for y in axis for z in axis])
+
+
+@pytest.fixture(scope="module")
+def solved_3d(kernel):
+    """The system of _three_dimensional solved for C = I on its nodes."""
+    system, pts = _three_dimensional()
+    cset, gram = assemble(system, kernel, pts)
+    return solve(gram, np.eye(3), cset)
+
+
+def test_three_dimensional_recovery(kernel):
+    system, pts = _three_dimensional()
     cset, gram = assemble(system, kernel, pts)
     assert gram.shape == (27 * 6, 27 * 6)
     rhs = np.eye(3)
